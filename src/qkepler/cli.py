@@ -2,9 +2,11 @@
 
 Tables (spectrum, degeneracy, ktype, wavefunction) always exit 0; check
 commands (residual, eigensolve, micz, verify ...) exit 1 when any row
-fails and 2 on argument errors.  `verify all` runs the same sweeps the
-test suite gates on, so it doubles as the CI entry point.  Output is
-deterministic: the same arguments and seed give byte-identical reports.
+fails and 2 on argument errors, including sizes that would make a table
+or sweep empty and flags the chosen check does not read.  `verify` runs
+the checks of ``qkepler.checks``, which the test suite gates on, so
+`verify all` doubles as the CI entry point.  Output is deterministic:
+the same arguments and seed give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -12,21 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import geom, radial, rep, spectral
-from .report import CheckResult, Report, emit
+from . import checks, radial, spectral
+from .report import Report, emit, row
 
 __all__ = ["run", "main"]
-
-
-def _row(name, lhs=None, rhs=None, residual=None, tolerance=None,
-         passed=True) -> CheckResult:
-    return CheckResult(name=name, lhs=lhs, rhs=rhs, residual=residual,
-                       tolerance=tolerance, passed=bool(passed))
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +33,14 @@ def _cmd_spectrum(args) -> Report:
     rows = []
     for I in range(args.imax + 1):
         e = spectral.energy(p, I)
-        rows.append(_row(f"E[I={I}]", lhs=e, rhs=float(e)))
+        rows.append(row(f"E[I={I}]", lhs=e, rhs=float(e)))
     return Report("spectrum", {"n": args.n, "sigma": args.sigma,
                                "imax": args.imax}, rows)
 
 
 def _cmd_degeneracy(args) -> Report:
     p = spectral.ModelParams(args.n, args.sigma)
-    rows = [_row(f"I={I}", lhs=spectral.degeneracy(p, I))
+    rows = [row(f"I={I}", lhs=spectral.degeneracy(p, I))
             for I in range(args.imax + 1)]
     return Report("degeneracy", {"n": args.n, "sigma": args.sigma,
                                  "imax": args.imax}, rows)
@@ -57,10 +52,10 @@ def _cmd_ktype(args) -> Report:
     for I in range(args.imax + 1):
         w = spectral.ktype_weight(p, I)
         chk = spectral.ktype_dim_check(p, I)
-        rows.append(_row(f"weight[I={I}]",
-                         lhs="(" + ",".join(str(e) for e in w.entries) + ")"))
-        rows.append(_row(f"dim[I={I}]", lhs=chk.u2n_dim, rhs=chk.sp_sum,
-                         passed=chk.passed))
+        rows.append(row(f"weight[I={I}]",
+                        lhs="(" + ",".join(str(e) for e in w.entries) + ")"))
+        rows.append(row(f"dim[I={I}]", lhs=chk.u2n_dim, rhs=chk.sp_sum,
+                        passed=chk.passed))
     return Report("ktype", {"n": args.n, "sigma": args.sigma,
                             "imax": args.imax}, rows)
 
@@ -71,7 +66,7 @@ def _cmd_wavefunction(args) -> Report:
     pts = np.linspace(args.lo, args.hi, args.points)
     fun = radial.radial_t if args.coordinate == "t" else radial.radial_rho
     vals = fun(s, pts, normalized=args.normalized)
-    rows = [_row(f"sample[{i}]", lhs=float(x), rhs=float(v))
+    rows = [row(f"sample[{i}]", lhs=float(x), rhs=float(v))
             for i, (x, v) in enumerate(zip(pts, vals))]
     return Report("wavefunction",
                   {"n": args.n, "sigma": args.sigma, "k": args.k, "l": args.l,
@@ -84,31 +79,23 @@ def _cmd_wavefunction(args) -> Report:
 # check commands
 
 
-def _kepler_grid(p: spectral.ModelParams) -> radial.RadialGrid:
-    return radial.RadialGrid.uniform(0.1, 40.0, 400, 2 * p.n)
-
-
-def _osc_grid(p: spectral.ModelParams) -> radial.RadialGrid:
-    return radial.RadialGrid.uniform(0.1, 6.0, 300, 4 * p.n - 1)
-
-
 def _cmd_residual(args) -> Report:
     p = spectral.ModelParams(args.n, args.sigma)
     s = radial.RadialState(p, args.k, args.l)
     tol = args.tol if args.tol is not None else 1e-8
     rows = []
     if args.which == "kepler":
-        r = radial.kepler_residual(s, _kepler_grid(p))
-        rows.append(_row("kepler-residual", residual=r, tolerance=tol,
-                         passed=r < tol))
+        r = radial.kepler_residual(s, checks.kepler_grid(p))
+        rows.append(row("kepler-residual", residual=r, tolerance=tol,
+                        passed=r < tol))
     else:
-        r = radial.oscillator_residual(s, _osc_grid(p))
-        rows.append(_row("oscillator-residual", residual=r, tolerance=tol,
-                         passed=r < tol))
+        r = radial.oscillator_residual(s, checks.oscillator_grid(p))
+        rows.append(row("oscillator-residual", residual=r, tolerance=tol,
+                        passed=r < tol))
         back = radial.oscillator_eigenvalue_exact(s)
-        rows.append(_row("eigenvalue-readback", lhs=back,
-                         rhs=s.oscillator_level,
-                         passed=back == s.oscillator_level))
+        rows.append(row("eigenvalue-readback", lhs=back,
+                        rhs=s.oscillator_level,
+                        passed=back == s.oscillator_level))
     return Report(f"residual {args.which}",
                   {"n": args.n, "sigma": args.sigma, "k": args.k,
                    "l": args.l}, rows)
@@ -123,8 +110,8 @@ def _cmd_eigensolve(args) -> Report:
     for i, num in enumerate(vals):
         exact = float(spectral.energy(p, i + args.l))
         rel = abs(num - exact) / abs(exact)
-        rows.append(_row(f"E[{i}]", lhs=float(num), rhs=exact,
-                         residual=rel, tolerance=tol, passed=rel < tol))
+        rows.append(row(f"E[{i}]", lhs=float(num), rhs=exact,
+                        residual=rel, tolerance=tol, passed=rel < tol))
     return Report("eigensolve",
                   {"n": args.n, "sigma": args.sigma, "l": args.l,
                    "grid": args.grid, "count": args.count,
@@ -134,316 +121,67 @@ def _cmd_eigensolve(args) -> Report:
 def _cmd_micz(args) -> Report:
     tol = args.tol if args.tol is not None else 1e-6
     rep_ = radial.micz_check(args.sigma, i_max=args.imax, tolerance=tol)
-    rows = [_row("spectrum-exact", lhs=rep_.spectrum_exact, rhs=True,
-                 passed=rep_.spectrum_exact)]
+    rows = [row("spectrum-exact", lhs=rep_.spectrum_exact, rhs=True,
+                passed=rep_.spectrum_exact)]
     for j, r in enumerate(rep_.operator_residuals):
-        rows.append(_row(f"operator[{j}]", residual=r, tolerance=tol,
-                         passed=r < tol))
-    rows.append(_row("centrifugal-fit", residual=rep_.centrifugal_deviation,
-                     tolerance=tol,
-                     passed=rep_.centrifugal_deviation < tol))
+        rows.append(row(f"operator[{j}]", residual=r, tolerance=tol,
+                        passed=r < tol))
+    rows.append(row("centrifugal-fit", residual=rep_.centrifugal_deviation,
+                    tolerance=tol,
+                    passed=rep_.centrifugal_deviation < tol))
     return Report("micz", {"sigma": args.sigma, "imax": args.imax}, rows)
 
 
-# ---------------------------------------------------------------------------
-# verification sweeps; defaults mirror the gating test suite
-
-
-def _verify_dim_equality(ns, kmax) -> list[CheckResult]:
-    rows = []
-    for n in ns:
-        ok = sum(spectral.dimension_equality_check(n, k).passed
-                 for k in range(kmax + 1))
-        rows.append(_row(f"dim-equality[n={n}]", lhs=ok, rhs=kmax + 1,
-                         passed=ok == kmax + 1))
-    return rows
-
-
-def _verify_genfunc(ns, kmax) -> list[CheckResult]:
-    rows = []
-    for n in ns:
-        chk = spectral.genfunc_check(n, kmax)
-        rows.append(_row(f"genfunc[n={n}]", lhs=kmax + 1,
-                         rhs=kmax + 1 if chk.passed else 0,
-                         passed=chk.passed))
-    return rows
-
-
-def _verify_casimir(nmax, lmax, smax) -> list[CheckResult]:
-    rows = []
-    for n in range(2, nmax + 1):
-        cases = ok = 0
-        for l in range(lmax + 1):
-            for sb in range(smax + 1):
-                cases += 1
-                lhs = Fraction(rep.angular_eigenvalue(n, sb, l))
-                hw = rep.HighestWeight([l + sb, l] + [0] * (n - 2))
-                diff = rep.casimir(rep.RootSystem("C", n), hw) \
-                    - rep.casimir(rep.RootSystem("C", 1),
-                                  rep.HighestWeight([sb]))
-                ok += lhs == 2 * diff
-        rows.append(_row(f"casimir[n={n}]", lhs=ok, rhs=cases,
-                         passed=ok == cases))
-    return rows
-
-
-def _verify_dims(ns, lmax, smax) -> list[CheckResult]:
-    rows = []
-    for n in ns:
-        cases = ok = 0
-        for l in range(lmax + 1):
-            for sb in range(smax + 1):
-                cases += 1
-                hw = rep.HighestWeight([l + sb, l] + [0] * (n - 2))
-                ok += rep.dim_R_l(n, sb, l) == rep.weyl_dim(
-                    rep.RootSystem("C", n), hw)
-        rows.append(_row(f"dims[n={n}]", lhs=ok, rhs=cases,
-                         passed=ok == cases))
-    return rows
-
-
-def _verify_ktype_dims(ns, smax, imax) -> list[CheckResult]:
-    rows = []
-    for n in ns:
-        cases = ok = 0
-        for sb in range(smax + 1):
-            for I in range(imax + 1):
-                cases += 1
-                ok += spectral.ktype_dim_check(
-                    spectral.ModelParams(n, sb), I).passed
-        rows.append(_row(f"ktype-dims[n={n}]", lhs=ok, rhs=cases,
-                         passed=ok == cases))
-    return rows
-
-
-def _verify_metric(ns, samples, seed, tol) -> list[CheckResult]:
-    mtol = tol if tol is not None else 1e-12
-    qtol = tol if tol is not None else 1e-13
-    rows = []
-    for n in ns:
-        r = geom.metric_sweep(n, samples, seed)
-        rows.append(_row(f"metric[n={n}]", residual=r, tolerance=mtol,
-                         passed=r < mtol))
-        q = geom.quotient_sweep(n, samples, seed)
-        rows.append(_row(f"quotient[n={n}]", residual=q, tolerance=qtol,
-                         passed=q < qtol))
-    return rows
-
-
-def _verify_ostar(ns, samples, seed, tol) -> list[CheckResult]:
-    otol = tol if tol is not None else 1e-10
-    rows = []
-    for n in ns:
-        passes, total = geom.ostar_sweep(n, samples, seed, tol=otol)
-        rows.append(_row(f"ostar[n={n}]", lhs=passes, rhs=total,
-                         tolerance=otol, passed=passes == total))
-    cases = ok = 0
-    for n in range(1, 7):
-        phase = np.exp(0.7j)
-        for i in range(1, 2 * n + 1):
-            cases += 1
-            A = np.eye(2 * n, dtype=complex)
-            A[i - 1, i - 1] = phase
-            ibar = geom.weight_double(i, n)
-            img = geom.embed_u2n(A)
-            uv = geom.embed_u2n_uv(A)
-            d = np.diag(img).copy()
-            du = np.diag(uv).copy()
-            good = (abs(d[ibar - 1] - np.conj(phase)) < 1e-14
-                    and abs(du[ibar - 1] - phase) < 1e-14)
-            d[i - 1] = d[ibar - 1] = 1.0
-            good = good and np.all(np.abs(d - 1.0) < 1e-14)
-            ok += bool(good)
-    rows.append(_row("weight-double[n<=6]", lhs=ok, rhs=cases,
-                     passed=ok == cases))
-    return rows
-
-
-def _verify_schur(smax, points, tol) -> list[CheckResult]:
-    stol = tol if tol is not None else 1e-6
-    rows = []
-    for sb in range(smax + 1):
-        norm = rep.schur_norm(sb, quadrature_points=points)
-        rows.append(_row(f"schur-norm[{sb}]", lhs=norm, rhs=1.0,
-                         residual=abs(norm - 1.0), tolerance=stol,
-                         passed=abs(norm - 1.0) < stol))
-    worst = 0.0
-    for s1 in range(smax + 1):
-        for s2 in range(s1 + 1, smax + 1):
-            worst = max(worst, abs(rep.character_inner(
-                s1, s2, quadrature_points=points)))
-    rows.append(_row("schur-cross", residual=worst, tolerance=stol,
-                     passed=worst < stol))
-    return rows
-
-
-def _verify_collapse(ns, total_max) -> list[CheckResult]:
-    rows = []
-    for n in ns:
-        cases = ok = 0
-        for sb in range(7):
-            p = spectral.ModelParams(n, sb)
-            for k in range(1, total_max + 1):
-                for l in range(total_max - k + 1):
-                    cases += 1
-                    q = spectral.QuantumNumbers(k, l)
-                    ok += spectral.energy_kl(p, q) == spectral.energy(p, q.I)
-        rows.append(_row(f"collapse[n={n}]", lhs=ok, rhs=cases,
-                         passed=ok == cases))
-    return rows
-
-
-def _verify_eigensolve(tol) -> list[CheckResult]:
-    etol = tol if tol is not None else 1e-4
-    rows = []
-    for n in (2, 3):
-        worst = 0.0
-        for sb in range(4):
-            p = spectral.ModelParams(n, sb)
-            for l in range(3):
-                vals = radial.eigensolve(p, l, grid_size=4000, count=3)
-                for i, num in enumerate(vals):
-                    exact = float(spectral.energy(p, i + l))
-                    worst = max(worst, abs(num - exact) / abs(exact))
-        rows.append(_row(f"eigensolve[n={n}]", residual=worst,
-                         tolerance=etol, passed=worst < etol))
-    return rows
-
-
-def _verify_residuals(tol) -> list[CheckResult]:
-    rtol = tol if tol is not None else 1e-8
-    rows = []
-    for n in (2, 3):
-        worst_k = worst_o = 0.0
-        back_ok = cases = 0
-        for sb in range(4):
-            p = spectral.ModelParams(n, sb)
-            for k in range(1, 6):
-                for l in range(4):
-                    s = radial.RadialState(p, k, l)
-                    worst_k = max(worst_k,
-                                  radial.kepler_residual(s, _kepler_grid(p)))
-                    worst_o = max(worst_o,
-                                  radial.oscillator_residual(s, _osc_grid(p)))
-                    cases += 1
-                    back_ok += (radial.oscillator_eigenvalue_exact(s)
-                                == s.oscillator_level)
-        rows.append(_row(f"residual-kepler[n={n}]", residual=worst_k,
-                         tolerance=rtol, passed=worst_k < rtol))
-        rows.append(_row(f"residual-oscillator[n={n}]", residual=worst_o,
-                         tolerance=rtol, passed=worst_o < rtol))
-        rows.append(_row(f"readback[n={n}]", lhs=back_ok, rhs=cases,
-                         passed=back_ok == cases))
-    return rows
-
-
-def _verify_twist(tol) -> list[CheckResult]:
-    vtol = tol if tol is not None else 1e-20
-    r = np.linspace(0.2, 5.0, 200)
-    rows = []
-    for n in (2, 3):
-        worst = 0.0
-        for sb in range(4):
-            p = spectral.ModelParams(n, sb)
-            for k in range(1, 6):
-                for l in range(4):
-                    s = radial.RadialState(p, k, l)
-                    ratio = radial.twist_profile(s, r) \
-                        / radial.oscillator_profile(s, r)
-                    scaled = ratio / np.mean(ratio)
-                    worst = max(worst, float(np.var(scaled)))
-        rows.append(_row(f"twist[n={n}]", residual=worst, tolerance=vtol,
-                         passed=worst < vtol))
-    return rows
-
-
-def _verify_micz(tol) -> list[CheckResult]:
-    mtol = tol if tol is not None else 1e-6
-    rows = []
-    for sb in range(7):
-        rep_ = radial.micz_check(sb, i_max=20, tolerance=mtol)
-        worst = max(rep_.operator_residuals)
-        rows.append(_row(f"micz[{sb}]",
-                         lhs=rep_.spectrum_exact, rhs=True,
-                         residual=worst, tolerance=mtol,
-                         passed=rep_.passed))
-    return rows
-
-
-def _verify_orthogonality(tol) -> list[CheckResult]:
-    otol = tol if tol is not None else 1e-7
-    rows = []
-    worst = 0.0
-    for sb in range(3):
-        p = spectral.ModelParams(2, sb)
-        for l in range(3):
-            G = radial.orthogonality_check(p, l, k_max=6)
-            worst = max(worst, float(np.max(np.abs(G - np.eye(6)))))
-    rows.append(_row("orthogonality[n=2]", residual=worst, tolerance=otol,
-                     passed=worst < otol))
-    return rows
-
-
 def _cmd_verify(args) -> Report:
-    ns = [args.n] if args.n is not None else [2, 3, 4]
-    ns_small = [args.n] if args.n is not None else [2, 3]
-    check = args.check
-    params = {"check": check}
-    if check == "dim-equality":
-        rows = _verify_dim_equality(ns, args.kmax)
-        params.update(kmax=args.kmax, n=args.n)
-    elif check == "genfunc":
-        rows = _verify_genfunc(ns, args.kmax)
-        params.update(kmax=args.kmax, n=args.n)
-    elif check == "casimir":
-        rows = _verify_casimir(args.nmax, args.lmax, args.smax)
-        params.update(nmax=args.nmax, lmax=args.lmax, smax=args.smax)
-    elif check == "ktype-dims":
-        rows = _verify_ktype_dims(ns_small, args.smax, args.imax)
-        params.update(smax=args.smax, imax=args.imax, n=args.n)
-    elif check == "metric":
-        rows = _verify_metric(ns, args.samples, args.seed, args.tol)
-        params.update(samples=args.samples, n=args.n)
-    elif check == "ostar":
-        rows = _verify_ostar(ns_small, args.samples, args.seed, args.tol)
-        params.update(samples=args.samples, n=args.n)
-    elif check == "schur":
-        rows = _verify_schur(args.smax, args.points, args.tol)
-        params.update(smax=args.smax, points=args.points)
-    else:  # all
-        rows = []
-        rows += _verify_eigensolve(args.tol)
-        rows += _verify_collapse([2, 3, 4], 12)
-        rows += _verify_dim_equality([2, 3, 4], 12)
-        rows += _verify_genfunc([2, 3, 4], 12)
-        rows += _verify_dims([2, 3, 4], 6, 6)
-        rows += _verify_ktype_dims([2, 3], 5, 5)
-        rows += _verify_casimir(5, 8, 8)
-        rows += _verify_residuals(args.tol)
-        rows += _verify_twist(args.tol)
-        rows += _verify_micz(args.tol)
-        rows += _verify_metric([2, 3, 4], 1000, args.seed, args.tol)
-        rows += _verify_ostar([2, 3], 100, args.seed, args.tol)
-        rows += _verify_schur(10, 256, args.tol)
-        rows += _verify_orthogonality(args.tol)
-    return Report(f"verify {check}", params, rows, seed=args.seed)
+    # verify flags default to SUPPRESS, so only the given ones are in args
+    given = {f: v for f, v in vars(args).items() if f in checks.FLAGS}
+    if args.check == "all":
+        selected, reads, params = list(checks.REGISTRY.values()), {"seed"}, {}
+    else:
+        check = checks.REGISTRY[args.check]
+        selected, reads = [check], checks.flags(check)
+        # the seed has its own report field and tolerances show per row
+        params = {f: given.get(f, v) for f, v in reads.items()
+                  if f not in ("seed", "tol")}
+    unread = sorted(given.keys() - reads)
+    if unread:
+        raise ValueError(
+            f"verify {args.check} does not read "
+            + ", ".join(f"--{f}" for f in unread)
+            + ("; give a check name to set them"
+               if args.check == "all" else ""))
+    rows = []
+    for check in selected:
+        rows += check(**{f: v for f, v in given.items()
+                         if f in checks.flags(check)})
+    return Report(f"verify {args.check}", {"check": args.check, **params},
+                  rows, seed=given.get("seed", checks.SEED))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+def _at_least(lo: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override per-check tolerance defaults")
     common.add_argument("--timestamp", action="store_true",
                         help="stamp the report with the current UTC time "
                              "(off by default to keep output reproducible)")
+
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=float, default=None,
+                           help="override the check's tolerance")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--n", type=int, required=True,
@@ -460,17 +198,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", parents=[common, model],
                         help="exact energy table")
-    sp.add_argument("--imax", type=int, default=3)
+    sp.add_argument("--imax", type=_at_least(0), default=3)
     sp.set_defaults(func=_cmd_spectrum)
 
     dg = sub.add_parser("degeneracy", parents=[common, model],
                         help="eigenspace dimension table")
-    dg.add_argument("--imax", type=int, default=3)
+    dg.add_argument("--imax", type=_at_least(0), default=3)
     dg.set_defaults(func=_cmd_degeneracy)
 
     kt = sub.add_parser("ktype", parents=[common, model],
                         help="compact-group weight and dimension table")
-    kt.add_argument("--imax", type=int, default=3)
+    kt.add_argument("--imax", type=_at_least(0), default=3)
     kt.set_defaults(func=_cmd_ktype)
 
     wf = sub.add_parser("wavefunction", parents=[common, model],
@@ -480,18 +218,18 @@ def _build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--coordinate", choices=("t", "rho"), default="t")
     wf.add_argument("--lo", type=float, default=0.2)
     wf.add_argument("--hi", type=float, default=10.0)
-    wf.add_argument("--points", type=int, default=9)
+    wf.add_argument("--points", type=_at_least(1), default=9)
     wf.add_argument("--normalized", action="store_true")
     wf.set_defaults(func=_cmd_wavefunction)
 
-    rs = sub.add_parser("residual", parents=[common, model],
+    rs = sub.add_parser("residual", parents=[common, tolerance, model],
                         help="operator residual of a closed-form state")
     rs.add_argument("which", choices=("kepler", "oscillator"))
     rs.add_argument("--k", type=int, required=True)
     rs.add_argument("--l", type=int, required=True)
     rs.set_defaults(func=_cmd_residual)
 
-    ei = sub.add_parser("eigensolve", parents=[common, model],
+    ei = sub.add_parser("eigensolve", parents=[common, tolerance, model],
                         help="discretized radial eigenvalues vs exact")
     ei.add_argument("--l", type=int, required=True)
     ei.add_argument("--grid", type=int, default=4000)
@@ -499,34 +237,40 @@ def _build_parser() -> argparse.ArgumentParser:
     ei.add_argument("--tmax", type=float, default=None)
     ei.set_defaults(func=_cmd_eigensolve)
 
-    mz = sub.add_parser("micz", parents=[common],
+    mz = sub.add_parser("micz", parents=[common, tolerance],
                         help="n = 2 equivalence with the dimension-five model")
     mz.add_argument("--sigma", type=int, required=True, metavar="SBAR")
-    mz.add_argument("--imax", type=int, default=20)
+    mz.add_argument("--imax", type=_at_least(0), default=20)
     mz.set_defaults(func=_cmd_micz)
 
-    vf = sub.add_parser("verify", parents=[common],
-                        help="identity sweeps; 'all' is the CI gate")
-    vf.add_argument("check", choices=("dim-equality", "genfunc", "casimir",
-                                      "metric", "ostar", "schur",
-                                      "ktype-dims", "all"))
-    vf.add_argument("--n", type=int, default=None,
+    # a check reads the flags named by its parameters and defaults them
+    # itself; unset flags stay out of the namespace (see _cmd_verify)
+    reads = [f"  {name}: " + " ".join(f"--{f}" for f in checks.flags(c))
+             for name, c in checks.REGISTRY.items()]
+    vf = sub.add_parser(
+        "verify", parents=[common], argument_default=argparse.SUPPRESS,
+        help="acceptance checks; 'all' is the CI gate",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="\n".join(["flags each check reads ('all' reads --seed only):",
+                          *reads]))
+    vf.add_argument("check", choices=(*checks.REGISTRY, "all"))
+    vf.add_argument("--seed", type=int,
+                    help=f"seed for randomized sweeps (default {checks.SEED})")
+    vf.add_argument("--tol", type=float,
+                    help="override the named check's tolerance(s)")
+    vf.add_argument("--n", type=int,
                     help="restrict sweeps to one n (default: the full range)")
-    vf.add_argument("--kmax", type=int, default=12)
-    vf.add_argument("--nmax", type=int, default=5)
-    vf.add_argument("--lmax", type=int, default=8)
-    vf.add_argument("--smax", type=int, default=None,
-                    help="largest twist weight (default depends on check)")
-    vf.add_argument("--imax", type=int, default=5)
-    vf.add_argument("--samples", type=int, default=None,
+    vf.add_argument("--kmax", type=_at_least(0))
+    vf.add_argument("--nmax", type=_at_least(2))
+    vf.add_argument("--lmax", type=_at_least(0))
+    vf.add_argument("--smax", type=_at_least(0),
+                    help="largest twist weight")
+    vf.add_argument("--imax", type=_at_least(0))
+    vf.add_argument("--samples", type=_at_least(1),
                     help="sample count for seeded sweeps")
-    vf.add_argument("--points", type=int, default=256)
+    vf.add_argument("--points", type=_at_least(1))
     vf.set_defaults(func=_cmd_verify)
     return parser
-
-
-_VERIFY_DEFAULTS = {"smax": {"casimir": 8, "ktype-dims": 5, "schur": 10},
-                    "samples": {"metric": 1000, "ostar": 100}}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -536,11 +280,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if args.command == "verify":
-        if args.smax is None:
-            args.smax = _VERIFY_DEFAULTS["smax"].get(args.check, 8)
-        if args.samples is None:
-            args.samples = _VERIFY_DEFAULTS["samples"].get(args.check, 100)
     try:
         report = args.func(args)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-__all__ = ["CheckResult", "Report", "emit", "report_from_json"]
+__all__ = ["CheckResult", "Report", "row", "emit", "report_from_json"]
 
 SCHEMA = "qkepler-report-1"
 
@@ -54,6 +54,13 @@ class CheckResult:
     residual: Optional[float]
     tolerance: Optional[float]
     passed: bool
+
+
+def row(name, lhs=None, rhs=None, residual=None, tolerance=None,
+        passed=True) -> CheckResult:
+    """A CheckResult with empty defaults; numpy bools become bools."""
+    return CheckResult(name=name, lhs=lhs, rhs=rhs, residual=residual,
+                       tolerance=tolerance, passed=bool(passed))
 
 
 @dataclass(frozen=True)

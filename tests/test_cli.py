@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
 
+from qkepler import checks
 from qkepler.cli import run
 
 
@@ -29,10 +32,10 @@ def test_degeneracy_table_csv(capsys):
 
 
 def test_empty_table_is_valid(capsys):
+    # an empty table would pass vacuously, so its size is rejected
     code = run(["spectrum", "--n", "2", "--sigma", "0", "--imax", "-1"])
-    out = out_of(capsys)
-    assert code == 0
-    assert "result: pass" in out
+    assert code == 2
+    assert out_of(capsys) == ""
 
 
 def test_ktype_table(capsys):
@@ -159,3 +162,45 @@ def test_json_schema_and_seed(capsys):
     assert payload["schema"] == "qkepler-report-1"
     assert payload["seed"] == 3
     assert payload["timestamp"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--tol", "1"],
+    ["verify", "all", "--n", "2", "--samples", "1"],
+    ["verify", "casimir", "--n", "2", "--samples", "3"],
+    ["verify", "casimir", "--seed", "3"],
+    ["spectrum", "--n", "2", "--sigma", "0", "--seed", "1"],
+    ["residual", "kepler", "--n", "2", "--sigma", "0", "--k", "1",
+     "--l", "0", "--seed", "1"],
+    ["verify", "dim-equality", "--kmax", "-1"],
+    ["verify", "casimir", "--nmax", "1"],
+    ["verify", "metric", "--n", "2", "--samples", "0"],
+    ["verify", "ostar", "--n", "2", "--samples", "0"],
+], ids=" ".join)
+def test_unread_flags_and_vacuous_sizes_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def json_rows(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        run([*argv, "--format", "json"])
+    return json.loads(buf.getvalue())["results"]
+
+
+@pytest.fixture(scope="module")
+def gate_and_check_rows():
+    return (json_rows(["verify", "all"]),
+            {name: json_rows(["verify", name]) for name in checks.REGISTRY})
+
+
+@pytest.mark.parametrize("name", list(checks.REGISTRY))
+def test_check_is_defined_once(name, gate_and_check_rows):
+    gate, alone = gate_and_check_rows
+    names = list(checks.REGISTRY)
+    start = sum(len(alone[m]) for m in names[:names.index(name)])
+    assert alone[name] == gate[start:start + len(alone[name])]
+    assert sum(map(len, alone.values())) == len(gate)
