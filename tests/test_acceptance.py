@@ -18,53 +18,52 @@ from qkepler.spectral import (
 )
 
 
-def spot_dimension_equality() -> bool:
-    spot = dimension_equality_check(2, 2)
-    return spot.lhs == 36 and spot.rhs == 36
-
-
-def spot_ktype_dims() -> bool:
-    spot = ktype_dim_check(ModelParams(2, 0), 1)
-    return spot.u2n_dim == 6 and spot.sp_sum == 6
-
-
-SPOT_ORACLES = {"dim-equality": spot_dimension_equality,
-                "ktype-dims": spot_ktype_dims}
-EXTRA_SEEDS = {"metric": 7, "ostar": 11}
-TIME_LIMITS_S = {"eigensolve": 30.0}
-
-
-def criterion_test(number: int, name: str):
+def run_criterion(criterion, number: int, name: str) -> None:
     check = checks.REGISTRY[name]
+    start = time.perf_counter()
+    rows = check()
+    elapsed = time.perf_counter() - start
+    oracle = True
+    if name == "eigensolve":
+        oracle = elapsed < 30.0
+    elif name == "dim-equality":
+        spot = dimension_equality_check(2, 2)
+        oracle = spot.lhs == 36 and spot.rhs == 36
+    elif name == "ktype-dims":
+        spot = ktype_dim_check(ModelParams(2, 0), 1)
+        oracle = spot.u2n_dim == 6 and spot.sp_sum == 6
+    elif name == "metric":
+        rows += check(seed=7)
+    elif name == "ostar":
+        rows += check(seed=11)
+    failed = [r.name for r in rows if not r.passed]
+    criterion(number, f"{name}: {len(rows) - len(failed)}/{len(rows)} "
+                      f"rows pass, {elapsed:.1f}s", not failed and oracle)
+    assert not failed
+    assert oracle
 
-    def test(criterion):
-        start = time.perf_counter()
-        rows = check()
-        elapsed = time.perf_counter() - start
-        if name in EXTRA_SEEDS:
-            rows += check(seed=EXTRA_SEEDS[name])
-        failed = [r.name for r in rows if not r.passed]
-        spot_ok = SPOT_ORACLES.get(name, lambda: True)()
-        in_time = elapsed < TIME_LIMITS_S.get(name, float("inf"))
-        criterion(number, f"{name}: {len(rows) - len(failed)}/{len(rows)} "
-                          f"rows pass, {elapsed:.1f}s",
-                  not failed and spot_ok and in_time)
-        assert not failed
-        assert spot_ok
-        assert in_time
 
-    return test
-
-
-# Module-level functions rather than a parametrization, so that each
-# criterion keeps the test id it had before the registry existed.
-TEST_TITLES = (
-    "spectrum_from_eigensolver", "eigenvalue_collapse", "dimension_equality",
-    "generating_function", "closed_form_dimensions", "ktype_dimensions",
-    "casimir_identity", "radial_residuals", "twist_correspondence",
-    "micz_equivalence", "metric_identities", "ostar_identities",
-    "schur_norms", "orthonormality")
-for _number, (_title, _name) in enumerate(
-        zip(TEST_TITLES, checks.REGISTRY, strict=True), 1):
-    globals()[f"test_criterion_{_number:02d}_{_title}"] = criterion_test(
-        _number, _name)
+# Registry name -> title, in registry order.  The tests are module-level
+# functions test_criterion_NN_<title> rather than one parametrized test,
+# so each criterion keeps the test id it had before the registry existed.
+TITLES = {
+    "eigensolve": "spectrum_from_eigensolver",
+    "collapse": "eigenvalue_collapse",
+    "dim-equality": "dimension_equality",
+    "genfunc": "generating_function",
+    "dims": "closed_form_dimensions",
+    "ktype-dims": "ktype_dimensions",
+    "casimir": "casimir_identity",
+    "residuals": "radial_residuals",
+    "twist": "twist_correspondence",
+    "micz": "micz_equivalence",
+    "metric": "metric_identities",
+    "ostar": "ostar_identities",
+    "schur": "schur_norms",
+    "orthogonality": "orthonormality",
+}
+assert list(TITLES) == list(checks.REGISTRY)
+for _number, (_name, _title) in enumerate(TITLES.items(), 1):
+    globals()[f"test_criterion_{_number:02d}_{_title}"] = (
+        lambda criterion, number=_number, name=_name:
+        run_criterion(criterion, number, name))

@@ -127,6 +127,14 @@ def test_verify_schur_small(capsys):
     assert "schur-cross" in out
 
 
+def test_verify_schur_without_pairs_has_no_cross_row(capsys):
+    code = run(["verify", "schur", "--smax", "0"])
+    out = out_of(capsys)
+    assert code == 0
+    assert "schur-norm[0]" in out
+    assert "schur-cross" not in out
+
+
 def test_reports_are_byte_identical(capsys):
     args = ["verify", "metric", "--n", "2", "--samples", "50",
             "--seed", "11", "--format", "json"]
@@ -173,6 +181,8 @@ def test_json_schema_and_seed(capsys):
     ["residual", "kepler", "--n", "2", "--sigma", "0", "--k", "1",
      "--l", "0", "--seed", "1"],
     ["verify", "dim-equality", "--kmax", "-1"],
+    ["verify", "collapse", "--kmax", "0"],
+    ["verify", "dims", "--n", "2"],
     ["verify", "casimir", "--nmax", "1"],
     ["verify", "metric", "--n", "2", "--samples", "0"],
     ["verify", "ostar", "--n", "2", "--samples", "0"],
