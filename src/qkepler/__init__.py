@@ -6,7 +6,7 @@ from .qlinalg import (
     Quaternion,
     QVector,
     QMatrix,
-    quat_mul,
+    qmul,
     qdot,
     is_symplectic,
     complexify,
@@ -70,7 +70,7 @@ from .report import CheckResult, Report, emit
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "QVector", "QMatrix", "quat_mul", "qdot", "is_symplectic",
+    "Quaternion", "QVector", "QMatrix", "qmul", "qdot", "is_symplectic",
     "complexify", "complexify_matrix",
     "TangentSample", "fubini_study_form", "metric_identity_residual",
     "quotient_factor_check", "ostar_membership", "embed_u2n", "embed_u2n_uv",

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geom, radial, rep, spectral
-from .report import CheckResult, row
+from .report import CheckResult, row, worse
 
 __all__ = ["REGISTRY", "FLAGS", "SEED", "flags", "kepler_grid",
            "oscillator_grid"]
@@ -51,7 +51,7 @@ def eigensolve(tol: float = 1e-4) -> list[CheckResult]:
                 vals = radial.eigensolve(p, l, grid_size=4000, count=3)
                 for i, num in enumerate(vals):
                     exact = float(spectral.energy(p, i + l))
-                    worst = max(worst, abs(num - exact) / abs(exact))
+                    worst = worse(worst, abs(num - exact) / abs(exact))
         rows.append(row(f"eigensolve[n={n}]", residual=worst,
                         tolerance=tol, passed=worst < tol))
     return rows
@@ -159,9 +159,9 @@ def residuals(tol: float = 1e-8) -> list[CheckResult]:
             for k in range(1, 6):
                 for l in range(4):
                     s = radial.RadialState(p, k, l)
-                    worst_k = max(worst_k,
-                                  radial.kepler_residual(s, kepler_grid(p)))
-                    worst_o = max(worst_o, radial.oscillator_residual(
+                    worst_k = worse(worst_k,
+                                    radial.kepler_residual(s, kepler_grid(p)))
+                    worst_o = worse(worst_o, radial.oscillator_residual(
                         s, oscillator_grid(p)))
                     cases += 1
                     back_ok += (radial.oscillator_eigenvalue_exact(s)
@@ -189,7 +189,7 @@ def twist(tol: float = 1e-20) -> list[CheckResult]:
                     ratio = radial.twist_profile(s, r) \
                         / radial.oscillator_profile(s, r)
                     scaled = ratio / np.mean(ratio)
-                    worst = max(worst, float(np.var(scaled)))
+                    worst = worse(worst, float(np.var(scaled)))
         rows.append(row(f"twist[n={n}]", residual=worst, tolerance=tol,
                         passed=worst < tol))
     return rows
@@ -200,7 +200,7 @@ def micz(tol: float = 1e-6) -> list[CheckResult]:
     rows = []
     for sb in range(7):
         rep_ = radial.micz_check(sb, i_max=20, tolerance=tol)
-        worst = max(rep_.operator_residuals)
+        worst = float(np.max(rep_.operator_residuals))
         rows.append(row(f"micz[{sb}]",
                         lhs=rep_.spectrum_exact, rhs=True,
                         residual=worst, tolerance=tol,
@@ -271,7 +271,7 @@ def schur(smax: int = 10, points: int = 256,
     worst = 0.0
     for s1 in range(smax + 1):
         for s2 in range(s1 + 1, smax + 1):
-            worst = max(worst, abs(rep.character_inner(
+            worst = worse(worst, abs(rep.character_inner(
                 s1, s2, quadrature_points=points)))
     rows.append(row("schur-cross", residual=worst, tolerance=tol,
                     passed=worst < tol))
@@ -285,7 +285,7 @@ def orthogonality(tol: float = 1e-7) -> list[CheckResult]:
         p = spectral.ModelParams(2, sb)
         for l in range(3):
             G = radial.orthogonality_check(p, l, k_max=6)
-            worst = max(worst, float(np.max(np.abs(G - np.eye(6)))))
+            worst = worse(worst, float(np.max(np.abs(G - np.eye(6)))))
     return [row("orthogonality[n=2]", residual=worst, tolerance=tol,
                 passed=worst < tol)]
 

@@ -8,6 +8,11 @@ projective space.  The matrix family verifies the defining relations of
 the group O*(4n) = U(2n,2n) n O(4n,C), the embedding of U(2n) into it,
 and the index-doubling rule for diagonal weights.
 
+Data layout: quaternion vectors are float arrays (..., n, 4) as in
+``qkepler.qlinalg``, and elements of Sp(n) are their 2n x 2n complex
+images.  Leading axes batch samples, so each sweep draws its samples in
+one array and evaluates them together.
+
 Conventions: J denotes the 2n x 2n block matrix [[0, -I_n], [I_n, 0]].
 O*(4n) is cut out of GL(4n,C) by
 
@@ -23,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qlinalg import (
-    QMatrix,
-    Quaternion,
-    QVector,
     complexify_matrix,
     is_symplectic,
+    qconj,
     qdot,
-    random_qvector,
+    qmul,
+    qnorm2,
     random_unit_quaternion,
 )
 
@@ -56,28 +60,29 @@ DEFAULT_MEMBERSHIP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TangentSample:
-    """A base point Z != 0 of H^n together with a tangent vector W."""
+    """Base points Z != 0 of H^n with tangent vectors W, as (..., n, 4) arrays.
 
-    base: QVector
-    vector: QVector
+    Leading axes batch samples; the forms below give one value per sample.
+    """
+
+    base: np.ndarray
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.base) != len(self.vector):
+        if np.shape(self.base) != np.shape(self.vector):
             raise ValueError("base and vector must have equal length")
-        if self.base.norm2() == 0.0:
+        if np.any(qdot(self.base, self.base)[..., 0] == 0.0):
             raise ValueError("base point must be nonzero")
 
 
-def fubini_study_form(s: TangentSample) -> float:
+def fubini_study_form(s: TangentSample) -> np.ndarray:
     """The Fubini-Study quadratic form |W|^2/|Z|^2 - |conj(Z).W|^2/|Z|^4."""
-    z2 = s.base.norm2()
-    if z2 == 0.0:
-        raise ValueError("base point must be nonzero")
+    z2 = qdot(s.base, s.base)[..., 0]
     zw = qdot(s.base, s.vector)
-    return s.vector.norm2() / z2 - zw.norm2() / (z2 * z2)
+    return qdot(s.vector, s.vector)[..., 0] / z2 - qnorm2(zw) / (z2 * z2)
 
 
-def metric_identity_residual(s: TangentSample) -> float:
+def metric_identity_residual(s: TangentSample) -> np.ndarray:
     """Deviation of |W|^2 from its radial + Fubini-Study + fiber split.
 
     The split evaluates the identity
@@ -87,27 +92,25 @@ def metric_identity_residual(s: TangentSample) -> float:
     on the sample (Z, W); the return value is identically zero up to
     rounding for every nonzero Z.
     """
-    z2 = s.base.norm2()
-    if z2 == 0.0:
-        raise ValueError("base point must be nonzero")
+    z2 = qdot(s.base, s.base)[..., 0]
     zw = qdot(s.base, s.vector)
-    radial = zw.re * zw.re / z2
-    fiber = zw.im_norm2() / z2
+    w, x, y, z = np.moveaxis(zw, -1, 0)
+    radial = w * w / z2
+    fiber = (x * x + y * y + z * z) / z2
     rhs = radial + z2 * fubini_study_form(s) + fiber
-    return abs(s.vector.norm2() - rhs)
+    return np.abs(qdot(s.vector, s.vector)[..., 0] - rhs)
 
 
-def _bordered(a: QVector) -> QMatrix:
-    """The tangent matrix [[0, -a^dag], [a, 0]] of Sp(n) at the identity."""
-    n = len(a) + 1
-    rows = [[Quaternion() for _ in range(n)] for _ in range(n)]
-    for i, q in enumerate(a.entries):
-        rows[0][1 + i] = -q.conj()
-        rows[1 + i][0] = q
-    return QMatrix(rows)
+def _bordered(a: np.ndarray) -> np.ndarray:
+    """The tangent matrices [[0, -a^dag], [a, 0]] of Sp(n) at the identity."""
+    n = a.shape[-2] + 1
+    X = np.zeros(a.shape[:-2] + (n, n, 4))
+    X[..., 0, 1:, :] = -qconj(a)
+    X[..., 1:, 0, :] = a
+    return X
 
 
-def quotient_factor_check(a: QVector, b: QVector) -> tuple[float, float]:
+def quotient_factor_check(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the same pair of tangent vectors in two metrics.
 
     ``a`` and ``b`` (length n-1) parameterize tangent vectors of Sp(n) at
@@ -118,13 +121,17 @@ def quotient_factor_check(a: QVector, b: QVector) -> tuple[float, float]:
     the second, which is why the quotient metric on the projective space
     is twice the Fubini-Study metric.
     """
-    if len(a) != len(b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
         raise ValueError("length mismatch")
-    Xa, Xb = _bordered(a), _bordered(b)
-    tr = (Xa.dagger() @ Xb).trace()
-    ua = QVector.concat(QVector.zero(1), a)
-    ub = QVector.concat(QVector.zero(1), b)
-    return tr.re, qdot(ua, ub).re
+    # Re (X_a^dag X_b)_kk = sum_t Re conj(X_a)_tk (X_b)_tk, summed in t order
+    terms = qmul(qconj(_bordered(a)), _bordered(b))[..., 0]
+    diagonal = trace = 0.0
+    for t in range(terms.shape[-2]):
+        diagonal = diagonal + terms[..., t, :]
+    for k in range(terms.shape[-1]):
+        trace = trace + diagonal[..., k]
+    return trace, qdot(a, b)[..., 0]
 
 
 def jmat(n: int) -> np.ndarray:
@@ -144,16 +151,33 @@ def _ostar_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return eta, omega
 
 
-def ostar_membership(g: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Check both defining relations of O*(4n) to ``tol`` in max entry norm."""
+def ostar_membership(g: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL):
+    """Check both defining relations of O*(4n) to ``tol`` in max entry norm.
+
+    A batch (..., 4n, 4n) gives one verdict per matrix.
+    """
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 4:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] % 4:
         raise ValueError(f"expected a square matrix of order 4n, got {g.shape}")
-    n = g.shape[0] // 4
-    eta, omega = _ostar_forms(n)
-    d1 = np.max(np.abs(g.conj().T @ eta @ g - eta))
-    d2 = np.max(np.abs(g.T @ omega @ g - omega))
-    return max(d1, d2) <= tol
+    eta, omega = _ostar_forms(g.shape[-1] // 4)
+    gT = g.swapaxes(-1, -2)
+    d1 = np.abs(gT.conj() @ eta @ g - eta).max(axis=(-2, -1))
+    d2 = np.abs(gT @ omega @ g - omega).max(axis=(-2, -1))
+    return np.maximum(d1, d2) <= tol
+
+
+def _embed(A: np.ndarray, tol: float, lower) -> np.ndarray:
+    """diag(A, lower(A, J)) for unitaries A of order 2n, batched."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
+        raise ValueError(f"expected a square matrix of order 2n, got {A.shape}")
+    m = A.shape[-1]
+    if not np.all(np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(m)) <= tol):
+        raise ValueError("input is not unitary to tolerance")
+    out = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = A
+    out[..., m:, m:] = lower(A, jmat(m // 2))
+    return out
 
 
 def embed_u2n(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -165,34 +189,12 @@ def embed_u2n(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     partner matrix in the (U, conj(V)) frame (see :func:`embed_u2n_uv`)
     carries the phase itself at that slot.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise ValueError(f"expected a square matrix of order 2n, got {A.shape}")
-    if np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))) > tol:
-        raise ValueError("input is not unitary to tolerance")
-    n = A.shape[0] // 2
-    J = jmat(n)
-    lower = -J @ A.conj() @ J
-    out = np.zeros((4 * n, 4 * n), dtype=complex)
-    out[: 2 * n, : 2 * n] = A
-    out[2 * n:, 2 * n:] = lower
-    return out
+    return _embed(A, tol, lambda A, J: -J @ A.conj() @ J)
 
 
 def embed_u2n_uv(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """The same group element written in the (U, conj(V)) frame: diag(A, -J A J)."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise ValueError(f"expected a square matrix of order 2n, got {A.shape}")
-    if np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))) > tol:
-        raise ValueError("input is not unitary to tolerance")
-    n = A.shape[0] // 2
-    J = jmat(n)
-    lower = -J @ A @ J
-    out = np.zeros((4 * n, 4 * n), dtype=complex)
-    out[: 2 * n, : 2 * n] = A
-    out[2 * n:, 2 * n:] = lower
-    return out
+    return _embed(A, tol, lambda A, J: -J @ A @ J)
 
 
 def weight_double(i: int, n: int) -> int:
@@ -209,72 +211,81 @@ def weight_double(i: int, n: int) -> int:
     return ibar
 
 
-def sp_n_in_ostar(M: QMatrix, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """Push a symplectic-unitary quaternion matrix into O*(4n) and test membership."""
-    if not is_symplectic(M, tol=1e-9):
+def sp_n_in_ostar(C: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL):
+    """Push Sp(n) elements, given as complex images, into O*(4n) and test membership."""
+    if not np.all(is_symplectic(C, tol=1e-9)):
         raise ValueError("input is not symplectic-unitary to tolerance")
-    C = complexify_matrix(M)
     return ostar_membership(embed_u2n(C), tol)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary via QR of a complex Ginibre matrix."""
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+def random_unitary(dim: int, rng: np.random.Generator,
+                   samples: int | None = None) -> np.ndarray:
+    """Haar-ish unitaries via QR of complex Ginibre matrices.
 
-
-def random_sp(n: int, rng: np.random.Generator, factors: int = 12) -> QMatrix:
-    """Random element of Sp(n) as a product of elementary factors.
-
-    Each factor is either a diagonal matrix with one random unit quaternion
-    or a real plane rotation; such products reach every element of Sp(n)
-    in the limit of many factors.
+    One (dim, dim) matrix, or a batch (samples, dim, dim).  Each matrix
+    draws its real part, then its imaginary part.
     """
-    M = QMatrix.identity(n)
+    batch = () if samples is None else (samples,)
+    G = rng.normal(size=batch + (2, dim, dim))
+    Q, R = np.linalg.qr(G[..., 0, :, :] + 1j * G[..., 1, :, :])
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def random_sp(n: int, rng: np.random.Generator, factors: int = 12) -> np.ndarray:
+    """Random element of Sp(n), as its complex image, from elementary factors.
+
+    Each factor is either a real plane rotation, whose image is the
+    rotation repeated in both n-blocks, or a diagonal matrix with one
+    random unit quaternion, whose image is a 2 x 2 complex block on slots
+    i and n + i.  Such products reach every element of Sp(n) in the limit
+    of many factors.
+    """
+    M = np.eye(2 * n, dtype=complex)
     for _ in range(factors):
+        F = np.eye(2 * n, dtype=complex)
         if n > 1 and rng.random() < 0.5:
             i, j = rng.choice(n, size=2, replace=False)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            rows = [[Quaternion(1.0) if r == c else Quaternion()
-                     for c in range(n)] for r in range(n)]
-            rows[i][i] = Quaternion(math.cos(theta))
-            rows[j][j] = Quaternion(math.cos(theta))
-            rows[i][j] = Quaternion(math.sin(theta))
-            rows[j][i] = Quaternion(-math.sin(theta))
-            F = QMatrix(rows)
+            c, s = math.cos(theta), math.sin(theta)
+            for k in (0, n):
+                F[k + i, k + i] = F[k + j, k + j] = c
+                F[k + i, k + j], F[k + j, k + i] = s, -s
         else:
             i = int(rng.integers(n))
             q = random_unit_quaternion(rng)
-            F = QMatrix.diag(q if t == i else Quaternion(1.0)
-                             for t in range(n))
+            F[i::n, i::n] = complexify_matrix(q[None, None])
         M = M @ F
     return M
 
 
 def metric_sweep(n: int, samples: int, seed: int) -> float:
-    """Max metric identity residual over seeded random tangent samples."""
+    """Max metric identity residual over seeded random tangent samples.
+
+    Each sample reads a base point Z from the seeded normal stream.  A Z
+    with |Z|^2 < 1e-4 is skipped and reads no tangent vector; otherwise
+    the next n quaternions are its W.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        Z = random_qvector(n, rng)
-        if Z.norm2() < 1e-4:
-            continue
-        W = random_qvector(n, rng)
-        worst = max(worst, metric_identity_residual(TangentSample(Z, W)))
-    return worst
+    chunks = rng.normal(size=(2 * samples, n, 4))
+    start = 2 * np.arange(samples)  # the chunk holding each sample's Z
+    kept = np.ones(samples, dtype=bool)
+    # a skipped Z moves every later sample back by one chunk
+    for p in np.flatnonzero(qdot(chunks, chunks)[..., 0] < 1e-4):
+        k = np.searchsorted(start, p)
+        if k < samples and start[k] == p:
+            kept[k] = False
+            start[k + 1:] -= 1
+    s = TangentSample(chunks[start[kept]], chunks[start[kept] + 1])
+    return float(np.max(metric_identity_residual(s), initial=0.0))
 
 
 def quotient_sweep(n: int, samples: int, seed: int) -> float:
     """Max |s1 - 2 s2| over seeded random quotient-factor pairs."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = random_qvector(n - 1, rng)
-        b = random_qvector(n - 1, rng)
-        s1, s2 = quotient_factor_check(a, b)
-        worst = max(worst, abs(s1 - 2.0 * s2))
-    return worst
+    ab = rng.normal(size=(samples, 2, n - 1, 4))
+    s1, s2 = quotient_factor_check(ab[:, 0], ab[:, 1])
+    return float(np.max(np.abs(s1 - 2.0 * s2), initial=0.0))
 
 
 def ostar_sweep(n: int, samples: int, seed: int,
@@ -285,11 +296,8 @@ def ostar_sweep(n: int, samples: int, seed: int,
     embedded unitaries and ``samples`` random symplectic images.
     """
     rng = np.random.default_rng(seed)
-    passes = 0
-    for _ in range(samples):
-        A = random_unitary(2 * n, rng)
-        passes += bool(ostar_membership(embed_u2n(A), tol))
-    for _ in range(samples):
-        M = random_sp(n, rng)
-        passes += bool(sp_n_in_ostar(M, tol))
-    return passes, 2 * samples
+    U = random_unitary(2 * n, rng, samples)
+    S = np.array([random_sp(n, rng) for _ in range(samples)])
+    passes = np.count_nonzero(ostar_membership(embed_u2n(U), tol)) \
+        + np.count_nonzero(sp_n_in_ostar(S.reshape(U.shape), tol))
+    return int(passes), 2 * samples

@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-__all__ = ["CheckResult", "Report", "row", "emit", "report_from_json"]
+__all__ = ["CheckResult", "Report", "row", "worse", "emit", "report_from_json"]
 
 SCHEMA = "qkepler-report-1"
 
@@ -58,9 +59,23 @@ class CheckResult:
 
 def row(name, lhs=None, rhs=None, residual=None, tolerance=None,
         passed=True) -> CheckResult:
-    """A CheckResult with empty defaults; numpy bools become bools."""
+    """A CheckResult with empty defaults; numpy bools become bools.
+
+    A row whose residual is given but is nan or infinite fails, whatever
+    ``passed`` says: such a residual measured nothing.
+    """
+    finite = residual is None or math.isfinite(residual)
     return CheckResult(name=name, lhs=lhs, rhs=rhs, residual=residual,
-                       tolerance=tolerance, passed=bool(passed))
+                       tolerance=tolerance, passed=bool(passed) and finite)
+
+
+def worse(a: float, b: float) -> float:
+    """The larger of two residuals, nan if either is nan.
+
+    The builtin ``max(a, b)`` returns ``a`` when ``b`` is nan, so a running
+    ``worst = max(worst, r)`` would silently drop a nan residual.
+    """
+    return b if b != b or b > a else a
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from qkepler import geom
 from qkepler.geom import (
     TangentSample,
     embed_u2n,
@@ -24,6 +27,9 @@ from qkepler.qlinalg import (
     QVector,
     complexify_matrix,
     is_symplectic,
+    qdot,
+    qmul,
+    qnorm2,
     random_qvector,
     random_unit_quaternion,
 )
@@ -43,8 +49,8 @@ def test_fubini_study_vanishes_on_vertical_directions():
     for _ in range(10):
         Z = random_qvector(3, rng)
         q = random_unit_quaternion(rng)
-        s = TangentSample(Z, Z.right_mul(q))
-        assert abs(fubini_study_form(s)) < 1e-13 * (1.0 + q.norm2())
+        s = TangentSample(Z, qmul(Z, q))
+        assert abs(fubini_study_form(s)) < 1e-13 * (1.0 + qnorm2(q))
 
 
 def test_fubini_study_positive_on_horizontal():
@@ -172,14 +178,14 @@ def test_sp_n_lands_in_ostar(n):
 
 def test_sp_n_in_ostar_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        sp_n_in_ostar(QMatrix.diag([Quaternion(2.0), Quaternion(1.0)]))
+        sp_n_in_ostar(complexify_matrix(
+            QMatrix.diag([Quaternion(2.0), Quaternion(1.0)])))
 
 
 def test_complexified_symplectic_is_unitary():
-    # the complexification of Sp(n) sits inside U(2n)
+    # the complexification of Sp(n) sits inside U(2n); random_sp returns it
     rng = np.random.default_rng(81)
-    M = random_sp(3, rng)
-    C = complexify_matrix(M)
+    C = random_sp(3, rng)
     assert np.max(np.abs(C.conj().T @ C - np.eye(6))) < 1e-12
 
 
@@ -193,3 +199,98 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(90)
     U = random_unitary(6, rng)
     assert np.max(np.abs(U.conj().T @ U - np.eye(6))) < 1e-12
+
+
+# float.hex of the worst residuals at 1000 samples, as computed by the
+# scalar per-sample loops (one quaternion product at a time) that the
+# batched sweeps replaced; keyed by (n, seed)
+SCALAR_METRIC = {
+    2: "0x1.0000000000000p-48", 3: "0x1.0000000000000p-47",
+    4: "0x1.0000000000000p-47",
+}
+SCALAR_QUOTIENT = {
+    (2, 0): "0x0.0p+0", (2, 1): "0x0.0p+0",
+    (2, 7): "0x0.0p+0", (2, 11): "0x0.0p+0",
+    (3, 0): "0x1.0000000000000p-49", (3, 1): "0x1.0000000000000p-49",
+    (3, 7): "0x1.0000000000000p-49", (3, 11): "0x1.0000000000000p-48",
+    (4, 0): "0x1.0000000000000p-48", (4, 1): "0x1.0000000000000p-48",
+    (4, 7): "0x1.0000000000000p-48", (4, 11): "0x1.0000000000000p-48",
+}
+# math.fsum of all 1000 per-sample residuals at seed 0, same loops
+SCALAR_SUMS_SEED0 = {
+    2: ("0x1.0340000000000p-41", "0x0.0p+0"),
+    3: ("0x1.7660000000000p-41", "0x1.14a0000000000p-44"),
+    4: ("0x1.d680000000000p-41", "0x1.d640000000000p-43"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweeps_match_scalar_golden_bits(n, seed):
+    assert metric_sweep(n, 1000, seed).hex() == SCALAR_METRIC[n]
+    assert quotient_sweep(n, 1000, seed).hex() == SCALAR_QUOTIENT[n, seed]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_per_sample_residuals_match_scalar_golden_bits(n):
+    # no base point is tiny at seed 0, so the samples are (Z, W) chunk pairs
+    zw = np.random.default_rng(0).normal(size=(1000, 2, n, 4))
+    metric = metric_identity_residual(TangentSample(zw[:, 0], zw[:, 1]))
+    ab = np.random.default_rng(0).normal(size=(1000, 2, n - 1, 4))
+    s1, s2 = quotient_factor_check(ab[:, 0], ab[:, 1])
+    assert (math.fsum(metric).hex(), math.fsum(np.abs(s1 - 2.0 * s2)).hex()) \
+        == SCALAR_SUMS_SEED0[n]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ostar_sweep_matches_scalar_counts(n, seed):
+    assert ostar_sweep(n, 100, seed) == (200, 200)
+
+
+class FixedStream:
+    """Stands in for a seeded generator: deals out a fixed normal stream."""
+
+    def __init__(self, values):
+        self.values, self.pos = values, 0
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        k = int(np.prod(size))
+        out = self.values[self.pos:self.pos + k].reshape(size)
+        self.pos += k
+        return loc + scale * out
+
+
+def test_metric_sweep_skip_rule_keeps_stream_positions(monkeypatch):
+    n, samples = 2, 40
+    values = np.random.default_rng(5).normal(size=2 * samples * 4 * n)
+    chunks = values.reshape(-1, n, 4)  # a view: scaling a chunk edits values
+    chunks[0] *= 1e-3  # sample 0 reads a tiny Z and no W
+    chunks[5] *= 1e-3  # after that skip, chunk 5 is sample 3's Z: skipped
+    chunks[9] *= 1e-3  # chunk 9 is then sample 5's W, which is kept
+
+    # the scalar loop the sweep must follow: one draw of Z per sample, and
+    # one of W only when Z is kept
+    stream, expected = FixedStream(values), []
+    for _ in range(samples):
+        Z = stream.normal(size=(n, 4))
+        if qdot(Z, Z)[0] < 1e-4:
+            continue
+        expected.append((Z, stream.normal(size=(n, 4))))
+    assert len(expected) == samples - 2
+
+    seen = []
+
+    def record(s):
+        seen.append(s)
+        return metric_identity_residual(s)
+
+    monkeypatch.setattr(geom.np.random, "default_rng",
+                        lambda seed: FixedStream(values))
+    monkeypatch.setattr(geom, "metric_identity_residual", record)
+    worst = metric_sweep(n, samples, seed=0)
+    (s,) = seen
+    np.testing.assert_array_equal(s.base, [Z for Z, _ in expected])
+    np.testing.assert_array_equal(s.vector, [W for _, W in expected])
+    assert worst == max(float(metric_identity_residual(TangentSample(Z, W)))
+                        for Z, W in expected)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkepler.qlinalg import (
     QMatrix,
@@ -12,8 +13,10 @@ from qkepler.qlinalg import (
     complexify,
     complexify_matrix,
     is_symplectic,
+    qconj,
     qdot,
-    quat_mul,
+    qmul,
+    qnorm2,
     random_qvector,
     random_unit_quaternion,
 )
@@ -89,7 +92,7 @@ def test_qdot_examples():
     W = QVector([J, Quaternion(2.0)])
     d = qdot(Z, W)
     # conj(1)*j + conj(i)*2 = j - 2i
-    assert d == Quaternion(0.0, -2.0, 1.0, 0.0)
+    assert Quaternion.of(d) == Quaternion(0.0, -2.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         qdot(Z, QVector([ONE]))
 
@@ -100,9 +103,9 @@ def test_qdot_hermitian_and_right_linear():
     W = random_qvector(3, rng)
     q = random_unit_quaternion(rng)
     d1, d2 = qdot(Z, W), qdot(W, Z)
-    assert abs(d1.conj() - d2) < 1e-12
-    assert abs(qdot(Z, W.right_mul(q)) - d1 * q) < 1e-12
-    assert abs(qdot(Z.right_mul(q), W) - q.conj() * d1) < 1e-12
+    assert math.sqrt(qnorm2(qconj(d1) - d2)) < 1e-12
+    assert math.sqrt(qnorm2(qdot(Z, qmul(W, q)) - qmul(d1, q))) < 1e-12
+    assert math.sqrt(qnorm2(qdot(qmul(Z, q), W) - qmul(qconj(q), d1))) < 1e-12
 
 
 def test_complexify_is_isometric_and_equivariant():
@@ -110,14 +113,14 @@ def test_complexify_is_isometric_and_equivariant():
     n = 4
     Z = random_qvector(n, rng)
     c = complexify(Z)
-    assert np.vdot(c, c).real == pytest.approx(Z.norm2(), rel=1e-14)
+    assert np.vdot(c, c).real == pytest.approx(qdot(Z, Z)[0], rel=1e-14)
     # right multiplication by i is the complex scalar i
-    np.testing.assert_allclose(complexify(Z.right_mul(I)), 1j * c, atol=1e-14)
+    np.testing.assert_allclose(complexify(qmul(Z, I)), 1j * c, atol=1e-14)
     # right multiplication by j is Z -> J conj(Z)
     Jm = np.zeros((2 * n, 2 * n))
     Jm[:n, n:] = -np.eye(n)
     Jm[n:, :n] = np.eye(n)
-    np.testing.assert_allclose(complexify(Z.right_mul(J)), Jm @ c.conj(),
+    np.testing.assert_allclose(complexify(qmul(Z, J)), Jm @ c.conj(),
                                atol=1e-14)
 
 
@@ -160,12 +163,14 @@ def test_matrix_building_blocks():
 
 
 def test_is_symplectic():
-    assert is_symplectic(QMatrix.identity(3))
+    # is_symplectic reads the complex image of a quaternion matrix
+    assert is_symplectic(complexify_matrix(QMatrix.identity(3)))
     q = random_unit_quaternion(np.random.default_rng(3))
-    assert is_symplectic(QMatrix.diag([q, ONE]))
-    assert not is_symplectic(QMatrix.diag([Quaternion(2.0), ONE]))
+    assert is_symplectic(complexify_matrix(QMatrix.diag([q, ONE])))
+    assert not is_symplectic(complexify_matrix(
+        QMatrix.diag([Quaternion(2.0), ONE])))
     with pytest.raises(ValueError):
-        is_symplectic(QMatrix([[ONE, I]]))
+        is_symplectic(np.eye(2, 4))
 
 
 def test_vector_helpers():
@@ -181,7 +186,8 @@ def test_vector_helpers():
 def test_unit_quaternion_norm():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        assert abs(random_unit_quaternion(rng)) == pytest.approx(1.0, abs=1e-12)
+        q = random_unit_quaternion(rng)
+        assert math.sqrt(qnorm2(q)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_complexify_matrix_requires_square():
@@ -193,8 +199,8 @@ def test_hermitian_pairing_diagonal_is_real():
     rng = np.random.default_rng(13)
     Z = random_qvector(5, rng)
     d = qdot(Z, Z)
-    assert d.im_norm2() < 1e-22 * d.w ** 2
-    assert d.w == pytest.approx(Z.norm2(), rel=1e-14)
+    assert d[1:] @ d[1:] < 1e-22 * d[0] ** 2
+    assert d[0] == pytest.approx(qnorm2(Z).sum(), rel=1e-14)
 
 
 def test_norm_abs_consistency():
@@ -202,3 +208,78 @@ def test_norm_abs_consistency():
     assert abs(q) == 5.0
     assert q.norm2() == 25.0
     assert math.isclose(abs(QVector([q, q])), math.sqrt(50.0))
+
+
+# Batched kernels: each identity on whole batches of shape (k, 4) and
+# (k, n, 4), not one quaternion at a time.
+
+# the unit table under i j = -k, as (sign, unit) with units 1, i, j, k
+UNIT_TABLE = {
+    "11": "+1", "1i": "+i", "1j": "+j", "1k": "+k",
+    "i1": "+i", "ii": "-1", "ij": "-k", "ik": "+j",
+    "j1": "+j", "ji": "+k", "jj": "-1", "jk": "-i",
+    "k1": "+k", "ki": "-j", "kj": "+i", "kk": "-1",
+}
+
+
+def unit_table() -> np.ndarray:
+    T = np.zeros((4, 4, 4))
+    for key, (sign, unit) in UNIT_TABLE.items():
+        T["1ijk".index(key[0]), "1ijk".index(key[1]), "1ijk".index(unit)] = \
+            1.0 if sign == "+" else -1.0
+    return T
+
+
+BATCH_SHAPES = [(5, 4), (3, 2, 4)]
+# each example is a whole batch, so fewer examples cover as many products
+batch_settings = settings(max_examples=50)
+
+
+def qarray(shape):
+    return arrays(np.float64, shape, elements=component)
+
+
+def test_qmul_batched_unit_table():
+    E = np.eye(4)
+    np.testing.assert_array_equal(qmul(E[:, None], E[None, :]), unit_table())
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+@given(data=st.data())
+@batch_settings
+def test_qmul_batched_expands_the_unit_table(shape, data):
+    a, b = data.draw(qarray(shape)), data.draw(qarray(shape))
+    expected = np.einsum("...p,...q,pqr->...r", a, b, unit_table())
+    np.testing.assert_allclose(qmul(a, b), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+@given(data=st.data())
+@batch_settings
+def test_qmul_batched_associative(shape, data):
+    a, b, c = (data.draw(qarray(shape)) for _ in range(3))
+    lhs, rhs = qmul(qmul(a, b), c), qmul(a, qmul(b, c))
+    scale = 1.0 + np.sqrt(qnorm2(a) * qnorm2(b) * qnorm2(c))
+    assert np.all(np.sqrt(qnorm2(lhs - rhs)) < 1e-10 * scale)
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+@given(data=st.data())
+@batch_settings
+def test_qmul_batched_norm_multiplicative(shape, data):
+    a, b = data.draw(qarray(shape)), data.draw(qarray(shape))
+    np.testing.assert_allclose(np.sqrt(qnorm2(qmul(a, b))),
+                               np.sqrt(qnorm2(a)) * np.sqrt(qnorm2(b)),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@batch_settings
+def test_complexify_matrix_batched_multiplicative(n, data):
+    A, B = (data.draw(qarray((4, n, n, 4))) for _ in range(2))
+    # (AB)_ij = sum_t A_it B_tj, over the batch of 4 pairs at once
+    AB = qmul(A[..., :, :, None, :], B[..., None, :, :, :]).sum(axis=-3)
+    np.testing.assert_allclose(complexify_matrix(AB),
+                               complexify_matrix(A) @ complexify_matrix(B),
+                               rtol=0, atol=1e-10 * (1.0 + n * 400.0))

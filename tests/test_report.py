@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qkepler.report import CheckResult, Report, emit, report_from_json
+from qkepler import checks
+from qkepler.report import (CheckResult, Report, emit, report_from_json, row,
+                            worse)
 
 
 def sample_report():
@@ -87,3 +91,27 @@ def test_empty_report_is_valid():
 def test_timestamp_rendered_when_present():
     rep = Report("demo", {}, (), timestamp="2024-05-01T00:00:00+00:00")
     assert "timestamp: 2024-05-01T00:00:00+00:00" in emit(rep, "text")
+
+
+def test_row_with_nonfinite_residual_fails():
+    assert row("x", residual=math.nan, passed=True).passed is False
+    assert row("x", residual=-math.inf, passed=True).passed is False
+    assert row("x", residual=0.5, tolerance=1.0, passed=True).passed is True
+    # rows without a residual (counts, overflowing samples) are unaffected
+    assert row("x", lhs=1, rhs=1, passed=True).passed is True
+
+
+def test_worst_accumulation_keeps_nan():
+    assert worse(1.0, 2.0) == worse(2.0, 1.0) == 2.0
+    assert math.isnan(worse(0.0, math.nan))  # max(0.0, nan) == 0.0
+    worst = 0.0
+    for r in (1e-9, math.nan, 2e-9):
+        worst = worse(worst, r)
+    assert math.isnan(worst)
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    monkeypatch.setattr(checks.radial, "orthogonality_check",
+                        lambda p, l, k_max: np.full((6, 6), np.nan))
+    (r,) = checks.orthogonality()
+    assert math.isnan(r.residual) and r.passed is False
