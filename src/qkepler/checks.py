@@ -40,10 +40,22 @@ def _ns(n: Optional[int], full: tuple) -> tuple:
     return (n,) if n is not None else full
 
 
+def _resolved(name: str, sweep: Callable[[], float],
+              tol: float) -> CheckResult:
+    """The row of a sweep that returns its worst residual.
+
+    An under-resolved sweep fails its row, with the reason as lhs.
+    """
+    try:
+        worst = sweep()
+    except radial.UnderResolved as exc:
+        return row(name, lhs=str(exc), tolerance=tol, passed=False)
+    return row(name, residual=worst, tolerance=tol, passed=worst < tol)
+
+
 def eigensolve(tol: float = 1e-4) -> list[CheckResult]:
     """Finite-difference radial eigenvalues against the exact energies."""
-    rows = []
-    for n in (2, 3):
+    def sweep(n: int) -> float:
         worst = 0.0
         for sb in range(4):
             p = spectral.ModelParams(n, sb)
@@ -52,9 +64,9 @@ def eigensolve(tol: float = 1e-4) -> list[CheckResult]:
                 for i, num in enumerate(vals):
                     exact = float(spectral.energy(p, i + l))
                     worst = worse(worst, abs(num - exact) / abs(exact))
-        rows.append(row(f"eigensolve[n={n}]", residual=worst,
-                        tolerance=tol, passed=worst < tol))
-    return rows
+        return worst
+    return [_resolved(f"eigensolve[n={n}]", lambda: sweep(n), tol)
+            for n in (2, 3)]
 
 
 def collapse() -> list[CheckResult]:
@@ -280,14 +292,15 @@ def schur(smax: int = 10, points: int = 256,
 
 def orthogonality(tol: float = 1e-7) -> list[CheckResult]:
     """Gram matrix of the first six radial states at n = 2 is the identity."""
-    worst = 0.0
-    for sb in range(3):
-        p = spectral.ModelParams(2, sb)
-        for l in range(3):
-            G = radial.orthogonality_check(p, l, k_max=6)
-            worst = worse(worst, float(np.max(np.abs(G - np.eye(6)))))
-    return [row("orthogonality[n=2]", residual=worst, tolerance=tol,
-                passed=worst < tol)]
+    def sweep() -> float:
+        worst = 0.0
+        for sb in range(3):
+            p = spectral.ModelParams(2, sb)
+            for l in range(3):
+                G = radial.orthogonality_check(p, l, k_max=6)
+                worst = worse(worst, float(np.max(np.abs(G - np.eye(6)))))
+        return worst
+    return [_resolved("orthogonality[n=2]", sweep, tol)]
 
 
 REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Tables (spectrum, degeneracy, ktype, wavefunction) always exit 0; check
-commands (residual, eigensolve, micz, verify ...) exit 1 when any row
-fails and 2 on argument errors, including sizes that would make a table
-or sweep empty and flags the chosen check does not read.  `verify` runs
+Every command exits 1 when any row fails and 2 on argument errors,
+including sizes that would make a table or sweep empty and flags the
+chosen check does not read.  A table row fails only when the identity
+it prints does not hold (ktype dimensions) or its wavefunction sample
+lies past the double range.  A numerical check that finds its own grid or domain too small (an
+under-resolution) fails a row that names the reason.  `verify` runs
 the checks of ``qkepler.checks``, which the test suite gates on, so
 `verify all` doubles as the CI entry point.  Output is deterministic:
 the same arguments and seed give byte-identical reports.
@@ -12,6 +14,7 @@ the same arguments and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -66,7 +69,9 @@ def _cmd_wavefunction(args) -> Report:
     pts = np.linspace(args.lo, args.hi, args.points)
     fun = radial.radial_t if args.coordinate == "t" else radial.radial_rho
     vals = fun(s, pts, normalized=args.normalized)
-    rows = [row(f"sample[{i}]", lhs=float(x), rhs=float(v))
+    # a value past the double range reads inf and fails its row
+    rows = [row(f"sample[{i}]", lhs=float(x), rhs=float(v),
+                passed=math.isfinite(v))
             for i, (x, v) in enumerate(zip(pts, vals))]
     return Report("wavefunction",
                   {"n": args.n, "sigma": args.sigma, "k": args.k, "l": args.l,
@@ -104,9 +109,13 @@ def _cmd_residual(args) -> Report:
 def _cmd_eigensolve(args) -> Report:
     p = spectral.ModelParams(args.n, args.sigma)
     tol = args.tol if args.tol is not None else 1e-4
-    vals = radial.eigensolve(p, args.l, grid_size=args.grid,
-                             t_max=args.tmax, count=args.count)
     rows = []
+    try:
+        vals = radial.eigensolve(p, args.l, grid_size=args.grid,
+                                 t_max=args.tmax, count=args.count)
+    except radial.UnderResolved as exc:
+        vals = ()
+        rows.append(row("resolution", lhs=str(exc), passed=False))
     for i, num in enumerate(vals):
         exact = float(spectral.energy(p, i + args.l))
         rel = abs(num - exact) / abs(exact)

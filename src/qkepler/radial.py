@@ -12,6 +12,10 @@ a = 2l + sigma_bar + 2n - 1 and degree m = k - 1.  The rho form
 profile in the coordinate r (measure r^{4n-1} dr) is obtained from the
 rho form by the twist r -> sqrt(nu/2) r and division by r^{5/2}.
 
+Norms are exact closed forms, and profiles are evaluated in log space,
+so a normalized sample is finite wherever its value fits in a double.
+Quadrature only cross-checks the norms (``orthogonality_check``).
+
 Residual checks evaluate the radial operators with analytic Laguerre
 derivatives; finite differences appear only in the discretized
 eigensolver and in the dimension-five operator check on generic test
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -33,6 +36,7 @@ from .quadrature import composite_gauss_legendre
 from .spectral import ModelParams, energy
 
 __all__ = [
+    "UnderResolved",
     "RadialState",
     "RadialGrid",
     "laguerre",
@@ -54,6 +58,14 @@ __all__ = [
 ]
 
 ArrayLike = Union[float, np.ndarray]
+
+
+class UnderResolved(ValueError):
+    """A numerical route's guard found its grid or domain too small.
+
+    The command line reports it as a failed row (exit 1), not as an
+    argument error (exit 2).
+    """
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,20 @@ class RadialGrid:
         return RadialGrid(np.linspace(lo, hi, num), weight_exponent)
 
 
+def _laguerre(a, m, x):
+    """L^a_m(x) by the recurrence in the degree, 0 for m < 0; ``x`` is a
+    float array or a Fraction, and the arithmetic follows it."""
+    if m < 0:
+        return x * 0
+    prev = x * 0 + 1
+    if m == 0:
+        return prev
+    cur = 1 + a - x
+    for i in range(1, m):
+        prev, cur = cur, ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
+    return cur
+
+
 def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
     """Generalized Laguerre polynomial L^a_m(x) by the three-term recurrence.
 
@@ -139,15 +165,8 @@ def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
     if m < 0:
         raise ValueError("degree must be >= 0")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    prev = np.ones_like(x_arr)
-    if m == 0:
-        return float(prev[0]) if scalar else prev
-    cur = 1.0 + a - x_arr
-    for i in range(1, m):
-        prev, cur = cur, ((2 * i + 1 + a - x_arr) * cur - (i + a) * prev) / (i + 1)
-    return float(cur[0]) if scalar else cur
+    out = _laguerre(a, m, np.atleast_1d(x_arr))
+    return float(out[0]) if x_arr.ndim == 0 else out
 
 
 def _lag_d(a: int, m: int, x: np.ndarray, order: int) -> np.ndarray:
@@ -158,60 +177,63 @@ def _lag_d(a: int, m: int, x: np.ndarray, order: int) -> np.ndarray:
     return sign * laguerre(a + order, m - order, x)
 
 
+def _positive(x: ArrayLike, name: str,
+              fun: Callable[[np.ndarray], np.ndarray]) -> ArrayLike:
+    """``fun`` at the positive points ``x``; a float for a scalar ``x``."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{name} must be positive")
+    out = fun(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
-# closed-form profiles
+# closed-form profiles and norms
 
 
-def _t_profile(s: RadialState, t: np.ndarray) -> np.ndarray:
+def _log(q: Fraction) -> float:
+    """log of a positive rational whose float value may overflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _profile(s: RadialState, x: np.ndarray, rho: bool = False,
+             log_norm2: float = 0.0) -> np.ndarray:
+    """The t-profile at t = x, or the rho-profile at rho = x, over sqrt(N).
+
+    sign * exp(log-magnitude) with log N = ``log_norm2``: a sample is
+    finite whenever its value is, even where a factor alone is not.
+    """
     nu = float(s.nu)
-    return (np.power(t, float(s.ell))
-            * laguerre(s.laguerre_index, s.laguerre_degree, 2.0 * t / nu)
-            * np.exp(-t / nu))
+    t = x * x if rho else x
+    power = s.two_ell + 2.5 if rho else float(s.ell)
+    lag = laguerre(s.laguerre_index, s.laguerre_degree, 2.0 * t / nu)
+    # log 0 at a Laguerre node, and exp past the double range, are expected
+    with np.errstate(divide="ignore", over="ignore"):
+        logmag = power * np.log(x) + np.log(np.abs(lag)) - t / nu \
+            - 0.5 * log_norm2
+        return np.sign(lag) * np.exp(logmag)
 
 
-def _rho_profile(s: RadialState, rho: np.ndarray) -> np.ndarray:
-    nu = float(s.nu)
-    expo = s.two_ell + 2.5
-    return (np.power(rho, expo)
-            * laguerre(s.laguerre_index, s.laguerre_degree, 2.0 * rho * rho / nu)
-            * np.exp(-rho * rho / nu))
+def radial_norm2_t(s: RadialState) -> Fraction:
+    """Exact squared norm of the bare t-profile in L^2(t^{2n} dt).
 
-
-def _t_domain(s: RadialState) -> tuple[float, int]:
-    """Quadrature cutoff and panel count covering the t-measure integrand."""
+    (nu/2)^(a+2) * 2 nu * (a+m)!/m!, from the weighted Laguerre integral
+    of x^(a+1) e^{-x} L^a_m(x)^2, which is (a+m)!/m! * (2m+a+1), and
+    2m+a+1 = 2 nu.
+    """
+    nu = s.nu
     a, m = s.laguerre_index, s.laguerre_degree
-    x_max = 2.5 * (a + 2 * m + 1) + 30.0
-    t_max = float(s.nu) * x_max / 2.0
-    panels = max(24, math.ceil(x_max / 1.5))
-    return t_max, panels
+    return (nu / 2) ** (a + 2) * 2 * nu \
+        * Fraction(math.factorial(a + m), math.factorial(m))
 
 
-@lru_cache(maxsize=None)
-def _norm2_t_cached(n: int, sigma_bar: int, k: int, l: int) -> float:
-    s = RadialState(ModelParams(n, sigma_bar), k, l)
-    t_max, panels = _t_domain(s)
-    return composite_gauss_legendre(
-        lambda t: _t_profile(s, t) ** 2 * t ** (2 * n),
-        0.0, t_max, order=16, panels=panels)
+def radial_norm2_rho(s: RadialState) -> Fraction:
+    """Exact squared norm of the bare rho-profile in L^2(rho^{4n-4} d rho).
 
-
-@lru_cache(maxsize=None)
-def _norm2_rho_cached(n: int, sigma_bar: int, k: int, l: int) -> float:
-    s = RadialState(ModelParams(n, sigma_bar), k, l)
-    t_max, panels = _t_domain(s)
-    return composite_gauss_legendre(
-        lambda rho: _rho_profile(s, rho) ** 2 * rho ** (4 * n - 4),
-        0.0, math.sqrt(t_max), order=16, panels=panels)
-
-
-def radial_norm2_t(s: RadialState) -> float:
-    """Quadrature value of the squared t-measure norm of the bare profile."""
-    return _norm2_t_cached(s.params.n, s.params.sigma_bar, s.k, s.l)
-
-
-def radial_norm2_rho(s: RadialState) -> float:
-    """Quadrature value of the squared rho-measure norm of the bare profile."""
-    return _norm2_rho_cached(s.params.n, s.params.sigma_bar, s.k, s.l)
+    Half the t-norm: with t = rho^2 the measures satisfy
+    rho^{4n-4} rho^5 d rho = t^{2n} dt / 2.
+    """
+    return radial_norm2_t(s) / 2
 
 
 def radial_t(s: RadialState, t: ArrayLike, normalized: bool = False) -> ArrayLike:
@@ -222,24 +244,15 @@ def radial_t(s: RadialState, t: ArrayLike, normalized: bool = False) -> ArrayLik
     differ from that identity by the fixed factor sqrt(2) coming from the
     two volume measures.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise ValueError("t must be positive")
-    out = _t_profile(s, np.atleast_1d(t_arr))
-    if normalized:
-        out = out / math.sqrt(radial_norm2_t(s))
-    return float(out[0]) if t_arr.ndim == 0 else out
+    log_norm2 = _log(radial_norm2_t(s)) if normalized else 0.0
+    return _positive(t, "t", lambda x: _profile(s, x, log_norm2=log_norm2))
 
 
 def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> ArrayLike:
     """The rho-coordinate profile; unit norm in L^2(rho^{4n-4} d rho) if requested."""
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr <= 0.0):
-        raise ValueError("rho must be positive")
-    out = _rho_profile(s, np.atleast_1d(rho_arr))
-    if normalized:
-        out = out / math.sqrt(radial_norm2_rho(s))
-    return float(out[0]) if rho_arr.ndim == 0 else out
+    log_norm2 = _log(radial_norm2_rho(s)) if normalized else 0.0
+    return _positive(rho, "rho",
+                     lambda x: _profile(s, x, rho=True, log_norm2=log_norm2))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +294,10 @@ def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
     """Oscillator radial profile r^L Lag(a, m, r^2) exp(-r^2/2), L = 2l + sigma_bar."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
-    rr = np.atleast_1d(r_arr)
-    x = rr * rr
-    out = (np.power(rr, s.two_ell)
-           * laguerre(s.laguerre_index, s.laguerre_degree, x)
-           * np.exp(-x / 2.0))
-    return float(out[0]) if r_arr.ndim == 0 else out
+    return _positive(r, "r", lambda rr: (
+        np.power(rr, s.two_ell)
+        * laguerre(s.laguerre_index, s.laguerre_degree, rr * rr)
+        * np.exp(-rr * rr / 2.0)))
 
 
 def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -298,13 +306,9 @@ def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
     Proportional to ``oscillator_profile`` with one r-independent constant
     per state.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be positive")
-    rr = np.atleast_1d(r_arr)
     scale = math.sqrt(float(s.nu) / 2.0)
-    out = _rho_profile(s, scale * rr) * np.power(rr, -2.5)
-    return float(out[0]) if r_arr.ndim == 0 else out
+    return _positive(r, "r", lambda rr: (
+        _profile(s, scale * rr, rho=True) * np.power(rr, -2.5)))
 
 
 def _oscillator_apply(s: RadialState, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,18 +346,6 @@ def oscillator_eigenvalue(s: RadialState, grid: RadialGrid) -> float:
     return float(np.dot(Hf, f) / np.dot(f, f))
 
 
-def _laguerre_exact(a: int, m: int, x: Fraction) -> Fraction:
-    if m < 0:
-        return Fraction(0)
-    prev = Fraction(1)
-    if m == 0:
-        return prev
-    cur = 1 + a - x
-    for i in range(1, m):
-        prev, cur = cur, ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
-    return cur
-
-
 def oscillator_eigenvalue_exact(s: RadialState,
                                 x: Union[int, Fraction] = Fraction(7, 3)) -> Fraction:
     """Rational readback of the oscillator eigenvalue at the point r^2 = x.
@@ -371,15 +363,14 @@ def oscillator_eigenvalue_exact(s: RadialState,
         raise ValueError("x must be positive")
     for shift in range(m + 1):
         xs = x + Fraction(shift, 97)
-        P = _laguerre_exact(a, m, xs)
+        P = _laguerre(a, m, xs)
         if P != 0:
             x = xs
             break
     else:
         raise ValueError("could not avoid the Laguerre zeros")
-    P = _laguerre_exact(a, m, x)
-    P1 = -_laguerre_exact(a + 1, m - 1, x)
-    P2 = _laguerre_exact(a + 2, m - 2, x)
+    P1 = -_laguerre(a + 1, m - 1, x)
+    P2 = _laguerre(a + 2, m - 2, x)
     L = s.two_ell
     n = s.params.n
     # g = P exp(-x/2) as a function of r with x = r^2:
@@ -442,8 +433,9 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     Raises
     ------
     ValueError
-        If the grid is too coarse, too many eigenvalues are requested, or
-        the eigenfunctions touch the boundary (t_max too small).
+        If the grid is too coarse or too many eigenvalues are requested.
+    UnderResolved
+        If the eigenfunctions touch the boundary (t_max too small).
     """
     if grid_size < 500:
         raise ValueError("grid_size must be >= 500")
@@ -466,7 +458,7 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     mass = np.sum(vecs ** 2, axis=0)
     tail_mass = np.sum(vecs[-tail:, :] ** 2, axis=0)
     if np.any(tail_mass / mass > 1e-8):
-        raise ValueError(
+        raise UnderResolved(
             f"t_max={t_max:g} too small: eigenfunction mass at the boundary")
     return vals
 
@@ -591,11 +583,13 @@ def orthogonality_check(p: ModelParams, l: int, k_max: int = 6,
                         quadrature: int = 48) -> np.ndarray:
     """Gram matrix of the normalized t-profiles for k = 1 .. k_max.
 
-    Row i is integrated on its own truncated domain, sized for the pair
+    The cross integrals are quadratures and the normalization is the
+    exact closed-form norm, so the diagonal compares the two.  Row i is
+    integrated on its own truncated domain, sized for the pair
     (k = i+1, k = k_max), with ``quadrature`` Gauss-Legendre panels of
     order 16.  Distinct rows therefore reach the same off-diagonal entry
     through different quadratures; if the two disagree beyond 1e-10 the
-    quadrature is under-resolved and a ValueError is raised.
+    quadrature is under-resolved and UnderResolved is raised.
     """
     if not 1 <= k_max <= 8:
         raise ValueError("k_max must be between 1 and 8")
@@ -614,11 +608,11 @@ def orthogonality_check(p: ModelParams, l: int, k_max: int = 6,
         t_hi = nu_mix * x_max / 2.0
         for j, sj in enumerate(states):
             val = composite_gauss_legendre(
-                lambda t: _t_profile(si, t) * _t_profile(sj, t) * t ** (2 * n),
+                lambda t: _profile(si, t) * _profile(sj, t) * t ** (2 * n),
                 0.0, t_hi, order=16, panels=quadrature)
             G[i, j] = val / (norms[i] * norms[j])
     asym = float(np.max(np.abs(G - G.T)))
     if asym > 1e-10:
-        raise ValueError(
+        raise UnderResolved(
             f"Gram asymmetry {asym:.2e} indicates quadrature under-resolution")
     return G

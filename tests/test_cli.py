@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from qkepler import checks
@@ -80,6 +82,60 @@ def test_eigensolve_failing_tolerance(capsys):
     out = out_of(capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_eigensolve_under_resolution_is_a_failed_row(capsys):
+    # a valid but too small domain fails a row (exit 1), not the arguments
+    code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
+                "--tmax", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert ("resolution  FAIL  lhs=t_max=10 too small: eigenfunction mass "
+            "at the boundary") in captured.out
+    assert "result: FAIL" in captured.out
+
+
+def wavefunction_rows(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(["wavefunction", *argv, "--format", "json"])
+    return code, json.loads(buf.getvalue())["results"]
+
+
+def test_normalized_wavefunction_with_huge_norm():
+    # the squared norm is about e^846; the samples are 5e-181 .. 1.2e-104
+    code, rows = wavefunction_rows(["--n", "6", "--sigma", "10", "--k", "40",
+                                    "--l", "40", "--normalized"])
+    assert code == 0
+    vals = [r["rhs"] for r in rows]
+    assert len(vals) == 9 and all(r["passed"] for r in rows)
+    assert 5e-181 < vals[0] < 6e-181 and 1.1e-104 < vals[-1] < 1.3e-104
+
+
+def test_normalized_wavefunction_far_out():
+    # R = t^200 exp(-t/202) with squared norm 101^405 * 404 * 403!;
+    # values below the smallest double read 0, the rest are finite
+    code, rows = wavefunction_rows(["--n", "2", "--sigma", "0", "--k", "1",
+                                    "--l", "200", "--hi", "1000",
+                                    "--normalized"])
+    assert code == 0
+    t = np.array([r["lhs"] for r in rows])
+    vals = np.array([r["rhs"] for r in rows])
+    log_norm2 = 405 * math.log(101) + math.log(404) + math.lgamma(404)
+    want = np.exp(200 * np.log(t) - t / 202 - 0.5 * log_norm2)
+    assert list(vals[:4]) == [0.0] * 4
+    assert 1.7e-307 < vals[4] and vals[8] < 2.4e-248
+    np.testing.assert_allclose(vals[4:], want[4:], rtol=1e-10, atol=0.0)
+
+
+def test_wavefunction_past_the_double_range_fails():
+    # the bare profile reaches about e^1376, which no double holds
+    code, rows = wavefunction_rows(["--n", "2", "--sigma", "0", "--k", "1",
+                                    "--l", "200", "--hi", "1000"])
+    assert code == 1
+    assert rows[0]["passed"] and 0.0 < rows[0]["rhs"] < 1e-139
+    assert all(not r["passed"] for r in rows[1:])
 
 
 def test_micz_command(capsys):

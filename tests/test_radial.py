@@ -4,10 +4,11 @@ Oracles used here and nowhere else:
 
 * explicit Laguerre sum L^a_m(x) = sum_i (-1)^i C(m+a, m-i) x^i / i!
   and scipy's eval_genlaguerre, both independent of the recurrence;
-* the closed-form squared norm of the bare t-profile,
-  (nu/2)^(a+2) * 2 nu * (a+m)!/m!, evaluated in exact rational
-  arithmetic (it follows from the classical weighted Laguerre integral
-  with x^(a+1), whose value is (a+m)!/m! * (2m+a+1), and 2m+a+1 = 2 nu);
+* composite Gauss-Legendre quadrature of the sampled profiles on a
+  domain sized from the state, against the library's closed-form norms;
+* the bare profiles as plain float products t^ell L e^(-t/nu), and the
+  log of the closed-form norm through math.lgamma, against the library's
+  log-space evaluation;
 * a second-order central-difference application of the radial operator,
   independent of the analytic-derivative route inside the library.
 """
@@ -17,12 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
     MiczReport,
     RadialGrid,
     RadialState,
+    UnderResolved,
     default_t_max,
     eigensolve,
     kepler_residual,
@@ -47,12 +52,32 @@ def lag_sum(a, m, x):
                for i in range(m + 1))
 
 
-def norm2_t_closed_form(s):
-    nu = s.nu
+def norm2_by_quadrature(s, coordinate):
+    """Squared norm of the sampled bare profile, integrated here.
+
+    The cutoff sits well past the turning point of x = 2t/nu, at
+    2.5 (a + 2m + 1) + 30, with one 16-point panel per 1.5 in x.
+    """
+    n = s.params.n
     a, m = s.laguerre_index, s.laguerre_degree
-    exact = (nu / 2) ** (a + 2) * 2 * nu \
-        * Fraction(math.factorial(a + m), math.factorial(m))
-    return float(exact)
+    x_max = 2.5 * (a + 2 * m + 1) + 30.0
+    t_max = float(s.nu) * x_max / 2.0
+    panels = max(24, math.ceil(x_max / 1.5))
+    if coordinate == "t":
+        return composite_gauss_legendre(
+            lambda t: radial_t(s, t) ** 2 * t ** (2 * n),
+            0.0, t_max, order=16, panels=panels)
+    return composite_gauss_legendre(
+        lambda rho: radial_rho(s, rho) ** 2 * rho ** (4 * n - 4),
+        0.0, math.sqrt(t_max), order=16, panels=panels)
+
+
+def log_norm2_t(s):
+    """log of (nu/2)^(a+2) * 2 nu * (a+m)!/m! in floats, via lgamma."""
+    nu = float(s.nu)
+    a, m = s.laguerre_index, s.laguerre_degree
+    return ((a + 2) * math.log(nu / 2.0) + math.log(2.0 * nu)
+            + math.lgamma(a + m + 1) - math.lgamma(m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +196,58 @@ def test_profile_input_validation():
 
 def test_norm_quadrature_against_closed_form():
     for s in states(smax=3, kmax=4, lmax=3):
-        got = radial_norm2_t(s)
-        want = norm2_t_closed_form(s)
+        got = norm2_by_quadrature(s, "t")
+        want = float(radial_norm2_t(s))
         assert abs(got - want) / want < 1e-10
 
 
 def test_t_and_rho_norms_ratio_two():
     for s in states():
-        ratio = radial_norm2_t(s) / radial_norm2_rho(s)
+        assert radial_norm2_t(s) == 2 * radial_norm2_rho(s)
+        got = norm2_by_quadrature(s, "rho")
+        want = float(radial_norm2_rho(s))
+        assert abs(got - want) / want < 1e-10
+        ratio = norm2_by_quadrature(s, "t") / got
         assert ratio == pytest.approx(2.0, rel=1e-10)
+
+
+def test_norm_is_exact():
+    # n = 2, sigma_bar = 0, k = 1, l = 0: R = exp(-t/2) and
+    # the integral of t^4 exp(-t) over t > 0 is 4! = 24
+    s = RadialState(ModelParams(2, 0), 1, 0)
+    assert radial_norm2_t(s) == Fraction(24)
+    assert radial_norm2_rho(s) == Fraction(12)
+    # far past the double range (about e^846), still exact
+    big = radial_norm2_t(RadialState(ModelParams(6, 10), 40, 40))
+    assert isinstance(big, Fraction)
+    assert math.log(big.numerator) - math.log(big.denominator) > 840.0
+
+
+CLI_GRID = np.linspace(0.2, 10.0, 9)  # wavefunction --lo, --hi, --points
+
+
+@given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
+       k=st.integers(1, 40), l=st.integers(0, 40))
+@example(n=6, sigma_bar=10, k=40, l=40)  # squared norm about e^846
+@settings(max_examples=150, deadline=None)
+def test_log_space_profiles_match_direct_products(n, sigma_bar, k, l):
+    s = RadialState(ModelParams(n, sigma_bar), k, l)
+    nu, ell = float(s.nu), float(s.ell)
+    a, m = s.laguerre_index, s.laguerre_degree
+    x = CLI_GRID
+    t_bare = x ** ell * laguerre(a, m, 2 * x / nu) * np.exp(-x / nu)
+    rho_bare = (x ** (2 * ell + 2.5) * laguerre(a, m, 2 * x * x / nu)
+                * np.exp(-x * x / nu))
+    log_n = log_norm2_t(s)
+    for got, bare, log_norm2 in (
+            (radial_t(s, x), t_bare, 0.0),
+            (radial_rho(s, x), rho_bare, 0.0),
+            (radial_t(s, x, normalized=True), t_bare, log_n),
+            (radial_rho(s, x, normalized=True), rho_bare,
+             log_n - math.log(2.0))):
+        assert np.all(np.isfinite(got))
+        want = np.sign(bare) * np.exp(np.log(np.abs(bare)) - 0.5 * log_norm2)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_normalized_scalar_value():
@@ -286,8 +354,10 @@ def test_eigensolve_validation():
 
 def test_eigensolve_detects_truncated_domain():
     p = ModelParams(2, 0)
-    with pytest.raises(ValueError, match="t_max"):
+    with pytest.raises(UnderResolved, match="t_max"):
         eigensolve(p, 2, grid_size=1500, t_max=40.0, count=3)
+    # still a ValueError for callers that catch those
+    assert issubclass(UnderResolved, ValueError)
 
 
 def test_default_t_max_floor():
@@ -383,6 +453,11 @@ def test_gram_matrix_other_channels(sigma_bar, l):
     p = ModelParams(2, sigma_bar)
     G = orthogonality_check(p, l, k_max=5)
     assert np.max(np.abs(G - np.eye(5))) < 1e-8
+
+
+def test_gram_asymmetry_is_under_resolution():
+    with pytest.raises(UnderResolved, match="asymmetry"):
+        orthogonality_check(ModelParams(2, 0), 0, k_max=6, quadrature=2)
 
 
 def test_orthogonality_validation():

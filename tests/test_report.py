@@ -97,7 +97,7 @@ def test_row_with_nonfinite_residual_fails():
     assert row("x", residual=math.nan, passed=True).passed is False
     assert row("x", residual=-math.inf, passed=True).passed is False
     assert row("x", residual=0.5, tolerance=1.0, passed=True).passed is True
-    # rows without a residual (counts, overflowing samples) are unaffected
+    # rows without a residual (counts, samples) are unaffected
     assert row("x", lhs=1, rhs=1, passed=True).passed is True
 
 
@@ -115,3 +115,15 @@ def test_nan_residual_fails_its_check(monkeypatch):
                         lambda p, l, k_max: np.full((6, 6), np.nan))
     (r,) = checks.orthogonality()
     assert math.isnan(r.residual) and r.passed is False
+
+
+@pytest.mark.parametrize("check, target, name", [
+    ("eigensolve", "eigensolve", "eigensolve[n=2]"),
+    ("orthogonality", "orthogonality_check", "orthogonality[n=2]"),
+])
+def test_under_resolution_fails_its_check(check, target, name, monkeypatch):
+    def under_resolved(*args, **kwargs):
+        raise checks.radial.UnderResolved("grid too small")
+    monkeypatch.setattr(checks.radial, target, under_resolved)
+    r = checks.REGISTRY[check]()[0]
+    assert (r.name, r.lhs, r.passed) == (name, "grid too small", False)
