@@ -14,6 +14,7 @@ bound(s).
 from __future__ import annotations
 
 import inspect
+import math
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -28,12 +29,16 @@ __all__ = ["REGISTRY", "FLAGS", "SEED", "flags", "kepler_grid",
 SEED = 0  # the gate's seed for the randomized sweeps
 
 
-def kepler_grid(p: spectral.ModelParams) -> radial.RadialGrid:
-    return radial.RadialGrid.uniform(0.1, 40.0, 400, 2 * p.n)
+def kepler_grid(s: radial.RadialState) -> radial.RadialGrid:
+    """400 points of t from 0.1 to the state's decay cutoff."""
+    t_max = float(s.nu) * radial.decay_cutoff(s) / 2.0
+    return radial.RadialGrid.uniform(0.1, t_max, 400, 2 * s.params.n)
 
 
-def oscillator_grid(p: spectral.ModelParams) -> radial.RadialGrid:
-    return radial.RadialGrid.uniform(0.1, 6.0, 300, 4 * p.n - 1)
+def oscillator_grid(s: radial.RadialState) -> radial.RadialGrid:
+    """300 points of r from 0.1 to the state's decay cutoff."""
+    r_max = math.sqrt(radial.decay_cutoff(s))
+    return radial.RadialGrid.uniform(0.1, r_max, 300, 4 * s.params.n - 1)
 
 
 def _ns(n: Optional[int], full: tuple) -> tuple:
@@ -172,9 +177,9 @@ def residuals(tol: float = 1e-8) -> list[CheckResult]:
                 for l in range(4):
                     s = radial.RadialState(p, k, l)
                     worst_k = worse(worst_k,
-                                    radial.kepler_residual(s, kepler_grid(p)))
+                                    radial.kepler_residual(s, kepler_grid(s)))
                     worst_o = worse(worst_o, radial.oscillator_residual(
-                        s, oscillator_grid(p)))
+                        s, oscillator_grid(s)))
                     cases += 1
                     back_ok += (radial.oscillator_eigenvalue_exact(s)
                                 == s.oscillator_level)

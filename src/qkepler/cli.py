@@ -88,22 +88,25 @@ def _cmd_residual(args) -> Report:
     p = spectral.ModelParams(args.n, args.sigma)
     s = radial.RadialState(p, args.k, args.l)
     tol = args.tol if args.tol is not None else 1e-8
+    params = {"n": args.n, "sigma": args.sigma, "k": args.k, "l": args.l}
     rows = []
     if args.which == "kepler":
-        r = radial.kepler_residual(s, checks.kepler_grid(p))
+        grid = checks.kepler_grid(s)
+        params["t_max"] = float(grid.points[-1])
+        r = radial.kepler_residual(s, grid)
         rows.append(row("kepler-residual", residual=r, tolerance=tol,
                         passed=r < tol))
     else:
-        r = radial.oscillator_residual(s, checks.oscillator_grid(p))
+        grid = checks.oscillator_grid(s)
+        params["r_max"] = float(grid.points[-1])
+        r = radial.oscillator_residual(s, grid)
         rows.append(row("oscillator-residual", residual=r, tolerance=tol,
                         passed=r < tol))
         back = radial.oscillator_eigenvalue_exact(s)
         rows.append(row("eigenvalue-readback", lhs=back,
                         rhs=s.oscillator_level,
                         passed=back == s.oscillator_level))
-    return Report(f"residual {args.which}",
-                  {"n": args.n, "sigma": args.sigma, "k": args.k,
-                   "l": args.l}, rows)
+    return Report(f"residual {args.which}", params, rows)
 
 
 def _cmd_eigensolve(args) -> Report:

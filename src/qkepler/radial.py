@@ -16,10 +16,16 @@ Norms are exact closed forms, and profiles are evaluated in log space,
 so a normalized sample is finite wherever its value fits in a double.
 Quadrature only cross-checks the norms (``orthogonality_check``).
 
-Residual checks evaluate the radial operators with analytic Laguerre
-derivatives; finite differences appear only in the discretized
-eigensolver and in the dimension-five operator check on generic test
-functions, where no closed form is available.
+Each radial operator is written once, on the Laguerre polynomial P
+alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
+on the oscillator side) is divided out, H(wP) = w H~P, with analytic
+Laguerre derivatives.  The reduced operator takes a float array or a
+Fraction.  The float residuals weight H~P - E P by the envelope over its
+largest value on the grid, formed in log space, so no power of t or r
+ever overflows; the exact read-back is H~P/P at a rational point.
+Finite differences appear only in the discretized eigensolver and in the
+dimension-five operator check on generic test functions, where no closed
+form is available.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "radial_rho",
     "radial_norm2_t",
     "radial_norm2_rho",
+    "decay_cutoff",
     "kepler_residual",
     "eigensolve",
     "default_t_max",
@@ -169,14 +176,6 @@ def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
     return float(out[0]) if x_arr.ndim == 0 else out
 
 
-def _lag_d(a: int, m: int, x: np.ndarray, order: int) -> np.ndarray:
-    """order-th derivative of L^a_m at x via the index-raising identity."""
-    if m - order < 0:
-        return np.zeros_like(x)
-    sign = -1.0 if order % 2 else 1.0
-    return sign * laguerre(a + order, m - order, x)
-
-
 def _positive(x: ArrayLike, name: str,
               fun: Callable[[np.ndarray], np.ndarray]) -> ArrayLike:
     """``fun`` at the positive points ``x``; a float for a scalar ``x``."""
@@ -256,40 +255,76 @@ def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> Arra
 
 
 # ---------------------------------------------------------------------------
-# residuals with analytic derivatives
+# residuals of the reduced operators
+
+
+def decay_cutoff(s: RadialState) -> float:
+    """x = 2t/nu = r^2 = 2.5 (a + 2m + 1) + 30, past the turning point
+    x = 2 (a + 2m + 1) of the state on both sides; residual grids and the
+    Gram quadrature end there."""
+    return 2.5 * (s.laguerre_index + 2 * s.laguerre_degree + 1) + 30.0
+
+
+def _kepler_reduced(s: RadialState, t):
+    """(P, H~P) with P = L^a_m(2t/nu) and H(wP) = w H~P, w = t^ell e^{-t/nu}.
+
+    H = -(1/(2 t^{2n})) d/dt t^{2n} d/dt + ell(ell+2n-1)/(2t^2) - 1/t.  With
+    g = w'/w, (wP)'/w = P' + gP and (wP)''/w = P'' + 2gP' + (g^2 + g')P.
+    Every term is kept, the cancelling centrifugal 1/t^2 terms included.
+    """
+    n, ell, nu = s.params.n, s.ell, s.nu
+    if not isinstance(t, Fraction):
+        ell, nu = float(ell), float(nu)
+    a, m = s.laguerre_index, s.laguerre_degree
+    x = 2 * t / nu
+    P = _laguerre(a, m, x)
+    P1 = -2 / nu * _laguerre(a + 1, m - 1, x)
+    P2 = 4 / nu ** 2 * _laguerre(a + 2, m - 2, x)
+    g = ell / t - 1 / nu
+    D1 = P1 + g * P
+    D2 = P2 + 2 * g * P1 + (g * g - ell / t ** 2) * P
+    HP = (-(D2 + 2 * n / t * D1) / 2
+          + ell * (ell + 2 * n - 1) / (2 * t ** 2) * P - P / t)
+    return P, HP
+
+
+def _oscillator_reduced(s: RadialState, x):
+    """(P, H~P) with P = L^a_m(x) and H(wP) = w H~P, w = x^{L/2} e^{-x/2}.
+
+    In x = r^2, H = -Lap/2 + r^2/2 on the channel of s is -2x d^2/dx^2
+    - 4n d/dx + L(L+4n-2)/(2x) + x/2; g is as in :func:`_kepler_reduced`.
+    Every term is kept, the cancelling centrifugal 1/x terms included.
+    """
+    n, L = s.params.n, s.two_ell
+    a, m = s.laguerre_index, s.laguerre_degree
+    P = _laguerre(a, m, x)
+    P1 = -_laguerre(a + 1, m - 1, x)
+    P2 = _laguerre(a + 2, m - 2, x)
+    g = (L - x) / (2 * x)
+    D1 = P1 + g * P
+    D2 = P2 + 2 * g * P1 + (g * g - L / (2 * x * x)) * P
+    HP = (-2 * x * D2 - 4 * n * D1
+          + L * (L + 4 * n - 2) / (2 * x) * P + x * P / 2)
+    return P, HP
+
+
+def _weighted(P: np.ndarray, HP: np.ndarray,
+              log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, Hf) = (wP, wH~P), the envelope w = exp(log_w) over its largest
+    value on the grid: no power of t or r is ever taken."""
+    w = np.exp(log_w - np.max(log_w))
+    return w * P, w * HP
+
+
+def _relative_residual(f: np.ndarray, Hf: np.ndarray, lam: float) -> float:
+    return float(np.max(np.abs(Hf - lam * f)) / np.max(np.abs(f)))
 
 
 def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
-    """Max relative residual of the t-coordinate eigenvalue equation.
-
-    Applies -(1/(2 t^{2n})) d/dt t^{2n} d/dt + ell(ell+2n-1)/(2t^2) - 1/t
-    to the closed-form state using analytic Laguerre derivatives and
-    compares with E = -1/(2 nu^2).
-    """
-    t = grid.points
-    n = s.params.n
-    nu = float(s.nu)
-    ell = float(s.ell)
-    a, m = s.laguerre_index, s.laguerre_degree
-    x = 2.0 * t / nu
-    P = laguerre(a, m, x)
-    P1 = _lag_d(a, m, x, 1)
-    P2 = _lag_d(a, m, x, 2)
-    E = np.exp(-t / nu)
-    tl = np.power(t, ell)
-    R = tl * P * E
-    Rp = E * (ell * tl / t * P + tl * P1 * (2.0 / nu) - tl * P / nu)
-    Rpp = E * (ell * (ell - 1.0) * tl / t ** 2 * P
-               + 2.0 * ell * tl / t * P1 * (2.0 / nu)
-               - 2.0 * ell * tl / t * P / nu
-               + tl * P2 * (4.0 / nu ** 2)
-               - tl * P1 * (4.0 / nu ** 2)
-               + tl * P / nu ** 2)
-    LR = (-0.5 * (Rpp + (2.0 * n / t) * Rp)
-          + ell * (ell + 2.0 * n - 1.0) / (2.0 * t ** 2) * R
-          - R / t)
-    Eval = -0.5 / nu ** 2
-    return float(np.max(np.abs(LR - Eval * R)) / np.max(np.abs(R)))
+    """Max relative residual of the t-coordinate equation, E = -1/(2 nu^2)."""
+    t, nu = grid.points, float(s.nu)
+    f, Hf = _weighted(*_kepler_reduced(s, t), float(s.ell) * np.log(t) - t / nu)
+    return _relative_residual(f, Hf, -0.5 / nu ** 2)
 
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -311,76 +346,39 @@ def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
         _profile(s, scale * rr, rho=True) * np.power(rr, -2.5)))
 
 
-def _oscillator_apply(s: RadialState, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, Hf) for the oscillator hamiltonian on the radial channel of s."""
-    n = s.params.n
-    L = s.two_ell
-    a, m = s.laguerre_index, s.laguerre_degree
-    x = r * r
-    P = laguerre(a, m, x)
-    P1 = _lag_d(a, m, x, 1)
-    P2 = _lag_d(a, m, x, 2)
-    E = np.exp(-x / 2.0)
-    g = P * E
-    gp = r * (2.0 * P1 - P) * E
-    gpp = E * ((2.0 * P1 - P) + 2.0 * x * (2.0 * P2 - P1) - x * (2.0 * P1 - P))
-    rl = np.power(r, L)
-    f = rl * g
-    fp = L * rl / r * g + rl * gp
-    fpp = L * (L - 1.0) * rl / r ** 2 * g + 2.0 * L * rl / r * gp + rl * gpp
-    Hf = (-0.5 * (fpp + (4.0 * n - 1.0) / r * fp - L * (L + 4.0 * n - 2.0) / x * f)
-          + 0.5 * x * f)
-    return f, Hf
+def _oscillator_weighted(s: RadialState, r: np.ndarray):
+    return _weighted(*_oscillator_reduced(s, r * r),
+                     s.two_ell * np.log(r) - r * r / 2.0)
 
 
 def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
     """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f."""
-    f, Hf = _oscillator_apply(s, grid.points)
-    lam = float(s.oscillator_level)
-    return float(np.max(np.abs(Hf - lam * f)) / np.max(np.abs(f)))
+    return _relative_residual(*_oscillator_weighted(s, grid.points),
+                              s.oscillator_level)
 
 
 def oscillator_eigenvalue(s: RadialState, grid: RadialGrid) -> float:
     """Least-squares readback of the oscillator eigenvalue from the residual."""
-    f, Hf = _oscillator_apply(s, grid.points)
+    f, Hf = _oscillator_weighted(s, grid.points)
     return float(np.dot(Hf, f) / np.dot(f, f))
 
 
 def oscillator_eigenvalue_exact(s: RadialState,
                                 x: Union[int, Fraction] = Fraction(7, 3)) -> Fraction:
-    """Rational readback of the oscillator eigenvalue at the point r^2 = x.
+    """Rational readback H~P/P of the oscillator eigenvalue at r^2 = x.
 
-    The Gaussian and the power r^L cancel from Hf/f, leaving a ratio of
-    rational polynomials in x; the centrifugal singularity cancels
-    identically.  Evaluating with exact arithmetic returns 2I + sigma_bar
-    + 2n as a Fraction, with no rounding anywhere.  The point must avoid
-    the zeros of the Laguerre factor; if it hits one, a nearby rational
-    is substituted (a degree-m polynomial has at most m roots).
+    The envelope cancels from Hf/f, so exact arithmetic returns 2I +
+    sigma_bar + 2n as a Fraction.  A point at a zero of the Laguerre factor
+    moves to a nearby rational (a degree-m polynomial has m roots at most).
     """
-    a, m = s.laguerre_index, s.laguerre_degree
     x = Fraction(x)
     if x <= 0:
         raise ValueError("x must be positive")
-    for shift in range(m + 1):
-        xs = x + Fraction(shift, 97)
-        P = _laguerre(a, m, xs)
+    for shift in range(s.laguerre_degree + 1):
+        P, HP = _oscillator_reduced(s, x + Fraction(shift, 97))
         if P != 0:
-            x = xs
-            break
-    else:
-        raise ValueError("could not avoid the Laguerre zeros")
-    P1 = -_laguerre(a + 1, m - 1, x)
-    P2 = _laguerre(a + 2, m - 2, x)
-    L = s.two_ell
-    n = s.params.n
-    # g = P exp(-x/2) as a function of r with x = r^2:
-    #   (g'/g)/r      = (2 P1 - P) / P
-    #   g''/g         = ((2P1 - P) + 2x (2P2 - P1) - x (2P1 - P)) / P
-    # and the 1/x terms from r^L cancel against the centrifugal potential.
-    gp_over_rg = (2 * P1 - P) / P
-    gpp_over_g = ((2 * P1 - P) + 2 * x * (2 * P2 - P1) - x * (2 * P1 - P)) / P
-    return (-Fraction(1, 2) * ((2 * L + 4 * n - 1) * gp_over_rg + gpp_over_g)
-            + x / 2)
+            return HP / P
+    raise ValueError("could not avoid the Laguerre zeros")
 
 
 # ---------------------------------------------------------------------------
@@ -597,20 +595,21 @@ def orthogonality_check(p: ModelParams, l: int, k_max: int = 6,
         raise ValueError("quadrature must be >= 1")
     n = p.n
     states = [RadialState(p, k, l) for k in range(1, k_max + 1)]
-    norms = [math.sqrt(radial_norm2_t(s)) for s in states]
+    log_norm2 = [_log(radial_norm2_t(s)) for s in states]
     top = states[-1]
     G = np.zeros((k_max, k_max))
     for i, si in enumerate(states):
-        # decay rate of the cross integrand is the harmonic mean of the rates
+        # decay rate of the cross integrand is the harmonic mean of the
+        # rates; the states share a, so the cutoff is the mean of theirs
         nu_mix = 2.0 / (1.0 / float(si.nu) + 1.0 / float(top.nu))
-        x_max = 2.5 * (si.laguerre_index + si.laguerre_degree
-                       + top.laguerre_degree + 1) + 30.0
+        x_max = (decay_cutoff(si) + decay_cutoff(top)) / 2.0
         t_hi = nu_mix * x_max / 2.0
         for j, sj in enumerate(states):
-            val = composite_gauss_legendre(
-                lambda t: _profile(si, t) * _profile(sj, t) * t ** (2 * n),
+            G[i, j] = composite_gauss_legendre(
+                lambda t: (_profile(si, t, log_norm2=log_norm2[i])
+                           * _profile(sj, t, log_norm2=log_norm2[j])
+                           * t ** (2 * n)),
                 0.0, t_hi, order=16, panels=quadrature)
-            G[i, j] = val / (norms[i] * norms[j])
     asym = float(np.max(np.abs(G - G.T)))
     if asym > 1e-10:
         raise UnderResolved(

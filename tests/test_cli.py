@@ -68,6 +68,20 @@ def test_residual_commands(capsys):
     assert "eigenvalue-readback" in out
 
 
+@pytest.mark.parametrize("which, upper", [("kepler", "t_max: 105040"),
+                                           ("oscillator", "r_max: 32.249")])
+def test_residual_past_the_double_range(which, upper, capsys):
+    # t^200 on the state-sized grid is far past 1e308; the envelope is
+    # weighted in log space, so the residual is finite and passes
+    code = run(["residual", which, "--n", "2", "--sigma", "0", "--k", "1",
+                "--l", "200"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert upper in captured.out
+    assert "nan" not in captured.out
+
+
 def test_eigensolve_command(capsys):
     code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
                 "--grid", "1500", "--count", "2"])

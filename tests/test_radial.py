@@ -9,8 +9,9 @@ Oracles used here and nowhere else:
 * the bare profiles as plain float products t^ell L e^(-t/nu), and the
   log of the closed-form norm through math.lgamma, against the library's
   log-space evaluation;
-* a second-order central-difference application of the radial operator,
-  independent of the analytic-derivative route inside the library.
+* a second-order central-difference application of the Kepler and the
+  oscillator operators, independent of the reduced operators inside the
+  library, which the float residuals and the exact read-back share.
 """
 
 import math
@@ -22,6 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from qkepler import radial
+from qkepler.checks import kepler_grid, oscillator_grid
 from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
     MiczReport,
@@ -275,11 +278,42 @@ def test_node_count_matches_radial_number():
 
 
 def test_kepler_residual_analytic_small():
-    grid = RadialGrid.uniform(0.1, 40.0, 400, 4)
     for s in states():
         grid_s = RadialGrid.uniform(0.1, 40.0, 400, 2 * s.params.n)
         assert kepler_residual(s, grid_s) < 1e-10
-    del grid
+
+
+@given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
+       k=st.integers(1, 40), l=st.integers(0, 40))
+@example(n=2, sigma_bar=0, k=1, l=200)  # t^ell alone is past 1e308
+@example(n=8, sigma_bar=12, k=40, l=200)
+@settings(max_examples=100, deadline=None)
+def test_residuals_on_state_sized_grids(n, sigma_bar, k, l):
+    s = RadialState(ModelParams(n, sigma_bar), k, l)
+    for resid in (kepler_residual(s, kepler_grid(s)),
+                  oscillator_residual(s, oscillator_grid(s))):
+        assert math.isfinite(resid) and resid < 1e-10
+    assert oscillator_eigenvalue_exact(s) == s.oscillator_level
+
+
+def test_state_sized_grids_reach_past_the_turning_point():
+    # the t-turning point 2 nu^2 and the r-turning point sqrt(2 lambda)
+    # of the level lambda = 2 nu both lie inside the grids
+    for s in states(n_values=(2, 8), smax=12, kmax=12, lmax=12):
+        nu = float(s.nu)
+        assert kepler_grid(s).points[-1] > 2.0 * nu ** 2
+        assert oscillator_grid(s).points[-1] > math.sqrt(4.0 * nu)
+    assert kepler_grid(RadialState(ModelParams(2, 0), 1, 0)).points[-1] == 40.0
+
+
+def test_kepler_reduced_operator_is_exact_at_rational_points():
+    # the reduced operator follows its input: at a Fraction it returns
+    # H~P = E P with no rounding, a read-back of the Kepler energy
+    for s in states(smax=3, kmax=4, lmax=3):
+        for t in (Fraction(7, 3), Fraction(1, 5), 11):
+            P, HP = radial._kepler_reduced(s, Fraction(t))
+            assert isinstance(HP, Fraction)
+            assert HP == energy(s.params, s.I) * P
 
 
 def test_kepler_equation_by_finite_differences():
@@ -376,13 +410,38 @@ def test_oscillator_residual_small():
 
 
 def test_oscillator_eigenvalue_readbacks():
-    grid = RadialGrid.uniform(0.1, 6.0, 300, 7)
     for s in states(n_values=(2, 3), smax=2, kmax=4, lmax=2):
         level = s.oscillator_level
         assert oscillator_eigenvalue_exact(s) == level
         g = RadialGrid.uniform(0.1, 6.0, 300, 4 * s.params.n - 1)
         assert oscillator_eigenvalue(s, g) == pytest.approx(level, rel=1e-10)
-    del grid
+
+
+def oscillator_fd_residual(s, L):
+    """Relative residual of (-Lap/2 + r^2/2) f = lambda f on the channel
+    with angular number L, by central differences on the bare profile."""
+    n = s.params.n
+    h = 1e-3
+    r = np.linspace(0.5, 4.0, 150)
+    f0 = oscillator_profile(s, r)
+    fp = (oscillator_profile(s, r + h) - oscillator_profile(s, r - h)) / (2 * h)
+    fpp = (oscillator_profile(s, r + h) - 2 * f0
+           + oscillator_profile(s, r - h)) / h ** 2
+    Hf = (-0.5 * (fpp + (4 * n - 1) / r * fp - L * (L + 4 * n - 2) / r ** 2 * f0)
+          + 0.5 * r ** 2 * f0)
+    return np.max(np.abs(Hf - s.oscillator_level * f0)) / np.max(np.abs(f0))
+
+
+def test_oscillator_equation_by_finite_differences():
+    # independent route: confirms operator, level and profile together
+    for s in states(n_values=(2, 3), smax=2, kmax=2, lmax=1):
+        assert oscillator_fd_residual(s, s.two_ell) < 5e-5
+
+
+def test_wrong_channel_fails_oscillator_finite_difference_route():
+    # negative control: the L+2 potential applied to the L profile
+    s = RadialState(ModelParams(2, 0), 2, 0)
+    assert oscillator_fd_residual(s, s.two_ell + 2) > 1e-2
 
 
 def test_oscillator_exact_readback_at_chosen_points():
@@ -453,6 +512,13 @@ def test_gram_matrix_other_channels(sigma_bar, l):
     p = ModelParams(2, sigma_bar)
     G = orthogonality_check(p, l, k_max=5)
     assert np.max(np.abs(G - np.eye(5))) < 1e-8
+
+
+def test_gram_matrix_past_the_double_range():
+    # the squared norm at l = 200 is far past 1e308; the Gram entries are
+    # integrals of profiles normalized in log space
+    G = orthogonality_check(ModelParams(2, 0), 200, k_max=2)
+    assert np.max(np.abs(G - np.eye(2))) < 1e-8
 
 
 def test_gram_asymmetry_is_under_resolution():
