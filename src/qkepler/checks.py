@@ -8,7 +8,8 @@ its ``CheckResult`` rows.  Its parameter names are the ``verify`` flags
 it reads and its defaults are the gate's settings, so the signature is
 the whole declaration: ``n=None`` sweeps the check's full range of n,
 ``seed`` seeds a randomized sweep and ``tol`` replaces the check's own
-bound(s).
+bound(s).  A check imports numpy, ``radial`` or ``geom`` when it runs,
+so the parser reads the signatures without loading them.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import inspect
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
-from . import geom, radial, rep, spectral
+from . import rep, spectral
 from .report import CheckResult, row, worse
+
+if TYPE_CHECKING:
+    from .radial import RadialGrid, RadialState
 
 __all__ = ["REGISTRY", "FLAGS", "SEED", "flags", "kepler_grid",
            "oscillator_grid"]
@@ -29,14 +31,16 @@ __all__ = ["REGISTRY", "FLAGS", "SEED", "flags", "kepler_grid",
 SEED = 0  # the gate's seed for the randomized sweeps
 
 
-def kepler_grid(s: radial.RadialState) -> radial.RadialGrid:
+def kepler_grid(s: RadialState) -> RadialGrid:
     """400 points of t from 0.1 to the state's decay cutoff."""
+    from . import radial
     t_max = float(s.nu) * radial.decay_cutoff(s) / 2.0
     return radial.RadialGrid.uniform(0.1, t_max, 400, 2 * s.params.n)
 
 
-def oscillator_grid(s: radial.RadialState) -> radial.RadialGrid:
+def oscillator_grid(s: RadialState) -> RadialGrid:
     """300 points of r from 0.1 to the state's decay cutoff."""
+    from . import radial
     r_max = math.sqrt(radial.decay_cutoff(s))
     return radial.RadialGrid.uniform(0.1, r_max, 300, 4 * s.params.n - 1)
 
@@ -51,15 +55,17 @@ def _resolved(name: str, sweep: Callable[[], float],
 
     An under-resolved sweep fails its row, with the reason as lhs.
     """
+    from .radial import UnderResolved
     try:
         worst = sweep()
-    except radial.UnderResolved as exc:
+    except UnderResolved as exc:
         return row(name, lhs=str(exc), tolerance=tol, passed=False)
     return row(name, residual=worst, tolerance=tol, passed=worst < tol)
 
 
 def eigensolve(tol: float = 1e-4) -> list[CheckResult]:
     """Finite-difference radial eigenvalues against the exact energies."""
+    from . import radial
     def sweep(n: int) -> float:
         worst = 0.0
         for sb in range(4):
@@ -167,6 +173,7 @@ def casimir(nmax: int = 5, lmax: int = 8, smax: int = 8) -> list[CheckResult]:
 
 def residuals(tol: float = 1e-8) -> list[CheckResult]:
     """Radial ODE residuals of closed forms; exact eigenvalue read-back."""
+    from . import radial
     rows = []
     for n in (2, 3):
         worst_k = worst_o = 0.0
@@ -193,8 +200,10 @@ def residuals(tol: float = 1e-8) -> list[CheckResult]:
 
 
 def twist(tol: float = 1e-20) -> list[CheckResult]:
-    """Twisted Kepler profiles are constant multiples of oscillator ones."""
-    r = np.linspace(0.2, 5.0, 200)
+    """Twisted Kepler profiles are constant multiples of oscillator ones,
+    on r from 0.2 to the state's decay cutoff."""
+    import numpy as np
+    from . import radial
     rows = []
     for n in (2, 3):
         worst = 0.0
@@ -203,6 +212,8 @@ def twist(tol: float = 1e-20) -> list[CheckResult]:
             for k in range(1, 6):
                 for l in range(4):
                     s = radial.RadialState(p, k, l)
+                    r = np.linspace(0.2, math.sqrt(radial.decay_cutoff(s)),
+                                    200)
                     ratio = radial.twist_profile(s, r) \
                         / radial.oscillator_profile(s, r)
                     scaled = ratio / np.mean(ratio)
@@ -214,6 +225,8 @@ def twist(tol: float = 1e-20) -> list[CheckResult]:
 
 def micz(tol: float = 1e-6) -> list[CheckResult]:
     """n = 2 equivalence with the five-dimensional monopole model."""
+    import numpy as np
+    from . import radial
     rows = []
     for sb in range(7):
         rep_ = radial.micz_check(sb, i_max=20, tolerance=tol)
@@ -228,6 +241,7 @@ def micz(tol: float = 1e-6) -> list[CheckResult]:
 def metric(n: Optional[int] = None, samples: int = 1000, seed: int = SEED,
            tol: Optional[float] = None) -> list[CheckResult]:
     """Fubini-Study metric identity and quotient factor at random points."""
+    from . import geom
     mtol, qtol = (1e-12, 1e-13) if tol is None else (tol, tol)
     rows = []
     for n in _ns(n, (2, 3, 4)):
@@ -247,6 +261,8 @@ def ostar(n: Optional[int] = None, samples: int = 100, seed: int = SEED,
     ``tol`` bounds the membership sweep; the weight-doubling map is
     checked exhaustively at a fixed 1e-14.
     """
+    import numpy as np
+    from . import geom
     rows = []
     for n in _ns(n, (2, 3)):
         passes, total = geom.ostar_sweep(n, samples, seed, tol=tol)
@@ -297,6 +313,8 @@ def schur(smax: int = 10, points: int = 256,
 
 def orthogonality(tol: float = 1e-7) -> list[CheckResult]:
     """Gram matrix of the first six radial states at n = 2 is the identity."""
+    import numpy as np
+    from . import radial
     def sweep() -> float:
         worst = 0.0
         for sb in range(3):

@@ -4,11 +4,13 @@ Every command exits 1 when any row fails and 2 on argument errors,
 including sizes that would make a table or sweep empty and flags the
 chosen check does not read.  A table row fails only when the identity
 it prints does not hold (ktype dimensions) or its wavefunction sample
-lies past the double range.  A numerical check that finds its own grid or domain too small (an
-under-resolution) fails a row that names the reason.  `verify` runs
-the checks of ``qkepler.checks``, which the test suite gates on, so
-`verify all` doubles as the CI entry point.  Output is deterministic:
-the same arguments and seed give byte-identical reports.
+lies past the double range.  A numerical check that finds its own grid
+or domain too small (an under-resolution), or that raises, fails a row
+that names the reason.  `verify` runs the checks of ``qkepler.checks``,
+which the test suite gates on, so `verify all` doubles as the CI entry
+point.  Output is deterministic: the same arguments and seed give
+byte-identical reports.  A command imports the numerical layers it uses
+when it runs, so spectrum, degeneracy and ktype load no numpy or scipy.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import datetime, timezone
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import checks, radial, spectral
+from . import checks, spectral
 from .report import Report, emit, row
 
 __all__ = ["run", "main"]
@@ -64,6 +63,8 @@ def _cmd_ktype(args) -> Report:
 
 
 def _cmd_wavefunction(args) -> Report:
+    import numpy as np
+    from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
     s = radial.RadialState(p, args.k, args.l)
     pts = np.linspace(args.lo, args.hi, args.points)
@@ -85,6 +86,7 @@ def _cmd_wavefunction(args) -> Report:
 
 
 def _cmd_residual(args) -> Report:
+    from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
     s = radial.RadialState(p, args.k, args.l)
     tol = args.tol if args.tol is not None else 1e-8
@@ -110,6 +112,7 @@ def _cmd_residual(args) -> Report:
 
 
 def _cmd_eigensolve(args) -> Report:
+    from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
     tol = args.tol if args.tol is not None else 1e-4
     rows = []
@@ -131,6 +134,7 @@ def _cmd_eigensolve(args) -> Report:
 
 
 def _cmd_micz(args) -> Report:
+    from . import radial
     tol = args.tol if args.tol is not None else 1e-6
     rep_ = radial.micz_check(args.sigma, i_max=args.imax, tolerance=tol)
     rows = [row("spectrum-exact", lhs=rep_.spectrum_exact, rhs=True,
@@ -148,10 +152,10 @@ def _cmd_verify(args) -> Report:
     # verify flags default to SUPPRESS, so only the given ones are in args
     given = {f: v for f, v in vars(args).items() if f in checks.FLAGS}
     if args.check == "all":
-        selected, reads, params = list(checks.REGISTRY.values()), {"seed"}, {}
+        selected, reads, params = list(checks.REGISTRY), {"seed"}, {}
     else:
-        check = checks.REGISTRY[args.check]
-        selected, reads = [check], checks.flags(check)
+        selected = [args.check]
+        reads = checks.flags(checks.REGISTRY[args.check])
         # the seed has its own report field and tolerances show per row
         params = {f: given.get(f, v) for f, v in reads.items()
                   if f not in ("seed", "tol")}
@@ -163,9 +167,16 @@ def _cmd_verify(args) -> Report:
             + ("; give a check name to set them"
                if args.check == "all" else ""))
     rows = []
-    for check in selected:
-        rows += check(**{f: v for f, v in given.items()
-                         if f in checks.flags(check)})
+    for name in selected:
+        check = checks.REGISTRY[name]
+        try:
+            rows += check(**{f: v for f, v in given.items()
+                             if f in checks.flags(check)})
+        except Exception as exc:  # a fault in the check, not in its flags
+            import traceback
+            traceback.print_exc()
+            rows.append(row(name, lhs=f"{type(exc).__name__}: {exc}",
+                            passed=False))
     return Report(f"verify {args.check}", {"check": args.check, **params},
                   rows, seed=given.get("seed", checks.SEED))
 
@@ -270,9 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"seed for randomized sweeps (default {checks.SEED})")
     vf.add_argument("--tol", type=float,
                     help="override the named check's tolerance(s)")
-    vf.add_argument("--n", type=int,
+    vf.add_argument("--n", type=_at_least(2),
                     help="restrict sweeps to one n (default: the full range)")
-    vf.add_argument("--kmax", type=_at_least(0))
+    vf.add_argument("--kmax", type=_at_least(1))
     vf.add_argument("--nmax", type=_at_least(2))
     vf.add_argument("--lmax", type=_at_least(0))
     vf.add_argument("--smax", type=_at_least(0),
@@ -280,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--imax", type=_at_least(0))
     vf.add_argument("--samples", type=_at_least(1),
                     help="sample count for seeded sweeps")
-    vf.add_argument("--points", type=_at_least(1))
+    vf.add_argument("--points", type=_at_least(64))
     vf.set_defaults(func=_cmd_verify)
     return parser
 
@@ -298,6 +309,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timestamp:
+        from datetime import datetime, timezone
         report = Report(command=report.command,
                         parameters=report.parameters,
                         results=report.results,

@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .quadrature import composite_gauss_legendre
 from .spectral import ModelParams, energy
@@ -321,10 +320,12 @@ def _relative_residual(f: np.ndarray, Hf: np.ndarray, lam: float) -> float:
 
 
 def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
-    """Max relative residual of the t-coordinate equation, E = -1/(2 nu^2)."""
+    """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2): scale-free,
+    where over max|f| alone the bound would loosen as 1/nu^2."""
     t, nu = grid.points, float(s.nu)
+    E = float(energy(s.params, s.I))
     f, Hf = _weighted(*_kepler_reduced(s, t), float(s.ell) * np.log(t) - t / nu)
-    return _relative_residual(f, Hf, -0.5 / nu ** 2)
+    return _relative_residual(f, Hf, E) / abs(E)
 
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -443,6 +444,7 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
         t_max = default_t_max(p, l, count)
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
+    from scipy.linalg import eigh_tridiagonal
     n = p.n
     ell = float(Fraction(2 * l + p.sigma_bar, 2))
     h = t_max / grid_size

@@ -1,21 +1,22 @@
 """Exact representation theory: Weyl dimensions, Casimirs, Sp(1) characters.
 
-Root systems are handled through their positive-root enumerations in
-orthonormal e_i coordinates:
+Root systems are handled through their positive roots in orthonormal
+e_i coordinates:
 
     A_m : e_i - e_j (i < j), weights live in m+1 coordinates;
     C_m : e_i - e_j, e_i + e_j (i < j), and 2 e_i, weights in m coordinates.
 
-All dimension and Casimir arithmetic is exact (Fractions over arbitrary
-precision integers).  Half-integer weight entries are stored as doubled
-integers so that no rounding can occur.  The Casimir normalization is the
-plain dot product in the e_i coordinates; for C_n this gives
-sum_i lam_i (lam_i + 2(n+1-i)), and for sp(1) = C_1 the familiar
-sigma(sigma + 2).
+Half-integer weight entries are stored as doubled integers, and all
+dimension and Casimir arithmetic runs on them and on the doubled rho in
+exact integers, with one division at the end.  The Casimir
+normalization is the plain dot product in the e_i coordinates; for C_n
+this gives sum_i lam_i (lam_i + 2(n+1-i)), and for sp(1) = C_1 the
+familiar sigma(sigma + 2).
 
 Characters of Sp(1) irreps are chi(theta) = sin((s+1) theta)/sin(theta)
 on the conjugacy class of rotation angle theta; class integration uses
-the weight (2/pi) sin^2(theta) d theta on [0, pi].
+the weight (2/pi) sin^2(theta) d theta on [0, pi].  That quadrature is
+the only numerical route here, and it imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-import numpy as np
-
-from .quadrature import composite_gauss_legendre
+from typing import Sequence, Union
 
 __all__ = [
     "RootSystem",
@@ -117,53 +114,60 @@ class RootSystem:
                 roots.append(tuple(r))
         return tuple(roots)
 
+    def rho_twice(self) -> tuple[int, ...]:
+        """Twice rho, half the sum of the positive roots: n-1-2i over the
+        n = rank+1 coordinates of A, and 2(n-i) for C_n (i from 0)."""
+        n = self.weight_length
+        if self.family == "A":
+            return tuple(n - 1 - 2 * i for i in range(n))
+        return tuple(2 * (n - i) for i in range(n))
+
     def rho(self) -> tuple[Fraction, ...]:
         """Half the sum of the positive roots."""
-        n = self.weight_length
-        acc = [Fraction(0)] * n
-        for r in self.positive_roots():
-            for i, c in enumerate(r):
-                acc[i] += c
-        return tuple(a / 2 for a in acc)
+        return tuple(Fraction(r, 2) for r in self.rho_twice())
 
     def is_dominant(self, hw: HighestWeight) -> bool:
-        if len(hw) != self.weight_length:
-            return False
-        es = hw.entries
-        if any(a < b for a, b in zip(es, es[1:])):
-            return False
-        if self.family == "C" and es[-1] < 0:
-            return False
-        return True
-
-
-def _dot(u: Iterable[Fraction], v: Iterable[int]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+        tw = hw.twice
+        return (len(tw) == self.weight_length
+                and all(a >= b for a, b in zip(tw, tw[1:]))
+                and (self.family == "A" or tw[-1] >= 0))
 
 
 def weyl_dim(rs: RootSystem, hw: HighestWeight) -> int:
-    """Exact Weyl dimension prod_{alpha>0} <lam+rho, alpha> / <rho, alpha>."""
+    """Exact Weyl dimension prod_{alpha>0} <lam+rho, alpha> / <rho, alpha>.
+
+    Both products run over doubled integers, v = 2(lam+rho) against 2 rho:
+    v_i - v_j for i < j, and for C also v_i + v_j and v_i (the long
+    roots 2e_i).  One exact division ends it.
+    """
     if not rs.is_dominant(hw):
         raise ValueError(f"weight {hw.entries} is not dominant for {rs}")
-    rho = rs.rho()
-    lam_rho = tuple(a + b for a, b in zip(hw.entries, rho))
-    out = Fraction(1)
-    for alpha in rs.positive_roots():
-        out *= _dot(lam_rho, alpha) / _dot(rho, alpha)
-    if out.denominator != 1 or out <= 0:
-        raise ArithmeticError(f"Weyl product is not a positive integer: {out}")
-    return int(out)
+    rho = rs.rho_twice()
+    v = [a + b for a, b in zip(hw.twice, rho)]
+    num = den = 1
+    for i in range(len(v)):
+        for j in range(i + 1, len(v)):
+            num *= v[i] - v[j]
+            den *= rho[i] - rho[j]
+            if rs.family == "C":
+                num *= v[i] + v[j]
+                den *= rho[i] + rho[j]
+        if rs.family == "C":
+            num *= v[i]
+            den *= rho[i]
+    out, rem = divmod(num, den)
+    if rem or out <= 0:
+        raise ArithmeticError(
+            f"Weyl product is not a positive integer: {Fraction(num, den)}")
+    return out
 
 
 def casimir(rs: RootSystem, hw: HighestWeight) -> Fraction:
     """The quadratic Casimir eigenvalue <lam, lam + 2 rho> in e_i coordinates."""
     if not rs.is_dominant(hw):
         raise ValueError(f"weight {hw.entries} is not dominant for {rs}")
-    rho = rs.rho()
-    out = Fraction(0)
-    for lam_i, rho_i in zip(hw.entries, rho):
-        out += lam_i * (lam_i + 2 * rho_i)
-    return out
+    return Fraction(sum(a * (a + 2 * r)
+                        for a, r in zip(hw.twice, rs.rho_twice())), 4)
 
 
 def dim_R_l(n: int, sigma_bar: int, l: int) -> int:
@@ -232,6 +236,8 @@ def character_inner(sigma_bar_1: int, sigma_bar_2: int,
     """
     if quadrature_points < 64:
         raise ValueError("need at least 64 quadrature points")
+    import numpy as np
+    from .quadrature import composite_gauss_legendre
     order = 8
     panels = -(-quadrature_points // order)
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qkepler import checks
+from qkepler import checks, spectral
 from qkepler.cli import run
+from qkepler.rep import HighestWeight
 
 
 def out_of(capsys):
@@ -256,12 +257,32 @@ def test_json_schema_and_seed(capsys):
     ["verify", "casimir", "--nmax", "1"],
     ["verify", "metric", "--n", "2", "--samples", "0"],
     ["verify", "ostar", "--n", "2", "--samples", "0"],
+    ["verify", "metric", "--n", "1"],
+    ["verify", "ostar", "--n", "1"],
+    ["verify", "schur", "--points", "63"],
+    ["verify", "genfunc", "--kmax", "0"],
 ], ids=" ".join)
 def test_unread_flags_and_vacuous_sizes_exit_2(argv, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
+    # a program fault, not an argument error: the check fails, exit 1
+    original = spectral.ktype_weight
+
+    def swapped(p, I):
+        *head, a, b = original(p, I).entries
+        return HighestWeight([*head, b, a])
+    monkeypatch.setattr(spectral, "ktype_weight", swapped)
+    assert run(["verify", "all"]) == 1
+    out = out_of(capsys)
+    failed = [line.split()[0] for line in out.splitlines()
+              if "  FAIL" in line]
+    assert failed == ["ktype-dims"]
+    assert "not dominant" in out
 
 
 def json_rows(argv):

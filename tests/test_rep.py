@@ -9,6 +9,7 @@ being frozen.
 from fractions import Fraction
 
 import math
+import random
 
 import pytest
 
@@ -123,6 +124,51 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(RootSystem("C", 2), HighestWeight([1, -1]))
     with pytest.raises(ValueError):
         weyl_dim(RootSystem("A", 2), HighestWeight([1, 0]))
+
+
+def weyl_dim_fraction(rs, hw):
+    """The Weyl product as Fraction dot products over the dense positive
+    roots, an independent route to ``weyl_dim``."""
+    rho = rs.rho()
+    lam_rho = [a + b for a, b in zip(hw.entries, rho)]
+    out = Fraction(1)
+    for alpha in rs.positive_roots():
+        out *= (sum(a * c for a, c in zip(lam_rho, alpha))
+                / sum(r * c for r, c in zip(rho, alpha)))
+    assert out.denominator == 1
+    return int(out)
+
+
+def random_dominant(rng, rs):
+    """Non-increasing entries; for A shifted by a random half integer,
+    for C non-negative."""
+    entries = sorted((rng.randint(0, 9) for _ in range(rs.weight_length)),
+                     reverse=True)
+    hw = HighestWeight(entries)
+    return hw.shifted(Fraction(rng.randint(-9, 9), 2)) if rs.family == "A" \
+        else hw
+
+
+def test_weyl_dim_matches_fraction_product():
+    rng = random.Random(20)
+    for _ in range(150):
+        rs = RootSystem(rng.choice("AC"), rng.randint(1, 12))
+        hw = random_dominant(rng, rs)
+        assert weyl_dim(rs, hw) == weyl_dim_fraction(rs, hw)
+
+
+def test_weyl_dim_at_rank_32():
+    rs = RootSystem("C", 32)
+    hw = HighestWeight([40 + 12, 40] + [0] * 30)
+    assert weyl_dim(rs, hw) == weyl_dim_fraction(rs, hw) \
+        == dim_R_l(32, 12, 40)
+
+
+def test_rho_is_half_the_doubled_rho():
+    for rs in (RootSystem("A", 5), RootSystem("C", 4)):
+        assert rs.rho() == tuple(Fraction(r, 2) for r in rs.rho_twice())
+        assert rs.rho_twice() == tuple(
+            sum(col) for col in zip(*rs.positive_roots()))
 
 
 def test_casimir_sp1():

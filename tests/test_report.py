@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkepler import checks
+from qkepler import checks, radial
 from qkepler.report import (CheckResult, Report, emit, report_from_json, row,
                             worse)
 
@@ -111,7 +111,7 @@ def test_worst_accumulation_keeps_nan():
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
-    monkeypatch.setattr(checks.radial, "orthogonality_check",
+    monkeypatch.setattr(radial, "orthogonality_check",
                         lambda p, l, k_max: np.full((6, 6), np.nan))
     (r,) = checks.orthogonality()
     assert math.isnan(r.residual) and r.passed is False
@@ -123,7 +123,7 @@ def test_nan_residual_fails_its_check(monkeypatch):
 ])
 def test_under_resolution_fails_its_check(check, target, name, monkeypatch):
     def under_resolved(*args, **kwargs):
-        raise checks.radial.UnderResolved("grid too small")
-    monkeypatch.setattr(checks.radial, target, under_resolved)
+        raise radial.UnderResolved("grid too small")
+    monkeypatch.setattr(radial, target, under_resolved)
     r = checks.REGISTRY[check]()[0]
     assert (r.name, r.lhs, r.passed) == (name, "grid too small", False)
