@@ -23,8 +23,7 @@ _EXPORTS = {
     "spectral": ("ModelParams", "QuantumNumbers", "energy", "energy_kl",
                  "degeneracy", "oscillator_level_dim",
                  "dimension_equality_check", "genfunc_check", "ktype_weight",
-                 "hspace_weight", "ktype_dim_check", "rkappa_weight",
-                 "level_report"),
+                 "hspace_weight", "ktype_dim_check", "rkappa_weight"),
     "radial": ("RadialState", "RadialGrid", "laguerre", "radial_t",
                "radial_rho", "kepler_residual", "eigensolve",
                "oscillator_profile", "twist_profile", "oscillator_residual",

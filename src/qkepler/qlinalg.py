@@ -52,7 +52,6 @@ __all__ = [
     "complexify",
     "complexify_matrix",
     "random_unit_quaternion",
-    "random_qvector",
 ]
 
 
@@ -153,11 +152,6 @@ def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
         r = math.sqrt(qnorm2(q))
         if r > 1e-6:
             return q * (1.0 / r)
-
-
-def random_qvector(n: int, rng: np.random.Generator,
-                   scale: float = 1.0) -> np.ndarray:
-    return rng.normal(0.0, scale, size=(n, 4))
 
 
 @dataclass(frozen=True)

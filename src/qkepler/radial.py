@@ -470,10 +470,12 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
 _FD1_WEIGHTS = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _FD2_WEIGHTS = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _FD_OFFSETS = np.arange(-3, 4)
+_FD_STEP = 0.01
 
 
 def _fd(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-        h: float, order: int) -> np.ndarray:
+        order: int) -> np.ndarray:
+    h = _FD_STEP
     w = _FD1_WEIGHTS / h if order == 1 else _FD2_WEIGHTS / (h * h)
     acc = np.zeros_like(x)
     for c, o in zip(w, _FD_OFFSETS):
@@ -508,7 +510,6 @@ def micz_check(sigma_bar: int,
                test_functions: Optional[Sequence[Callable]] = None,
                r_grid: Optional[np.ndarray] = None,
                i_max: int = 20,
-               fd_step: float = 0.01,
                tolerance: float = 1e-6) -> MiczReport:
     """Equivalence of the n = 2 model with the dimension-five problem.
 
@@ -544,7 +545,7 @@ def micz_check(sigma_bar: int,
         else _default_micz_tests()
     r = np.linspace(0.5, 10.0, 191) if r_grid is None \
         else np.asarray(r_grid, dtype=float)
-    if np.any(r <= 9.0 * fd_step):
+    if np.any(r <= 9.0 * _FD_STEP):
         raise ValueError("grid too close to the origin for the stencil")
     rho = np.sqrt(r)
     cc = sigma_bar * (sigma_bar + 2)
@@ -553,14 +554,14 @@ def micz_check(sigma_bar: int,
     fits = []
     for phi in funcs:
         g = lambda x: x ** 1.5 * phi(x * x)  # noqa: E731
-        gd = _fd(g, rho, fd_step, 1)
-        gdd = _fd(g, rho, fd_step, 2)
+        gd = _fd(g, rho, 1)
+        gdd = _fd(g, rho, 2)
         F = phi(r)
         lhs = (-(gdd + 4.0 * gd / rho) / (8.0 * rho ** 3.5)
                + (cc + 27.0 / 4.0) / (8.0 * rho ** 4) * F
                - F / rho ** 2)
-        pd = _fd(phi, r, fd_step, 1)
-        pdd = _fd(phi, r, fd_step, 2)
+        pd = _fd(phi, r, 1)
+        pdd = _fd(phi, r, 2)
         rhs = -0.5 * (pdd + 4.0 * pd / r) + cc / 8.0 * F / r ** 2 - F / r
         residuals.append(float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
         # strip kinetic and Coulomb parts, then least-squares fit the

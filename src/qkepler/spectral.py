@@ -24,7 +24,6 @@ from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
 __all__ = [
     "ModelParams",
     "QuantumNumbers",
-    "LevelReport",
     "energy",
     "energy_kl",
     "degeneracy",
@@ -38,7 +37,6 @@ __all__ = [
     "KtypeCheck",
     "ktype_dim_check",
     "rkappa_weight",
-    "level_report",
 ]
 
 
@@ -224,17 +222,3 @@ def rkappa_weight(n: int, sigma_bar: int, l: int,
     entries = [l + sigma_bar + kap, l + kap] + [kap] * (2 * n - 2)
     hw = HighestWeight(entries)
     return hw.conjugate() if conjugate else hw
-
-
-@dataclass(frozen=True)
-class LevelReport:
-    I: int
-    energy: Fraction
-    degeneracy: int
-    ktype: HighestWeight
-
-
-def level_report(p: ModelParams, I: int) -> LevelReport:
-    return LevelReport(I=I, energy=energy(p, I),
-                       degeneracy=degeneracy(p, I),
-                       ktype=ktype_weight(p, I))

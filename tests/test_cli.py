@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qkepler import checks, spectral
+from qkepler import checks, radial, spectral
 from qkepler.cli import run
 from qkepler.rep import HighestWeight
 
@@ -243,6 +243,9 @@ def test_json_schema_and_seed(capsys):
     assert payload["timestamp"] is None
 
 
+MODEL = ["--n", "2", "--sigma", "0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "all", "--tol", "1"],
     ["verify", "all", "--n", "2", "--samples", "1"],
@@ -261,6 +264,25 @@ def test_json_schema_and_seed(capsys):
     ["verify", "ostar", "--n", "1"],
     ["verify", "schur", "--points", "63"],
     ["verify", "genfunc", "--kmax", "0"],
+    # values the library rejects, which the parser now rejects first
+    ["spectrum", "--n", "1", "--sigma", "0"],
+    ["spectrum", "--n", "2", "--sigma", "-1"],
+    ["micz", "--sigma", "-1"],
+    ["wavefunction", *MODEL, "--k", "0", "--l", "0"],
+    ["residual", "kepler", *MODEL, "--k", "1", "--l", "-1"],
+    ["eigensolve", *MODEL, "--l", "0", "--grid", "499"],
+    ["eigensolve", *MODEL, "--l", "0", "--count", "0"],
+    ["eigensolve", *MODEL, "--l", "0", "--count", "6"],
+    *(["eigensolve", *MODEL, "--l", "0", "--tmax", v]
+      for v in ("0", "-1", "nan", "inf")),
+    *(["wavefunction", *MODEL, "--k", "1", "--l", "0", "--lo", v]
+      for v in ("0", "nan")),
+    ["wavefunction", *MODEL, "--k", "1", "--l", "0", "--hi", "0"],
+    *(["residual", "kepler", *MODEL, "--k", "1", "--l", "0", "--tol", v]
+      for v in ("0", "-1", "nan", "inf")),
+    ["eigensolve", *MODEL, "--l", "0", "--tol", "0"],
+    ["micz", "--sigma", "0", "--tol", "nan"],
+    ["verify", "twist", "--tol", "-1"],
 ], ids=" ".join)
 def test_unread_flags_and_vacuous_sizes_exit_2(argv, capsys):
     assert run(argv) == 2
@@ -269,14 +291,27 @@ def test_unread_flags_and_vacuous_sizes_exit_2(argv, capsys):
     assert "error:" in captured.err
 
 
-def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
-    # a program fault, not an argument error: the check fails, exit 1
+def swap_ktype_weight(monkeypatch):
+    """Swap the last two entries of each K-type weight: not dominant."""
     original = spectral.ktype_weight
 
     def swapped(p, I):
         *head, a, b = original(p, I).entries
         return HighestWeight([*head, b, a])
     monkeypatch.setattr(spectral, "ktype_weight", swapped)
+
+
+def raise_in(module, name):
+    def install(monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"{name} is broken")
+        monkeypatch.setattr(module, name, broken)
+    return install
+
+
+def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
+    # a program fault, not an argument error: the check fails, exit 1
+    swap_ktype_weight(monkeypatch)
     assert run(["verify", "all"]) == 1
     out = out_of(capsys)
     failed = [line.split()[0] for line in out.splitlines()
@@ -285,11 +320,69 @@ def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
     assert "not dominant" in out
 
 
-def json_rows(argv):
+@pytest.mark.parametrize("fault, argv, name, lhs", [
+    (swap_ktype_weight, ["ktype", "--n", "2", "--sigma", "1", "--imax", "1"],
+     "ktype", "ValueError: weight ("),
+    (raise_in(spectral, "energy"), ["spectrum", *MODEL],
+     "spectrum", "RuntimeError: energy is broken"),
+    (raise_in(radial, "kepler_residual"),
+     ["residual", "kepler", *MODEL, "--k", "1", "--l", "0"],
+     "residual kepler", "RuntimeError: kepler_residual is broken"),
+    (raise_in(radial, "eigensolve"),
+     ["eigensolve", *MODEL, "--l", "0", "--grid", "1000"],
+     "eigensolve", "RuntimeError: eigensolve is broken"),
+], ids=["ktype", "spectrum", "residual-kepler", "eigensolve"])
+def test_fault_inside_a_command_is_a_failed_row(fault, argv, name, lhs,
+                                                monkeypatch, capsys):
+    # valid arguments, so a raise is a program fault: one FAIL row, exit 1
+    fault(monkeypatch)
+    assert run([*argv, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    [failed] = payload["results"]
+    assert failed["name"] == payload["command"] == name
+    assert failed["passed"] is False
+    assert failed["lhs"].startswith(lhs)
+    assert "Traceback (most recent call last)" in captured.err
+
+
+def json_report(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         run([*argv, "--format", "json"])
-    return json.loads(buf.getvalue())["results"]
+    return json.loads(buf.getvalue())
+
+
+def json_rows(argv):
+    return json_report(argv)["results"]
+
+
+STATE = [*MODEL, "--k", "1", "--l", "0"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["spectrum", *MODEL], {"n", "sigma", "imax"}),
+    (["degeneracy", *MODEL], {"n", "sigma", "imax"}),
+    (["ktype", *MODEL], {"n", "sigma", "imax"}),
+    (["wavefunction", *STATE], {"n", "sigma", "k", "l", "coordinate", "lo",
+                                "hi", "points", "normalized"}),
+    (["residual", "kepler", *STATE, "--tol", "1e-6"],
+     {"n", "sigma", "k", "l", "t_max"}),
+    (["residual", "oscillator", *STATE, "--tol", "1e-6"],
+     {"n", "sigma", "k", "l", "r_max"}),
+    (["eigensolve", *MODEL, "--l", "0", "--grid", "1000", "--count", "1",
+      "--tol", "1e-3"], {"n", "sigma", "l", "grid", "count", "tmax"}),
+    (["micz", "--sigma", "1", "--imax", "2", "--tol", "1e-5"],
+     {"sigma", "imax"}),
+    (["verify", "metric", "--n", "2", "--samples", "5", "--tol", "1e-9"],
+     {"check", "n", "samples"}),
+    (["verify", "collapse"], {"check"}),
+], ids=["spectrum", "degeneracy", "ktype", "wavefunction", "residual-kepler",
+        "residual-oscillator", "eigensolve", "micz", "verify-metric",
+        "verify-collapse"])
+def test_report_parameters_are_the_flags(argv, keys):
+    # neither --tol nor the positional `which` is a parameter
+    assert set(json_report(argv)["parameters"]) == keys
 
 
 @pytest.fixture(scope="module")

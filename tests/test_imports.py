@@ -48,6 +48,17 @@ def test_commands_load_only_what_they_use(argv, absent):
     assert not modules & absent
 
 
+@pytest.mark.parametrize("argv", [
+    ["residual", "kepler", "--n", "2", "--sigma", "0", "--k", "0", "--l", "0"],
+    ["eigensolve", "--n", "2", "--sigma", "0", "--l", "0", "--count", "6"],
+], ids=["residual", "eigensolve"])
+def test_argument_errors_load_no_numpy(argv):
+    # the parser rejects the value before the command imports anything
+    code, modules = fresh_run(argv)
+    assert code == 2
+    assert not modules & {"numpy", "scipy"}
+
+
 def test_every_exported_name_resolves():
     for name in qkepler.__all__:
         assert getattr(qkepler, name) is not None

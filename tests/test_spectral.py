@@ -16,7 +16,6 @@ from qkepler.spectral import (
     hspace_weight,
     ktype_dim_check,
     ktype_weight,
-    level_report,
     oscillator_level_dim,
     rkappa_weight,
     _series_inverse_one_minus_t_pow,
@@ -189,12 +188,3 @@ def test_rkappa_dimension_matches_constituent():
         for l in range(3):
             hw = rkappa_weight(2, sigma_bar, l, 1)
             assert weyl_dim(rs, hw) == weyl_dim(rs, hw.conjugate())
-
-
-def test_level_report_consistency():
-    p = ModelParams(2, 1)
-    rep = level_report(p, 2)
-    assert rep.I == 2
-    assert rep.energy == energy(p, 2)
-    assert rep.degeneracy == degeneracy(p, 2)
-    assert rep.ktype == ktype_weight(p, 2)
