@@ -23,12 +23,12 @@ _EXPORTS = {
     "spectral": ("ModelParams", "QuantumNumbers", "energy", "energy_kl",
                  "degeneracy", "oscillator_level_dim",
                  "dimension_equality_check", "genfunc_check", "ktype_weight",
-                 "hspace_weight", "ktype_dim_check", "rkappa_weight"),
+                 "hspace_weight", "ktype_dim_check", "rkappa_weight",
+                 "micz_check"),
     "radial": ("RadialState", "RadialGrid", "laguerre", "radial_t",
                "radial_rho", "kepler_residual", "eigensolve",
                "oscillator_profile", "twist_profile", "oscillator_residual",
-               "oscillator_eigenvalue", "oscillator_eigenvalue_exact",
-               "micz_check", "orthogonality_check"),
+               "oscillator_eigenvalue_exact", "orthogonality_check"),
     "report": ("CheckResult", "Report", "emit"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

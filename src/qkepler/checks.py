@@ -32,10 +32,13 @@ SEED = 0  # the gate's seed for the randomized sweeps
 
 
 def kepler_grid(s: RadialState) -> RadialGrid:
-    """400 points of t from 0.1 to the state's decay cutoff."""
+    """400 points of t from nu/40 to the state's decay cutoff.  At x = 2t/nu
+    = 0.05 the cancelling centrifugal and Coulomb terms are within a fixed
+    multiple of |E|, the scale of the residual, whatever the state."""
     from . import radial
-    t_max = float(s.nu) * radial.decay_cutoff(s) / 2.0
-    return radial.RadialGrid.uniform(0.1, t_max, 400, 2 * s.params.n)
+    nu = float(s.nu)
+    t_max = nu * radial.decay_cutoff(s) / 2.0
+    return radial.RadialGrid.uniform(nu / 40.0, t_max, 400, 2 * s.params.n)
 
 
 def oscillator_grid(s: RadialState) -> RadialGrid:
@@ -223,18 +226,15 @@ def twist(tol: float = 1e-20) -> list[CheckResult]:
     return rows
 
 
-def micz(tol: float = 1e-6) -> list[CheckResult]:
-    """n = 2 equivalence with the five-dimensional monopole model."""
-    import numpy as np
-    from . import radial
+def micz() -> list[CheckResult]:
+    """n = 2 equivalence with the five-dimensional monopole model: the
+    spectrum, the operator on r^j (j <= 3) and the centrifugal read-back,
+    each an exact identity."""
     rows = []
     for sb in range(7):
-        rep_ = radial.micz_check(sb, i_max=20, tolerance=tol)
-        worst = float(np.max(rep_.operator_residuals))
-        rows.append(row(f"micz[{sb}]",
-                        lhs=rep_.spectrum_exact, rhs=True,
-                        residual=worst, tolerance=tol,
-                        passed=rep_.passed))
+        ids = spectral.micz_check(sb, i_max=20).identities
+        rows.append(row(f"micz[{sb}]", lhs=sum(ids), rhs=len(ids),
+                        passed=all(ids)))
     return rows
 
 
@@ -290,24 +290,21 @@ def ostar(n: Optional[int] = None, samples: int = 100, seed: int = SEED,
     return rows
 
 
-def schur(smax: int = 10, points: int = 256,
-          tol: float = 1e-6) -> list[CheckResult]:
-    """Schur orthonormality of the Sp(1) characters up to weight smax."""
+def schur(smax: int = 10) -> list[CheckResult]:
+    """Schur orthonormality of the Sp(1) characters up to weight smax,
+    exactly."""
     rows = []
     for sb in range(smax + 1):
-        norm = rep.schur_norm(sb, quadrature_points=points)
-        rows.append(row(f"schur-norm[{sb}]", lhs=norm, rhs=1.0,
-                        residual=abs(norm - 1.0), tolerance=tol,
-                        passed=abs(norm - 1.0) < tol))
+        norm = rep.schur_norm(sb)
+        rows.append(row(f"schur-norm[{sb}]", lhs=norm, rhs=1,
+                        passed=norm == 1))
     if smax == 0:  # no pair of distinct weights to cross
         return rows
-    worst = 0.0
-    for s1 in range(smax + 1):
-        for s2 in range(s1 + 1, smax + 1):
-            worst = worse(worst, abs(rep.character_inner(
-                s1, s2, quadrature_points=points)))
-    rows.append(row("schur-cross", residual=worst, tolerance=tol,
-                    passed=worst < tol))
+    pairs = [(s1, s2) for s1 in range(smax + 1)
+             for s2 in range(s1 + 1, smax + 1)]
+    ok = sum(rep.character_inner(s1, s2) == 0 for s1, s2 in pairs)
+    rows.append(row("schur-cross", lhs=ok, rhs=len(pairs),
+                    passed=ok == len(pairs)))
     return rows
 
 

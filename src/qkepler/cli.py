@@ -97,9 +97,11 @@ def _cmd_residual(args, params) -> list[CheckResult]:
 def _cmd_eigensolve(args, params) -> list[CheckResult]:
     from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
+    t_max = args.tmax or radial.default_t_max(p, args.l, args.count)
+    params["tmax"] = t_max
     try:
         vals = radial.eigensolve(p, args.l, grid_size=args.grid,
-                                 t_max=args.tmax, count=args.count)
+                                 t_max=t_max, count=args.count)
     except radial.UnderResolved as exc:
         return [row("resolution", lhs=str(exc), passed=False)]
     rows = []
@@ -112,17 +114,14 @@ def _cmd_eigensolve(args, params) -> list[CheckResult]:
 
 
 def _cmd_micz(args, params) -> list[CheckResult]:
-    from . import radial
-    tol = args.tol
-    rep_ = radial.micz_check(args.sigma, i_max=args.imax, tolerance=tol)
+    rep_ = spectral.micz_check(args.sigma, i_max=args.imax)
     rows = [row("spectrum-exact", lhs=rep_.spectrum_exact, rhs=True,
                 passed=rep_.spectrum_exact)]
-    for j, r in enumerate(rep_.operator_residuals):
-        rows.append(row(f"operator[{j}]", residual=r, tolerance=tol,
-                        passed=r < tol))
-    rows.append(row("centrifugal-fit", residual=rep_.centrifugal_deviation,
-                    tolerance=tol,
-                    passed=rep_.centrifugal_deviation < tol))
+    for j, ok in enumerate(rep_.operator_exact):
+        rows.append(row(f"operator[r^{j}]", lhs=ok, rhs=True, passed=ok))
+    rows.append(row("centrifugal", lhs=rep_.centrifugal,
+                    rhs=rep_.charge_term,
+                    passed=rep_.centrifugal == rep_.charge_term))
     return rows
 
 
@@ -239,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ei.add_argument("--tmax", type=_positive, default=None)
 
     mz = command("micz", _cmd_micz,
-                 "n = 2 equivalence with the dimension-five model",
-                 check=checks.micz)
+                 "n = 2 equivalence with the dimension-five model")
     mz.add_argument("--sigma", type=_integer(0), required=True,
                     metavar="SBAR")
     mz.add_argument("--imax", type=_integer(0), default=20)
@@ -270,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--imax", type=_integer(0))
     vf.add_argument("--samples", type=_integer(1),
                     help="sample count for seeded sweeps")
-    vf.add_argument("--points", type=_integer(64))
     vf.set_defaults(func=_cmd_verify)
     return parser
 

@@ -23,9 +23,7 @@ Laguerre derivatives.  The reduced operator takes a float array or a
 Fraction.  The float residuals weight H~P - E P by the envelope over its
 largest value on the grid, formed in log space, so no power of t or r
 ever overflows; the exact read-back is H~P/P at a rational point.
-Finite differences appear only in the discretized eigensolver and in the
-dimension-five operator check on generic test functions, where no closed
-form is available.
+Finite differences appear only in the discretized eigensolver.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -56,10 +54,7 @@ __all__ = [
     "oscillator_profile",
     "twist_profile",
     "oscillator_residual",
-    "oscillator_eigenvalue",
     "oscillator_eigenvalue_exact",
-    "MiczReport",
-    "micz_check",
     "orthogonality_check",
 ]
 
@@ -358,12 +353,6 @@ def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
                               s.oscillator_level)
 
 
-def oscillator_eigenvalue(s: RadialState, grid: RadialGrid) -> float:
-    """Least-squares readback of the oscillator eigenvalue from the residual."""
-    f, Hf = _oscillator_weighted(s, grid.points)
-    return float(np.dot(Hf, f) / np.dot(f, f))
-
-
 def oscillator_eigenvalue_exact(s: RadialState,
                                 x: Union[int, Fraction] = Fraction(7, 3)) -> Fraction:
     """Rational readback H~P/P of the oscillator eigenvalue at r^2 = x.
@@ -461,119 +450,6 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
         raise UnderResolved(
             f"t_max={t_max:g} too small: eigenfunction mass at the boundary")
     return vals
-
-
-# ---------------------------------------------------------------------------
-# the dimension-five equivalence
-
-
-_FD1_WEIGHTS = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD2_WEIGHTS = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-_FD_OFFSETS = np.arange(-3, 4)
-_FD_STEP = 0.01
-
-
-def _fd(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-        order: int) -> np.ndarray:
-    h = _FD_STEP
-    w = _FD1_WEIGHTS / h if order == 1 else _FD2_WEIGHTS / (h * h)
-    acc = np.zeros_like(x)
-    for c, o in zip(w, _FD_OFFSETS):
-        acc = acc + c * fun(x + o * h)
-    return acc
-
-
-def _default_micz_tests() -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
-    return (
-        lambda r: np.exp(-r) * r ** 2,
-        lambda r: r ** 3 / (1.0 + r * r),
-        lambda r: np.sin(r) * np.exp(-0.5 * r),
-    )
-
-
-@dataclass(frozen=True)
-class MiczReport:
-    sigma_bar: int
-    spectrum_exact: bool
-    operator_residuals: tuple[float, ...]
-    centrifugal_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.spectrum_exact
-                and all(r < self.tolerance for r in self.operator_residuals)
-                and self.centrifugal_deviation < self.tolerance)
-
-
-def micz_check(sigma_bar: int,
-               test_functions: Optional[Sequence[Callable]] = None,
-               r_grid: Optional[np.ndarray] = None,
-               i_max: int = 20,
-               tolerance: float = 1e-6) -> MiczReport:
-    """Equivalence of the n = 2 model with the dimension-five problem.
-
-    Two independent checks:
-
-    (i) spectrum: for magnetic charge mu = sigma_bar/2 the exact energies
-        -(1/2)/(I + 2 + mu)^2 agree with :func:`qkepler.spectral.energy`
-        at n = 2, as rationals, for all I <= i_max;
-
-    (ii) operator: for each radial test function Phi(r), the conjugated
-        radial hamiltonian evaluated at rho = sqrt(r) through
-        g(rho) = rho^{3/2} Phi(rho^2),
-
-            -(g'' + 4 g'/rho) / (8 rho^{7/2})
-            + (sigma_bar(sigma_bar+2) + 27/4) Phi(rho^2) / (8 rho^4)
-            - Phi(rho^2)/rho^2,
-
-        matches -(Phi'' + 4 Phi'/r)/2 + sigma_bar(sigma_bar+2) Phi/(8 r^2)
-        - Phi/r pointwise; derivatives by sixth-order central differences.
-
-    The report also refits the 1/r^2 coefficient of the transformed
-    operator, which recovers mu^2 + mu.
-    """
-    if sigma_bar < 0:
-        raise ValueError("sigma_bar must be >= 0")
-    p = ModelParams(2, sigma_bar)
-    mu = Fraction(sigma_bar, 2)
-    spectrum_exact = all(
-        energy(p, I) == Fraction(-1, 2) / (I + 2 + mu) ** 2
-        for I in range(i_max + 1))
-
-    funcs = tuple(test_functions) if test_functions is not None \
-        else _default_micz_tests()
-    r = np.linspace(0.5, 10.0, 191) if r_grid is None \
-        else np.asarray(r_grid, dtype=float)
-    if np.any(r <= 9.0 * _FD_STEP):
-        raise ValueError("grid too close to the origin for the stencil")
-    rho = np.sqrt(r)
-    cc = sigma_bar * (sigma_bar + 2)
-
-    residuals = []
-    fits = []
-    for phi in funcs:
-        g = lambda x: x ** 1.5 * phi(x * x)  # noqa: E731
-        gd = _fd(g, rho, 1)
-        gdd = _fd(g, rho, 2)
-        F = phi(r)
-        lhs = (-(gdd + 4.0 * gd / rho) / (8.0 * rho ** 3.5)
-               + (cc + 27.0 / 4.0) / (8.0 * rho ** 4) * F
-               - F / rho ** 2)
-        pd = _fd(phi, r, 1)
-        pdd = _fd(phi, r, 2)
-        rhs = -0.5 * (pdd + 4.0 * pd / r) + cc / 8.0 * F / r ** 2 - F / r
-        residuals.append(float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
-        # strip kinetic and Coulomb parts, then least-squares fit the
-        # centrifugal coefficient (pointwise ratios blow up at zeros of phi)
-        centrifugal = lhs - (-0.5 * (pdd + 4.0 * pd / r) - F / r)
-        coeff = float(np.dot(2.0 * r ** 2 * centrifugal, F) / np.dot(F, F))
-        fits.append(abs(coeff - float(mu ** 2 + mu)))
-    return MiczReport(sigma_bar=sigma_bar,
-                      spectrum_exact=spectrum_exact,
-                      operator_residuals=tuple(residuals),
-                      centrifugal_deviation=float(max(fits)),
-                      tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ normalization is the plain dot product in the e_i coordinates; for C_n
 this gives sum_i lam_i (lam_i + 2(n+1-i)), and for sp(1) = C_1 the
 familiar sigma(sigma + 2).
 
-Characters of Sp(1) irreps are chi(theta) = sin((s+1) theta)/sin(theta)
-on the conjugacy class of rotation angle theta; class integration uses
-the weight (2/pi) sin^2(theta) d theta on [0, pi].  That quadrature is
-the only numerical route here, and it imports numpy when it is called.
+The character of an Sp(1) irrep is its weight multiset, a Laurent
+polynomial in the torus coordinate z, and class integration is the
+constant term against the Weyl density.  Everything here is exact, and
+nothing imports numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .laurent import Laurent
 
 __all__ = [
     "RootSystem",
@@ -205,57 +207,34 @@ def angular_eigenvalue(n: int, sigma_bar: int, l: int) -> int:
     return val
 
 
-def sp1_character(sigma_bar: int, theta: float) -> float:
-    """Character sin((s+1) theta)/sin(theta) of the (s+1)-dimensional irrep.
-
-    Endpoints are handled by the Chebyshev recurrence, which is the limit
-    value: chi(0) = s+1, chi(pi) = (s+1) (-1)^s.
-    """
+def sp1_character(sigma_bar: int) -> Laurent:
+    """Character of the (s+1)-dimensional irrep at diag(z, 1/z): its
+    weights, sum over j <= s of z^(s-2j).  At z = e^(i theta) this is
+    sin((s+1) theta)/sin(theta)."""
     if sigma_bar < 0:
         raise ValueError("sigma_bar must be >= 0")
-    s = math.sin(theta)
-    if abs(s) > 1e-9:
-        return math.sin((sigma_bar + 1) * theta) / s
-    c = math.cos(theta)
-    prev, cur = 1.0, 2.0 * c
-    if sigma_bar == 0:
-        return prev
-    for _ in range(sigma_bar - 1):
-        prev, cur = cur, 2.0 * c * cur - prev
-    return cur
+    return Laurent({sigma_bar - 2 * j: 1 for j in range(sigma_bar + 1)})
 
 
-def character_inner(sigma_bar_1: int, sigma_bar_2: int,
-                    quadrature_points: int = 256) -> float:
-    """Class-measure inner product of two Sp(1) characters.
+# |z - 1/z|^2 on |z| = 1: twice the Weyl density of Sp(1) on its torus
+_WEYL_DENSITY = Laurent({0: 2, 2: -1, -2: -1})
 
-    Integrates chi_1(theta) chi_2(theta) against (2/pi) sin^2(theta) on
-    [0, pi] with composite Gauss-Legendre panels of order 8; the requested
-    point count is rounded up to a multiple of 8.  Equals 1 when the
-    labels agree and 0 otherwise (Schur orthogonality).
+
+def character_inner(sigma_bar_1: int, sigma_bar_2: int) -> int:
+    """Class-measure inner product of two Sp(1) characters, exactly.
+
+    By the Weyl integration formula it is CT[chi_1 chi_2 (2 - z^2 -
+    z^-2)] / 2, with CT the constant term.  Equals 1 when the labels
+    agree and 0 otherwise (Schur orthogonality).
     """
-    if quadrature_points < 64:
-        raise ValueError("need at least 64 quadrature points")
-    import numpy as np
-    from .quadrature import composite_gauss_legendre
-    order = 8
-    panels = -(-quadrature_points // order)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        # interior Gauss nodes only, so the ratio form of chi is safe
-        s = np.sin(theta)
-        chi1 = np.sin((sigma_bar_1 + 1) * theta) / s
-        chi2 = np.sin((sigma_bar_2 + 1) * theta) / s
-        return (2.0 / math.pi) * s * s * chi1 * chi2
-
-    return composite_gauss_legendre(integrand, 0.0, math.pi,
-                                    order=order, panels=panels)
+    ct = (sp1_character(sigma_bar_1) * sp1_character(sigma_bar_2)
+          * _WEYL_DENSITY).coefficient(0)
+    out, rem = divmod(ct, 2)
+    if rem:
+        raise ArithmeticError(f"class integral is not an integer: {ct}/2")
+    return out
 
 
-def schur_norm(sigma_bar: int, quadrature_points: int = 256) -> float:
-    """Normalized L^2 norm squared of an irreducible Sp(1) character.
-
-    Equal to 1 for every irrep; the quadrature error decays to rounding
-    level as the point count grows.
-    """
-    return character_inner(sigma_bar, sigma_bar, quadrature_points)
+def schur_norm(sigma_bar: int) -> int:
+    """Squared norm of an irreducible Sp(1) character: 1 for every irrep."""
+    return character_inner(sigma_bar, sigma_bar)

@@ -9,7 +9,9 @@ energy for parameters (n, sigma_bar) is
 The degeneracy of level I sums the closed-form dimensions over l <= I.
 Two independent exact identities tie these numbers to the 4n-dimensional
 isotropic oscillator: the levelwise dimension equality and its
-generating-function form.
+generating-function form.  At n = 2 the spectrum and the radial operator
+are those of the generalized MICZ-Kepler problem in dimension five,
+checked in exact Laurent-polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .laurent import Laurent
 from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
     "KtypeCheck",
     "ktype_dim_check",
     "rkappa_weight",
+    "MiczReport",
+    "micz_check",
 ]
 
 
@@ -222,3 +227,87 @@ def rkappa_weight(n: int, sigma_bar: int, l: int,
     entries = [l + sigma_bar + kap, l + kap] + [kap] * (2 * n - 2)
     hw = HighestWeight(entries)
     return hw.conjugate() if conjugate else hw
+
+
+# the constant that conjugation by rho^(3/2) adds to the centrifugal term
+_MICZ_SHIFT = Fraction(27, 4)
+
+
+def _micz_transformed(phi: Laurent, sigma_bar: int) -> Laurent:
+    """The n = 2 radial operator in rho, conjugated by rho^(3/2), on Phi(r)
+    at r = rho^2, with g(rho) = rho^(3/2) Phi(rho^2):
+
+        -(g'' + 4 g'/rho) / (8 rho^(7/2))
+        + (sigma_bar(sigma_bar+2) + 27/4) Phi / (8 rho^4) - Phi / rho^2.
+    """
+    rho = Laurent.monomial
+    Phi = phi.at_power(2)
+    g1 = (rho(Fraction(3, 2)) * Phi).derivative()
+    kinetic = (g1.derivative() + 4 * rho(-1) * g1) * rho(Fraction(-7, 2))
+    centrifugal = (sigma_bar * (sigma_bar + 2) + _MICZ_SHIFT) / 8
+    return (Fraction(-1, 8) * kinetic + centrifugal * rho(-4) * Phi
+            - rho(-2) * Phi)
+
+
+def _micz_radial(phi: Laurent, sigma_bar: int) -> Laurent:
+    """The radial operator of the five-dimensional problem with magnetic
+    charge sigma_bar/2, on Phi(r):
+
+        -(Phi'' + 4 Phi'/r)/2 + sigma_bar(sigma_bar+2) Phi/(8 r^2) - Phi/r.
+    """
+    r = Laurent.monomial
+    d1 = phi.derivative()
+    return (Fraction(-1, 2) * (d1.derivative() + 4 * r(-1) * d1)
+            + Fraction(sigma_bar * (sigma_bar + 2), 8) * r(-2) * phi
+            - r(-1) * phi)
+
+
+@dataclass(frozen=True)
+class MiczReport:
+    sigma_bar: int
+    spectrum_exact: bool
+    operator_exact: tuple[bool, ...]  # on Phi = r^j, j = 0, 1, 2, 3
+    centrifugal: Fraction
+
+    @property
+    def charge_term(self) -> Fraction:
+        """mu^2 + mu for the magnetic charge mu = sigma_bar/2."""
+        mu = Fraction(self.sigma_bar, 2)
+        return mu * mu + mu
+
+    @property
+    def identities(self) -> tuple[bool, ...]:
+        return (self.spectrum_exact, *self.operator_exact,
+                self.centrifugal == self.charge_term)
+
+
+def micz_check(sigma_bar: int, i_max: int = 20) -> MiczReport:
+    """Equivalence of the n = 2 model with the dimension-five problem.
+
+    (i) spectrum: for magnetic charge mu = sigma_bar/2 the energies
+        -(1/2)/(I + 2 + mu)^2 agree with :func:`energy` at n = 2, as
+        rationals, for all I <= i_max;
+
+    (ii) operator: the transformed operator equals the five-dimensional
+        one at r = rho^2, as Laurent polynomials in rho, on Phi = r^j
+        for j <= 3.  A linear second-order operator is fixed by its
+        values on 1, r and r^2, so this is the identity for every Phi.
+
+    The report also reads back twice the r^-2 coefficient of the
+    transformed operator on Phi = 1, which is mu^2 + mu.
+    """
+    if sigma_bar < 0:
+        raise ValueError("sigma_bar must be >= 0")
+    p = ModelParams(2, sigma_bar)
+    mu = Fraction(sigma_bar, 2)
+    spectrum_exact = all(
+        energy(p, I) == Fraction(-1, 2) / (I + 2 + mu) ** 2
+        for I in range(i_max + 1))
+    operator_exact = tuple(
+        _micz_transformed(Laurent.monomial(j), sigma_bar)
+        == _micz_radial(Laurent.monomial(j), sigma_bar).at_power(2)
+        for j in range(4))
+    centrifugal = 2 * _micz_transformed(Laurent.monomial(0),
+                                        sigma_bar).coefficient(-4)
+    return MiczReport(sigma_bar=sigma_bar, spectrum_exact=spectrum_exact,
+                      operator_exact=operator_exact, centrifugal=centrifugal)

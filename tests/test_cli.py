@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import shlex
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qkepler import checks, radial, spectral
+from qkepler import checks, radial, rep, spectral
 from qkepler.cli import run
+from qkepler.laurent import Laurent
 from qkepler.rep import HighestWeight
 
 
@@ -157,8 +161,12 @@ def test_micz_command(capsys):
     code = run(["micz", "--sigma", "2", "--imax", "5"])
     out = out_of(capsys)
     assert code == 0
-    assert "spectrum-exact" in out
-    assert "centrifugal-fit" in out
+    assert "spectrum-exact  pass  lhs=true rhs=true\n" in out
+    for j in range(4):
+        assert f"operator[r^{j}]   pass  lhs=true rhs=true\n" in out
+    # mu = 1: mu^2 + mu = 2
+    assert "centrifugal     pass  lhs=2 rhs=2\n" in out
+    assert "residual" not in out and "tol" not in out
 
 
 @pytest.mark.parametrize("check", ["dim-equality", "genfunc", "ktype-dims"])
@@ -191,11 +199,22 @@ def test_verify_ostar_small(capsys):
     assert "weight-double[n<=6]" in out
 
 
+def test_verify_micz_rows_are_exact(capsys):
+    assert run(["verify", "micz"]) == 0
+    out = out_of(capsys)
+    for sb in range(7):
+        assert f"micz[{sb}]  pass  lhs=6 rhs=6\n" in out
+    assert "residual" not in out and "tol" not in out
+
+
 def test_verify_schur_small(capsys):
     code = run(["verify", "schur", "--smax", "4"])
     out = out_of(capsys)
     assert code == 0
-    assert "schur-cross" in out
+    for sb in range(5):
+        assert f"schur-norm[{sb}]  pass  lhs=1 rhs=1\n" in out
+    assert "schur-cross    pass  lhs=10 rhs=10\n" in out
+    assert "residual" not in out and "tol" not in out
 
 
 def test_verify_schur_without_pairs_has_no_cross_row(capsys):
@@ -262,7 +281,9 @@ MODEL = ["--n", "2", "--sigma", "0"]
     ["verify", "ostar", "--n", "2", "--samples", "0"],
     ["verify", "metric", "--n", "1"],
     ["verify", "ostar", "--n", "1"],
-    ["verify", "schur", "--points", "63"],
+    ["verify", "schur", "--points", "256"],
+    ["verify", "schur", "--tol", "1e-6"],
+    ["verify", "micz", "--tol", "1e-6"],
     ["verify", "genfunc", "--kmax", "0"],
     # values the library rejects, which the parser now rejects first
     ["spectrum", "--n", "1", "--sigma", "0"],
@@ -281,7 +302,7 @@ MODEL = ["--n", "2", "--sigma", "0"]
     *(["residual", "kepler", *MODEL, "--k", "1", "--l", "0", "--tol", v]
       for v in ("0", "-1", "nan", "inf")),
     ["eigensolve", *MODEL, "--l", "0", "--tol", "0"],
-    ["micz", "--sigma", "0", "--tol", "nan"],
+    ["micz", "--sigma", "0", "--tol", "1e-6"],
     ["verify", "twist", "--tol", "-1"],
 ], ids=" ".join)
 def test_unread_flags_and_vacuous_sizes_exit_2(argv, capsys):
@@ -357,6 +378,14 @@ def json_rows(argv):
     return json_report(argv)["results"]
 
 
+def test_eigensolve_reports_its_domain():
+    # without --tmax the domain is default_t_max's: 2 nu^2 + 10 nu at nu = 4
+    report = json_report(["eigensolve", *MODEL, "--l", "0"])
+    assert report["parameters"]["tmax"] == 72.0
+    report = json_report(["eigensolve", *MODEL, "--l", "0", "--tmax", "100"])
+    assert report["parameters"]["tmax"] == 100.0
+
+
 STATE = [*MODEL, "--k", "1", "--l", "0"]
 
 
@@ -372,8 +401,7 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
      {"n", "sigma", "k", "l", "r_max"}),
     (["eigensolve", *MODEL, "--l", "0", "--grid", "1000", "--count", "1",
       "--tol", "1e-3"], {"n", "sigma", "l", "grid", "count", "tmax"}),
-    (["micz", "--sigma", "1", "--imax", "2", "--tol", "1e-5"],
-     {"sigma", "imax"}),
+    (["micz", "--sigma", "1", "--imax", "2"], {"sigma", "imax"}),
     (["verify", "metric", "--n", "2", "--samples", "5", "--tol", "1e-9"],
      {"check", "n", "samples"}),
     (["verify", "collapse"], {"check"}),
@@ -398,3 +426,64 @@ def test_check_is_defined_once(name, gate_and_check_rows):
     start = sum(len(alone[m]) for m in names[:names.index(name)])
     assert alone[name] == gate[start:start + len(alone[name])]
     assert sum(map(len, alone.values())) == len(gate)
+
+
+def micz_at_wrong_charge(monkeypatch):
+    """Compare with the five-dimensional operator at charge sigma_bar + 1."""
+    original = spectral._micz_radial
+    monkeypatch.setattr(spectral, "_micz_radial",
+                        lambda phi, sb: original(phi, sb + 1))
+
+
+def character_without_lowest_weight(monkeypatch):
+    original = rep.sp1_character
+
+    def chi(sb):
+        terms = dict(original(sb).terms)
+        del terms[-sb]
+        return Laurent(terms)
+    monkeypatch.setattr(rep, "sp1_character", chi)
+
+
+MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
+
+
+@pytest.mark.parametrize("control, failed", [
+    (micz_at_wrong_charge, MICZ_ROWS),
+    (lambda mp: mp.setattr(spectral, "_MICZ_SHIFT", Fraction(25, 4)),
+     MICZ_ROWS),
+    # chi_1 without z^-1 is z, whose class integral is -1/2: a fault row
+    (character_without_lowest_weight, ["schur"]),
+    # the density cut to its constant term gives |chi_s|^2 = s + 1
+    (lambda mp: mp.setattr(rep, "_WEYL_DENSITY", Laurent({0: 2})),
+     [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
+], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
+        "schur-density"])
+def test_exact_checks_fail_their_negative_controls(control, failed,
+                                                   monkeypatch, capsys):
+    control(monkeypatch)
+    assert run(["verify", "all"]) == 1
+    out = out_of(capsys)
+    assert [line.split()[0] for line in out.splitlines()
+            if "  FAIL" in line] == failed
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_commands():
+    """Each `qkepler ...` line of the README's fenced code blocks."""
+    commands, fenced = [], False
+    with open(README, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("```"):
+                fenced = not fenced
+            elif fenced and line.startswith("qkepler "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv, capsys):
+    assert run(argv) == 0
+    out_of(capsys)

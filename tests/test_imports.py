@@ -41,7 +41,11 @@ def fresh_run(argv):
      {"numpy", "scipy"}),
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2",
       "--normalized"], {"scipy"}),
-], ids=["spectrum", "degeneracy", "ktype", "wavefunction"])
+    (["micz", "--sigma", "2"], {"numpy", "scipy"}),
+    (["verify", "micz"], {"numpy", "scipy"}),
+    (["verify", "schur"], {"numpy", "scipy"}),
+], ids=["spectrum", "degeneracy", "ktype", "wavefunction", "micz",
+        "verify-micz", "verify-schur"])
 def test_commands_load_only_what_they_use(argv, absent):
     code, modules = fresh_run(argv)
     assert code == 0

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+from qkepler import spectral
+from qkepler.laurent import Laurent
 from qkepler.rep import HighestWeight, RootSystem, weyl_dim
 from qkepler.spectral import (
+    MiczReport,
     ModelParams,
     QuantumNumbers,
     degeneracy,
@@ -16,6 +19,7 @@ from qkepler.spectral import (
     hspace_weight,
     ktype_dim_check,
     ktype_weight,
+    micz_check,
     oscillator_level_dim,
     rkappa_weight,
     _series_inverse_one_minus_t_pow,
@@ -188,3 +192,34 @@ def test_rkappa_dimension_matches_constituent():
         for l in range(3):
             hw = rkappa_weight(2, sigma_bar, l, 1)
             assert weyl_dim(rs, hw) == weyl_dim(rs, hw.conjugate())
+
+
+# ---------------------------------------------------------------------------
+# the n = 2 reduction
+
+
+def test_micz_report_passes():
+    for sb in (0, 1, 3, 12):
+        rep = micz_check(sb, i_max=10)
+        assert isinstance(rep, MiczReport)
+        assert rep.spectrum_exact
+        assert rep.operator_exact == (True,) * 4
+        mu = Fraction(sb, 2)
+        assert rep.centrifugal == rep.charge_term == mu * mu + mu
+        assert rep.identities == (True,) * 6
+
+
+def test_micz_operator_identity_beyond_the_checked_powers():
+    # fixed by r^0, r^1 and r^2, the identity holds on every Laurent
+    # polynomial, half-integer powers included
+    phi = Laurent({-3: 2, Fraction(1, 2): Fraction(-5, 7), 4: 1, 9: 3})
+    for sb in range(5):
+        assert spectral._micz_transformed(phi, sb) \
+            == spectral._micz_radial(phi, sb).at_power(2)
+        assert spectral._micz_transformed(phi, sb) \
+            != spectral._micz_radial(phi, sb + 1).at_power(2)
+
+
+def test_micz_validation():
+    with pytest.raises(ValueError):
+        micz_check(-1)
