@@ -3,21 +3,18 @@
 ``REGISTRY`` maps each ``verify`` name to its check, in criterion order:
 criterion k is the k-th entry.  ``qkepler verify`` runs them (``all``
 runs every entry in order and is the CI gate) and the acceptance tests
-gate on them.  A check is a function of keyword arguments that returns
-its ``CheckResult`` rows.  Its parameter names are the ``verify`` flags
-it reads and its defaults are the gate's settings, so the signature is
-the whole declaration: ``n=None`` sweeps the check's full range of n,
-``seed`` seeds a randomized sweep and ``tol`` replaces the check's own
-bound(s).  A check imports numpy, ``radial`` or ``geom`` when it runs,
-so the parser reads the signatures without loading them.
+gate on them.  A check returns its ``CheckResult`` rows; it sweeps the
+gate's ranges and holds its own bounds, so it takes no arguments, except
+that the randomized checks named in ``SEEDED`` take ``seed``.  A check
+imports numpy, ``radial`` or ``geom`` when it runs, so loading this
+module loads neither.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from . import rep, spectral
 from .report import CheckResult, row, worse
@@ -25,10 +22,12 @@ from .report import CheckResult, row, worse
 if TYPE_CHECKING:
     from .radial import RadialGrid, RadialState
 
-__all__ = ["REGISTRY", "FLAGS", "SEED", "flags", "kepler_grid",
-           "oscillator_grid"]
+__all__ = ["REGISTRY", "SEEDED", "SEED", "RESIDUAL_TOL", "EIGENSOLVE_TOL",
+           "kepler_grid", "oscillator_grid"]
 
 SEED = 0  # the gate's seed for the randomized sweeps
+RESIDUAL_TOL = 1e-8  # radial ODE residuals, here and in `residual`
+EIGENSOLVE_TOL = 1e-4  # eigenvalue relative error, here and in `eigensolve`
 
 
 def kepler_grid(s: RadialState) -> RadialGrid:
@@ -48,10 +47,6 @@ def oscillator_grid(s: RadialState) -> RadialGrid:
     return radial.RadialGrid.uniform(0.1, r_max, 300, 4 * s.params.n - 1)
 
 
-def _ns(n: Optional[int], full: tuple) -> tuple:
-    return (n,) if n is not None else full
-
-
 def _resolved(name: str, sweep: Callable[[], float],
               tol: float) -> CheckResult:
     """The row of a sweep that returns its worst residual.
@@ -66,7 +61,7 @@ def _resolved(name: str, sweep: Callable[[], float],
     return row(name, residual=worst, tolerance=tol, passed=worst < tol)
 
 
-def eigensolve(tol: float = 1e-4) -> list[CheckResult]:
+def eigensolve() -> list[CheckResult]:
     """Finite-difference radial eigenvalues against the exact energies."""
     from . import radial
     def sweep(n: int) -> float:
@@ -79,7 +74,7 @@ def eigensolve(tol: float = 1e-4) -> list[CheckResult]:
                     exact = float(spectral.energy(p, i + l))
                     worst = worse(worst, abs(num - exact) / abs(exact))
         return worst
-    return [_resolved(f"eigensolve[n={n}]", lambda: sweep(n), tol)
+    return [_resolved(f"eigensolve[n={n}]", lambda: sweep(n), EIGENSOLVE_TOL)
             for n in (2, 3)]
 
 
@@ -100,26 +95,24 @@ def collapse() -> list[CheckResult]:
     return rows
 
 
-def dim_equality(n: Optional[int] = None,
-                 kmax: int = 12) -> list[CheckResult]:
-    """Level dimensions against the 4n-dimensional oscillator, k <= kmax."""
+def dim_equality() -> list[CheckResult]:
+    """Level dimensions against the 4n-dimensional oscillator, k <= 12."""
     rows = []
-    for n in _ns(n, (2, 3, 4)):
+    for n in (2, 3, 4):
         ok = sum(spectral.dimension_equality_check(n, k).passed
-                 for k in range(kmax + 1))
-        rows.append(row(f"dim-equality[n={n}]", lhs=ok, rhs=kmax + 1,
-                        passed=ok == kmax + 1))
+                 for k in range(13))
+        rows.append(row(f"dim-equality[n={n}]", lhs=ok, rhs=13,
+                        passed=ok == 13))
     return rows
 
 
-def genfunc(n: Optional[int] = None, kmax: int = 12) -> list[CheckResult]:
-    """Generating-function coefficients up to k = kmax by three routes."""
+def genfunc() -> list[CheckResult]:
+    """Generating-function coefficients up to k = 12 by three routes."""
     rows = []
-    for n in _ns(n, (2, 3, 4)):
-        chk = spectral.genfunc_check(n, kmax)
-        rows.append(row(f"genfunc[n={n}]", lhs=kmax + 1,
-                        rhs=kmax + 1 if chk.passed else 0,
-                        passed=chk.passed))
+    for n in (2, 3, 4):
+        passed = spectral.genfunc_check(n, 12).passed
+        rows.append(row(f"genfunc[n={n}]", lhs=13, rhs=13 if passed else 0,
+                        passed=passed))
     return rows
 
 
@@ -139,14 +132,14 @@ def dims() -> list[CheckResult]:
     return rows
 
 
-def ktype_dims(n: Optional[int] = None, smax: int = 5,
-               imax: int = 5) -> list[CheckResult]:
-    """U(2n) K-type dimensions against the Sp(n) decomposition."""
+def ktype_dims() -> list[CheckResult]:
+    """U(2n) K-type dimensions against the Sp(n) decomposition for
+    sbar, I <= 5."""
     rows = []
-    for n in _ns(n, (2, 3)):
+    for n in (2, 3):
         cases = ok = 0
-        for sb in range(smax + 1):
-            for I in range(imax + 1):
+        for sb in range(6):
+            for I in range(6):
                 cases += 1
                 ok += spectral.ktype_dim_check(
                     spectral.ModelParams(n, sb), I).passed
@@ -155,13 +148,14 @@ def ktype_dims(n: Optional[int] = None, smax: int = 5,
     return rows
 
 
-def casimir(nmax: int = 5, lmax: int = 8, smax: int = 8) -> list[CheckResult]:
-    """Angular eigenvalue is twice the Casimir difference, n <= nmax."""
+def casimir() -> list[CheckResult]:
+    """Angular eigenvalue is twice the Casimir difference, n <= 5 and
+    l, sbar <= 8."""
     rows = []
-    for n in range(2, nmax + 1):
+    for n in range(2, 6):
         cases = ok = 0
-        for l in range(lmax + 1):
-            for sb in range(smax + 1):
+        for l in range(9):
+            for sb in range(9):
                 cases += 1
                 lhs = Fraction(rep.angular_eigenvalue(n, sb, l))
                 hw = rep.HighestWeight([l + sb, l] + [0] * (n - 2))
@@ -174,7 +168,7 @@ def casimir(nmax: int = 5, lmax: int = 8, smax: int = 8) -> list[CheckResult]:
     return rows
 
 
-def residuals(tol: float = 1e-8) -> list[CheckResult]:
+def residuals() -> list[CheckResult]:
     """Radial ODE residuals of closed forms; exact eigenvalue read-back."""
     from . import radial
     rows = []
@@ -194,15 +188,15 @@ def residuals(tol: float = 1e-8) -> list[CheckResult]:
                     back_ok += (radial.oscillator_eigenvalue_exact(s)
                                 == s.oscillator_level)
         rows.append(row(f"residual-kepler[n={n}]", residual=worst_k,
-                        tolerance=tol, passed=worst_k < tol))
+                        tolerance=RESIDUAL_TOL, passed=worst_k < RESIDUAL_TOL))
         rows.append(row(f"residual-oscillator[n={n}]", residual=worst_o,
-                        tolerance=tol, passed=worst_o < tol))
+                        tolerance=RESIDUAL_TOL, passed=worst_o < RESIDUAL_TOL))
         rows.append(row(f"readback[n={n}]", lhs=back_ok, rhs=cases,
                         passed=back_ok == cases))
     return rows
 
 
-def twist(tol: float = 1e-20) -> list[CheckResult]:
+def twist() -> list[CheckResult]:
     """Twisted Kepler profiles are constant multiples of oscillator ones,
     on r from 0.2 to the state's decay cutoff."""
     import numpy as np
@@ -221,8 +215,8 @@ def twist(tol: float = 1e-20) -> list[CheckResult]:
                         / radial.oscillator_profile(s, r)
                     scaled = ratio / np.mean(ratio)
                     worst = worse(worst, float(np.var(scaled)))
-        rows.append(row(f"twist[n={n}]", residual=worst, tolerance=tol,
-                        passed=worst < tol))
+        rows.append(row(f"twist[n={n}]", residual=worst, tolerance=1e-20,
+                        passed=worst < 1e-20))
     return rows
 
 
@@ -238,36 +232,31 @@ def micz() -> list[CheckResult]:
     return rows
 
 
-def metric(n: Optional[int] = None, samples: int = 1000, seed: int = SEED,
-           tol: Optional[float] = None) -> list[CheckResult]:
-    """Fubini-Study metric identity and quotient factor at random points."""
+def metric(seed: int = SEED) -> list[CheckResult]:
+    """Fubini-Study metric identity and quotient factor at 1000 random
+    points."""
     from . import geom
-    mtol, qtol = (1e-12, 1e-13) if tol is None else (tol, tol)
     rows = []
-    for n in _ns(n, (2, 3, 4)):
-        r = geom.metric_sweep(n, samples, seed)
-        rows.append(row(f"metric[n={n}]", residual=r, tolerance=mtol,
-                        passed=r < mtol))
-        q = geom.quotient_sweep(n, samples, seed)
-        rows.append(row(f"quotient[n={n}]", residual=q, tolerance=qtol,
-                        passed=q < qtol))
+    for n in (2, 3, 4):
+        r = geom.metric_sweep(n, 1000, seed)
+        rows.append(row(f"metric[n={n}]", residual=r, tolerance=1e-12,
+                        passed=r < 1e-12))
+        q = geom.quotient_sweep(n, 1000, seed)
+        rows.append(row(f"quotient[n={n}]", residual=q, tolerance=1e-13,
+                        passed=q < 1e-13))
     return rows
 
 
-def ostar(n: Optional[int] = None, samples: int = 100, seed: int = SEED,
-          tol: float = 1e-10) -> list[CheckResult]:
-    """Random Sp(n) elements lie in O*(4n); weight doubling for n <= 6.
-
-    ``tol`` bounds the membership sweep; the weight-doubling map is
-    checked exhaustively at a fixed 1e-14.
-    """
+def ostar(seed: int = SEED) -> list[CheckResult]:
+    """200 random unitary and Sp(n) images lie in O*(4n), to 1e-10; the
+    weight-doubling map, exhaustively for n <= 6, to 1e-14."""
     import numpy as np
     from . import geom
     rows = []
-    for n in _ns(n, (2, 3)):
-        passes, total = geom.ostar_sweep(n, samples, seed, tol=tol)
+    for n in (2, 3):
+        passes, total = geom.ostar_sweep(n, 100, seed, tol=1e-10)
         rows.append(row(f"ostar[n={n}]", lhs=passes, rhs=total,
-                        tolerance=tol, passed=passes == total))
+                        tolerance=1e-10, passed=passes == total))
     # a phase planted at slot i must land at the doubled index,
     # conjugated on the u-side embedding and plain on the uv-side
     cases = ok = 0
@@ -290,25 +279,22 @@ def ostar(n: Optional[int] = None, samples: int = 100, seed: int = SEED,
     return rows
 
 
-def schur(smax: int = 10) -> list[CheckResult]:
-    """Schur orthonormality of the Sp(1) characters up to weight smax,
+def schur() -> list[CheckResult]:
+    """Schur orthonormality of the Sp(1) characters up to weight 10,
     exactly."""
     rows = []
-    for sb in range(smax + 1):
+    for sb in range(11):
         norm = rep.schur_norm(sb)
         rows.append(row(f"schur-norm[{sb}]", lhs=norm, rhs=1,
                         passed=norm == 1))
-    if smax == 0:  # no pair of distinct weights to cross
-        return rows
-    pairs = [(s1, s2) for s1 in range(smax + 1)
-             for s2 in range(s1 + 1, smax + 1)]
+    pairs = [(s1, s2) for s1 in range(11) for s2 in range(s1 + 1, 11)]
     ok = sum(rep.character_inner(s1, s2) == 0 for s1, s2 in pairs)
     rows.append(row("schur-cross", lhs=ok, rhs=len(pairs),
                     passed=ok == len(pairs)))
     return rows
 
 
-def orthogonality(tol: float = 1e-7) -> list[CheckResult]:
+def orthogonality() -> list[CheckResult]:
     """Gram matrix of the first six radial states at n = 2 is the identity."""
     import numpy as np
     from . import radial
@@ -320,7 +306,7 @@ def orthogonality(tol: float = 1e-7) -> list[CheckResult]:
                 G = radial.orthogonality_check(p, l, k_max=6)
                 worst = worse(worst, float(np.max(np.abs(G - np.eye(6)))))
         return worst
-    return [_resolved("orthogonality[n=2]", sweep, tol)]
+    return [_resolved("orthogonality[n=2]", sweep, 1e-7)]
 
 
 REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {
@@ -329,11 +315,4 @@ REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {
         casimir, residuals, twist, micz, metric, ostar, schur,
         orthogonality)}
 
-
-def flags(check: Callable[..., list[CheckResult]]) -> dict:
-    """The ``verify`` flags a check reads, mapped to the gate's values."""
-    return {p.name: p.default
-            for p in inspect.signature(check).parameters.values()}
-
-
-FLAGS = frozenset(f for check in REGISTRY.values() for f in flags(check))
+SEEDED = frozenset({"metric", "ostar"})  # the checks that take ``seed``

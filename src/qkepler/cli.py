@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Only the parser exits 2: on a value out of range (``--n`` below 2, a
-negative ``--sigma`` or ``--l``, ``--k`` below 1, ``--grid`` below 500,
-``--count`` outside 1..5, a ``--tmax``, ``--lo``, ``--hi`` or ``--tol``
-not finite and positive), a size that would leave a table or sweep
-empty, or a flag the chosen check does not read.  A command exits 1 when
-a row fails: an identity that does not hold, a sample past the double
-range, an under-resolved grid, or a fault.  A command, or one check of
-`verify`, that raises becomes one failed row named after it, with the
-exception as lhs and the traceback on stderr.  `verify all` runs every
-check of ``qkepler.checks`` and is the CI gate.  Reports are
-deterministic, and a command imports numpy and scipy only if it uses
-them.
+negative ``--sigma``, ``--l`` or ``--seed``, ``--k`` below 1, ``--grid``
+below 500, ``--count`` outside 1..5, a ``--tmax``, ``--lo``, ``--hi`` or
+``--tol`` not finite and positive), a size that would leave a table
+empty, or ``--seed`` on a `verify` check that draws no random samples.
+`verify` has no other setting: each check sweeps the gate's ranges and
+holds its own bounds.  A command exits 1 when a row fails: an identity
+that does not hold, a sample past the double range, an under-resolved
+grid, or a fault.  A command, or one check of `verify`, that raises
+becomes one failed row named after it, with the exception as lhs and the
+traceback on stderr.  `verify all` runs every check of
+``qkepler.checks`` and is the CI gate.  Reports are deterministic, and a
+command imports numpy and scipy only if it uses them.
 """
 
 from __future__ import annotations
@@ -128,10 +129,8 @@ def _cmd_micz(args, params) -> list[CheckResult]:
 def _cmd_verify(args, params) -> list[CheckResult]:
     rows = []
     for name in checks.REGISTRY if args.check == "all" else [args.check]:
-        check = checks.REGISTRY[name]
-        rows += _rows_or_fault(name, check, **{f: getattr(args, f)
-                                               for f in checks.flags(check)
-                                               if f in args})
+        seed = {"seed": args.seed} if name in checks.SEEDED else {}
+        rows += _rows_or_fault(name, checks.REGISTRY[name], **seed)
     return rows
 
 
@@ -196,12 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # a command that reads --tol defaults it to its registry check's bound
-    def command(name, func, text, *parents, check=None):
+    def command(name, func, text, *parents, tol=None):
         cmd = sub.add_parser(name, parents=[common, *parents], help=text)
         cmd.set_defaults(func=func)
-        if check is not None:
-            cmd.add_argument("--tol", type=_positive,
-                             default=checks.flags(check)["tol"],
+        if tol is not None:
+            cmd.add_argument("--tol", type=_positive, default=tol,
                              help="row tolerance (default %(default)g)")
         return cmd
 
@@ -224,14 +222,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rs = command("residual", _cmd_residual,
                  "operator residual of a closed-form state", model,
-                 check=checks.residuals)
+                 tol=checks.RESIDUAL_TOL)
     rs.add_argument("which", choices=("kepler", "oscillator"))
     rs.add_argument("--k", type=_integer(1), required=True)
     rs.add_argument("--l", type=_integer(0), required=True)
 
     ei = command("eigensolve", _cmd_eigensolve,
                  "discretized radial eigenvalues vs exact", model,
-                 check=checks.eigensolve)
+                 tol=checks.EIGENSOLVE_TOL)
     ei.add_argument("--l", type=_integer(0), required=True)
     ei.add_argument("--grid", type=_integer(500), default=4000)
     ei.add_argument("--count", type=_integer(1, 5), default=3)
@@ -243,48 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="SBAR")
     mz.add_argument("--imax", type=_integer(0), default=20)
 
-    # a check reads the flags named by its parameters; unset flags stay
-    # out of the namespace until _verify_flags sets the check's defaults
-    reads = [f"  {name}: " + " ".join(f"--{f}" for f in checks.flags(c))
-             for name, c in checks.REGISTRY.items()]
-    vf = sub.add_parser(
-        "verify", parents=[common], argument_default=argparse.SUPPRESS,
-        help="acceptance checks; 'all' is the CI gate",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="\n".join(["flags each check reads ('all' reads --seed only):",
-                          *reads]))
+    vf = command("verify", _cmd_verify,
+                 "acceptance checks; 'all' is the CI gate")
     vf.add_argument("check", choices=(*checks.REGISTRY, "all"))
-    vf.add_argument("--seed", type=int,
-                    help=f"seed for randomized sweeps (default {checks.SEED})")
-    vf.add_argument("--tol", type=_positive,
-                    help="override the named check's tolerance(s)")
-    vf.add_argument("--n", type=_integer(2),
-                    help="restrict sweeps to one n (default: the full range)")
-    vf.add_argument("--kmax", type=_integer(1))
-    vf.add_argument("--nmax", type=_integer(2))
-    vf.add_argument("--lmax", type=_integer(0))
-    vf.add_argument("--smax", type=_integer(0),
-                    help="largest twist weight")
-    vf.add_argument("--imax", type=_integer(0))
-    vf.add_argument("--samples", type=_integer(1),
-                    help="sample count for seeded sweeps")
-    vf.set_defaults(func=_cmd_verify)
+    vf.add_argument("--seed", type=_integer(0),
+                    help="seed for the randomized checks, "
+                         f"{' and '.join(sorted(checks.SEEDED))} "
+                         f"(default {checks.SEED})")
     return parser
-
-
-def _verify_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Reject the flags `verify <check>` does not read and set the
-    defaults of those it does; every `verify` report has a seed."""
-    reads = ({"seed": checks.SEED} if args.check == "all"
-             else checks.flags(checks.REGISTRY[args.check]))
-    unread = sorted(vars(args).keys() & (checks.FLAGS - reads.keys()))
-    if unread:
-        parser.error(f"verify {args.check} does not read "
-                     + ", ".join(f"--{f}" for f in unread)
-                     + ("; give a check name to set them"
-                        if args.check == "all" else ""))
-    for f, v in {"seed": checks.SEED, **reads}.items():
-        vars(args).setdefault(f, v)
 
 
 # not report parameters: the dispatch (the subcommand names the report),
@@ -296,8 +260,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":
-            _verify_flags(parser, args)
+        if args.command == "verify":  # every `verify` report has a seed
+            if args.seed is None:
+                args.seed = checks.SEED
+            elif args.check not in {"all", *checks.SEEDED}:
+                parser.error(f"verify {args.check} does not read --seed")
     except SystemExit as exc:  # the parser's exit: 2, or 0 after --help
         return exc.code if isinstance(exc.code, int) else 2
     # the positional argument, if any, completes the command's name

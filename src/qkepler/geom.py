@@ -262,21 +262,12 @@ def random_sp(n: int, rng: np.random.Generator, factors: int = 12) -> np.ndarray
 def metric_sweep(n: int, samples: int, seed: int) -> float:
     """Max metric identity residual over seeded random tangent samples.
 
-    Each sample reads a base point Z from the seeded normal stream.  A Z
-    with |Z|^2 < 1e-4 is skipped and reads no tangent vector; otherwise
-    the next n quaternions are its W.
+    Each sample draws a base point Z, then its tangent vector W, from the
+    seeded normal stream.
     """
     rng = np.random.default_rng(seed)
-    chunks = rng.normal(size=(2 * samples, n, 4))
-    start = 2 * np.arange(samples)  # the chunk holding each sample's Z
-    kept = np.ones(samples, dtype=bool)
-    # a skipped Z moves every later sample back by one chunk
-    for p in np.flatnonzero(qdot(chunks, chunks)[..., 0] < 1e-4):
-        k = np.searchsorted(start, p)
-        if k < samples and start[k] == p:
-            kept[k] = False
-            start[k + 1:] -= 1
-    s = TangentSample(chunks[start[kept]], chunks[start[kept] + 1])
+    zw = rng.normal(size=(samples, 2, n, 4))
+    s = TangentSample(zw[:, 0], zw[:, 1])
     return float(np.max(metric_identity_residual(s), initial=0.0))
 
 

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from qkepler import checks, radial, rep, spectral
-from qkepler.cli import run
+from qkepler.cli import _build_parser, run
 from qkepler.laurent import Laurent
 from qkepler.rep import HighestWeight
 
@@ -171,31 +173,25 @@ def test_micz_command(capsys):
 
 @pytest.mark.parametrize("check", ["dim-equality", "genfunc", "ktype-dims"])
 def test_verify_exact_checks(check, capsys):
-    code = run(["verify", check, "--n", "2"])
+    code = run(["verify", check])
     out = out_of(capsys)
     assert code == 0
     assert "result: pass" in out
 
 
-def test_verify_casimir_restricted(capsys):
-    code = run(["verify", "casimir", "--nmax", "3", "--lmax", "4",
-                "--smax", "4"])
-    out_of(capsys)
-    assert code == 0
-
-
 def test_verify_metric_seeded(capsys):
-    code = run(["verify", "metric", "--n", "3", "--samples", "100",
-                "--seed", "7"])
+    code = run(["verify", "metric", "--seed", "7"])
     out = out_of(capsys)
     assert code == 0
     assert "quotient[n=3]" in out
+    assert "  seed: 7\n" in out
 
 
 def test_verify_ostar_small(capsys):
-    code = run(["verify", "ostar", "--n", "2", "--samples", "10"])
+    code = run(["verify", "ostar"])
     out = out_of(capsys)
     assert code == 0
+    assert "ostar[n=2]" in out and "ostar[n=3]" in out
     assert "weight-double[n<=6]" in out
 
 
@@ -208,26 +204,18 @@ def test_verify_micz_rows_are_exact(capsys):
 
 
 def test_verify_schur_small(capsys):
-    code = run(["verify", "schur", "--smax", "4"])
+    code = run(["verify", "schur"])
     out = out_of(capsys)
     assert code == 0
-    for sb in range(5):
-        assert f"schur-norm[{sb}]  pass  lhs=1 rhs=1\n" in out
-    assert "schur-cross    pass  lhs=10 rhs=10\n" in out
+    for sb in range(10):
+        assert f"schur-norm[{sb}]   pass  lhs=1 rhs=1\n" in out
+    assert "schur-norm[10]  pass  lhs=1 rhs=1\n" in out
+    assert "schur-cross     pass  lhs=55 rhs=55\n" in out
     assert "residual" not in out and "tol" not in out
 
 
-def test_verify_schur_without_pairs_has_no_cross_row(capsys):
-    code = run(["verify", "schur", "--smax", "0"])
-    out = out_of(capsys)
-    assert code == 0
-    assert "schur-norm[0]" in out
-    assert "schur-cross" not in out
-
-
 def test_reports_are_byte_identical(capsys):
-    args = ["verify", "metric", "--n", "2", "--samples", "50",
-            "--seed", "11", "--format", "json"]
+    args = ["verify", "metric", "--seed", "11", "--format", "json"]
     run(args)
     first = out_of(capsys)
     run(args)
@@ -254,8 +242,7 @@ def test_argument_errors_exit_2(capsys):
 
 
 def test_json_schema_and_seed(capsys):
-    run(["verify", "ostar", "--n", "2", "--samples", "5", "--seed", "3",
-         "--format", "json"])
+    run(["verify", "ostar", "--seed", "3", "--format", "json"])
     payload = json.loads(out_of(capsys))
     assert payload["schema"] == "qkepler-report-1"
     assert payload["seed"] == 3
@@ -270,6 +257,12 @@ MODEL = ["--n", "2", "--sigma", "0"]
     ["verify", "all", "--n", "2", "--samples", "1"],
     ["verify", "casimir", "--n", "2", "--samples", "3"],
     ["verify", "casimir", "--seed", "3"],
+    ["verify", "metric", "--seed", "-1"],
+    ["verify", "all", "--seed", "-3"],
+    ["verify", "metric", "--tol", "1e-9"],
+    ["verify", "metric", "--samples", "5"],
+    ["verify", "dim-equality", "--n", "2"],
+    ["verify", "casimir", "--nmax", "3"],
     ["spectrum", "--n", "2", "--sigma", "0", "--seed", "1"],
     ["residual", "kepler", "--n", "2", "--sigma", "0", "--k", "1",
      "--l", "0", "--seed", "1"],
@@ -374,10 +367,6 @@ def json_report(argv):
     return json.loads(buf.getvalue())
 
 
-def json_rows(argv):
-    return json_report(argv)["results"]
-
-
 def test_eigensolve_reports_its_domain():
     # without --tmax the domain is default_t_max's: 2 nu^2 + 10 nu at nu = 4
     report = json_report(["eigensolve", *MODEL, "--l", "0"])
@@ -402,8 +391,7 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
     (["eigensolve", *MODEL, "--l", "0", "--grid", "1000", "--count", "1",
       "--tol", "1e-3"], {"n", "sigma", "l", "grid", "count", "tmax"}),
     (["micz", "--sigma", "1", "--imax", "2"], {"sigma", "imax"}),
-    (["verify", "metric", "--n", "2", "--samples", "5", "--tol", "1e-9"],
-     {"check", "n", "samples"}),
+    (["verify", "metric", "--seed", "5"], {"check"}),
     (["verify", "collapse"], {"check"}),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction", "residual-kepler",
         "residual-oscillator", "eigensolve", "micz", "verify-metric",
@@ -413,10 +401,40 @@ def test_report_parameters_are_the_flags(argv, keys):
     assert set(json_report(argv)["parameters"]) == keys
 
 
+def test_verify_takes_only_the_seed():
+    # a size or tolerance flag would let one run change what the gate checks
+    [verbs] = [a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    options = {s for a in verbs.choices["verify"]._actions
+               for s in a.option_strings}
+    assert options == {"-h", "--help", "--seed", "--format", "--timestamp"}
+
+
+def test_only_the_seeded_checks_take_an_argument():
+    takes = {name: list(inspect.signature(check).parameters)
+             for name, check in checks.REGISTRY.items()}
+    assert takes == {name: ["seed"] if name in checks.SEEDED else []
+                     for name in checks.REGISTRY}
+
+
 @pytest.fixture(scope="module")
-def gate_and_check_rows():
-    return (json_rows(["verify", "all"]),
-            {name: json_rows(["verify", name]) for name in checks.REGISTRY})
+def gate_and_check_reports():
+    return (json_report(["verify", "all"]),
+            {name: json_report(["verify", name]) for name in checks.REGISTRY})
+
+
+@pytest.fixture(scope="module")
+def gate_and_check_rows(gate_and_check_reports):
+    gate, alone = gate_and_check_reports
+    return (gate["results"],
+            {name: report["results"] for name, report in alone.items()})
+
+
+@pytest.mark.parametrize("name", list(checks.REGISTRY))
+def test_verify_report_has_no_settings(name, gate_and_check_reports):
+    report = gate_and_check_reports[1][name]
+    assert set(report["parameters"]) == {"check"}
+    assert report["seed"] == checks.SEED
 
 
 @pytest.mark.parametrize("name", list(checks.REGISTRY))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qkepler import geom
 from qkepler.geom import (
     TangentSample,
     embed_u2n,
@@ -27,7 +26,6 @@ from qkepler.qlinalg import (
     QVector,
     complexify_matrix,
     is_symplectic,
-    qdot,
     qmul,
     qnorm2,
     random_unit_quaternion,
@@ -233,7 +231,7 @@ def test_sweeps_match_scalar_golden_bits(n, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_per_sample_residuals_match_scalar_golden_bits(n):
-    # no base point is tiny at seed 0, so the samples are (Z, W) chunk pairs
+    # each sample is one (Z, W) pair of the seeded draw, as in metric_sweep
     zw = np.random.default_rng(0).normal(size=(1000, 2, n, 4))
     metric = metric_identity_residual(TangentSample(zw[:, 0], zw[:, 1]))
     ab = np.random.default_rng(0).normal(size=(1000, 2, n - 1, 4))
@@ -246,51 +244,3 @@ def test_per_sample_residuals_match_scalar_golden_bits(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_ostar_sweep_matches_scalar_counts(n, seed):
     assert ostar_sweep(n, 100, seed) == (200, 200)
-
-
-class FixedStream:
-    """Stands in for a seeded generator: deals out a fixed normal stream."""
-
-    def __init__(self, values):
-        self.values, self.pos = values, 0
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        k = int(np.prod(size))
-        out = self.values[self.pos:self.pos + k].reshape(size)
-        self.pos += k
-        return loc + scale * out
-
-
-def test_metric_sweep_skip_rule_keeps_stream_positions(monkeypatch):
-    n, samples = 2, 40
-    values = np.random.default_rng(5).normal(size=2 * samples * 4 * n)
-    chunks = values.reshape(-1, n, 4)  # a view: scaling a chunk edits values
-    chunks[0] *= 1e-3  # sample 0 reads a tiny Z and no W
-    chunks[5] *= 1e-3  # after that skip, chunk 5 is sample 3's Z: skipped
-    chunks[9] *= 1e-3  # chunk 9 is then sample 5's W, which is kept
-
-    # the scalar loop the sweep must follow: one draw of Z per sample, and
-    # one of W only when Z is kept
-    stream, expected = FixedStream(values), []
-    for _ in range(samples):
-        Z = stream.normal(size=(n, 4))
-        if qdot(Z, Z)[0] < 1e-4:
-            continue
-        expected.append((Z, stream.normal(size=(n, 4))))
-    assert len(expected) == samples - 2
-
-    seen = []
-
-    def record(s):
-        seen.append(s)
-        return metric_identity_residual(s)
-
-    monkeypatch.setattr(geom.np.random, "default_rng",
-                        lambda seed: FixedStream(values))
-    monkeypatch.setattr(geom, "metric_identity_residual", record)
-    worst = metric_sweep(n, samples, seed=0)
-    (s,) = seen
-    np.testing.assert_array_equal(s.base, [Z for Z, _ in expected])
-    np.testing.assert_array_equal(s.vector, [W for _, W in expected])
-    assert worst == max(float(metric_identity_residual(TangentSample(Z, W)))
-                        for Z, W in expected)
