@@ -110,9 +110,10 @@ def genfunc() -> list[CheckResult]:
     """Generating-function coefficients up to k = 12 by three routes."""
     rows = []
     for n in (2, 3, 4):
-        passed = spectral.genfunc_check(n, 12).passed
-        rows.append(row(f"genfunc[n={n}]", lhs=13, rhs=13 if passed else 0,
-                        passed=passed))
+        chk = spectral.genfunc_check(n, 12)
+        ok = sum(c == b == i for c, b, i in zip(
+            chk.coefficients, chk.binomial, chk.inverted))
+        rows.append(row(f"genfunc[n={n}]", lhs=ok, rhs=13, passed=ok == 13))
     return rows
 
 

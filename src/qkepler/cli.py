@@ -260,11 +260,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":  # every `verify` report has a seed
-            if args.seed is None:
+        if args.command == "verify":  # a seed iff the check reads one
+            if args.check not in {"all", *checks.SEEDED}:
+                if args.seed is not None:
+                    parser.error(f"verify {args.check} does not read --seed")
+            elif args.seed is None:
                 args.seed = checks.SEED
-            elif args.check not in {"all", *checks.SEEDED}:
-                parser.error(f"verify {args.check} does not read --seed")
     except SystemExit as exc:  # the parser's exit: 2, or 0 after --help
         return exc.code if isinstance(exc.code, int) else 2
     # the positional argument, if any, completes the command's name

@@ -22,7 +22,6 @@ O*(4n) is cut out of GL(4n,C) by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ from .qlinalg import (
     qdot,
     qmul,
     qnorm2,
-    random_unit_quaternion,
 )
 
 __all__ = [
@@ -218,45 +216,35 @@ def sp_n_in_ostar(C: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL):
     return ostar_membership(embed_u2n(C), tol)
 
 
+def _polar(M: np.ndarray) -> np.ndarray:
+    """The unitary polar factors W Vh of square matrices M = W S Vh, batched.
+
+    Haar on Ginibre input (Mezzadri, Notices AMS 54, 2007): a Ginibre batch
+    is invariant under left multiplication by a fixed unitary h, and the
+    factor of hM is h times that of M, so the factor's law is left
+    invariant, which on a compact group means Haar.  A quaternionic
+    Ginibre image is invariant under Sp(n), and its factor M (M^dag
+    M)^(-1/2) keeps the quaternionic block form, so it is Haar on Sp(n).
+    """
+    W, _, Vh = np.linalg.svd(M)
+    return W @ Vh
+
+
 def random_unitary(dim: int, rng: np.random.Generator,
-                   samples: int | None = None) -> np.ndarray:
-    """Haar-ish unitaries via QR of complex Ginibre matrices.
+                   samples: int) -> np.ndarray:
+    """``samples`` Haar unitaries of order ``dim``, as one (samples, dim, dim)
+    batch: polar factors of complex Ginibre matrices.
 
-    One (dim, dim) matrix, or a batch (samples, dim, dim).  Each matrix
-    draws its real part, then its imaginary part.
+    Each matrix draws its real part, then its imaginary part.
     """
-    batch = () if samples is None else (samples,)
-    G = rng.normal(size=batch + (2, dim, dim))
-    Q, R = np.linalg.qr(G[..., 0, :, :] + 1j * G[..., 1, :, :])
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    return Q * (d / np.abs(d))[..., None, :]
+    G = rng.normal(size=(samples, 2, dim, dim))
+    return _polar(G[:, 0] + 1j * G[:, 1])
 
 
-def random_sp(n: int, rng: np.random.Generator, factors: int = 12) -> np.ndarray:
-    """Random element of Sp(n), as its complex image, from elementary factors.
-
-    Each factor is either a real plane rotation, whose image is the
-    rotation repeated in both n-blocks, or a diagonal matrix with one
-    random unit quaternion, whose image is a 2 x 2 complex block on slots
-    i and n + i.  Such products reach every element of Sp(n) in the limit
-    of many factors.
-    """
-    M = np.eye(2 * n, dtype=complex)
-    for _ in range(factors):
-        F = np.eye(2 * n, dtype=complex)
-        if n > 1 and rng.random() < 0.5:
-            i, j = rng.choice(n, size=2, replace=False)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            for k in (0, n):
-                F[k + i, k + i] = F[k + j, k + j] = c
-                F[k + i, k + j], F[k + j, k + i] = s, -s
-        else:
-            i = int(rng.integers(n))
-            q = random_unit_quaternion(rng)
-            F[i::n, i::n] = complexify_matrix(q[None, None])
-        M = M @ F
-    return M
+def random_sp(n: int, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """``samples`` Haar elements of Sp(n), as a (samples, 2n, 2n) batch of
+    complex images: polar factors of quaternionic Ginibre matrices."""
+    return _polar(complexify_matrix(rng.normal(size=(samples, n, n, 4))))
 
 
 def metric_sweep(n: int, samples: int, seed: int) -> float:
@@ -288,7 +276,7 @@ def ostar_sweep(n: int, samples: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     U = random_unitary(2 * n, rng, samples)
-    S = np.array([random_sp(n, rng) for _ in range(samples)])
+    S = random_sp(n, rng, samples)
     passes = np.count_nonzero(ostar_membership(embed_u2n(U), tol)) \
-        + np.count_nonzero(sp_n_in_ostar(S.reshape(U.shape), tol))
+        + np.count_nonzero(sp_n_in_ostar(S, tol))
     return int(passes), 2 * samples

@@ -324,11 +324,14 @@ def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
 
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
-    """Oscillator radial profile r^L Lag(a, m, r^2) exp(-r^2/2), L = 2l + sigma_bar."""
-    return _positive(r, "r", lambda rr: (
-        np.power(rr, s.two_ell)
-        * laguerre(s.laguerre_index, s.laguerre_degree, rr * rr)
-        * np.exp(-rr * rr / 2.0)))
+    """Oscillator radial profile r^L Lag(a, m, r^2) exp(-r^2/2), L = 2l + sigma_bar,
+    as sign * exp(log-magnitude) like :func:`_profile`."""
+    def profile(rr: np.ndarray) -> np.ndarray:
+        lag = laguerre(s.laguerre_index, s.laguerre_degree, rr * rr)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.sign(lag) * np.exp(
+                s.two_ell * np.log(rr) + np.log(np.abs(lag)) - rr * rr / 2.0)
+    return _positive(r, "r", profile)
 
 
 def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:

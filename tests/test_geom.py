@@ -104,8 +104,7 @@ def test_ostar_membership_identity_and_rejects():
 @pytest.mark.parametrize("n", [2, 3])
 def test_embedded_unitaries_satisfy_both_relations(n):
     rng = np.random.default_rng(40 + n)
-    for _ in range(10):
-        A = random_unitary(2 * n, rng)
+    for A in random_unitary(2 * n, rng, 10):
         g = embed_u2n(A)
         assert ostar_membership(g, tol=1e-10)
         # the image is unitary, hence in the maximal compact part
@@ -162,16 +161,13 @@ def test_weight_double_range_check():
 @pytest.mark.parametrize("n", [2, 3])
 def test_random_sp_is_symplectic(n):
     rng = np.random.default_rng(60 + n)
-    for _ in range(5):
-        M = random_sp(n, rng)
-        assert is_symplectic(M, tol=1e-12)
+    assert np.all(is_symplectic(random_sp(n, rng, 5), tol=1e-12))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sp_n_lands_in_ostar(n):
     rng = np.random.default_rng(70 + n)
-    for _ in range(5):
-        assert sp_n_in_ostar(random_sp(n, rng), tol=1e-10)
+    assert np.all(sp_n_in_ostar(random_sp(n, rng, 5), tol=1e-10))
 
 
 def test_sp_n_in_ostar_rejects_non_symplectic():
@@ -183,7 +179,7 @@ def test_sp_n_in_ostar_rejects_non_symplectic():
 def test_complexified_symplectic_is_unitary():
     # the complexification of Sp(n) sits inside U(2n); random_sp returns it
     rng = np.random.default_rng(81)
-    C = random_sp(3, rng)
+    [C] = random_sp(3, rng, 1)
     assert np.max(np.abs(C.conj().T @ C - np.eye(6))) < 1e-12
 
 
@@ -195,8 +191,22 @@ def test_ostar_sweep_counts(n):
 
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(90)
-    U = random_unitary(6, rng)
+    [U] = random_unitary(6, rng, 1)
     assert np.max(np.abs(U.conj().T @ U - np.eye(6))) < 1e-12
+
+
+@pytest.mark.parametrize("sampler", [random_sp, lambda n, rng, samples:
+                                     random_unitary(2 * n, rng, samples)],
+                         ids=["sp", "unitary"])
+def test_samplers_are_haar_in_the_second_moment(sampler):
+    # under Haar measure on Sp(n) or U(2n) the first column is uniform on
+    # the unit sphere of C^{2n}, so |C_00|^2 ~ Beta(1, 2n - 1), of mean
+    # 1/(2n) and variance (2n - 1)/((2n)^2 (2n + 1))
+    n, samples = 2, 8000
+    C = sampler(n, np.random.default_rng(0), samples)
+    d = 2 * n
+    stderr = math.sqrt((d - 1) / (d * d * (d + 1)) / samples)
+    assert abs(np.mean(np.abs(C[:, 0, 0]) ** 2) - 1 / d) < 4 * stderr
 
 
 # float.hex of the worst residuals at 1000 samples, as computed by the

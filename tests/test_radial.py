@@ -460,6 +460,14 @@ def test_oscillator_exact_readback_at_chosen_points():
         oscillator_eigenvalue_exact(s, Fraction(-1, 2))
 
 
+def test_oscillator_profile_past_the_double_range_of_its_power():
+    # r^L = 6^400 is about 1e311, past the largest double, but the profile
+    # 6^400 e^-18 (the Laguerre factor of degree 0 is 1) is finite
+    s = RadialState(ModelParams(2, 0), 1, 200)
+    assert oscillator_profile(s, 6.0) == pytest.approx(2.7745942326e303,
+                                                       rel=1e-10)
+
+
 def test_twist_ratio_is_constant():
     r = np.linspace(0.2, 5.0, 200)
     for s in states():
