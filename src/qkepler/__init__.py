@@ -27,6 +27,7 @@ _EXPORTS = {
                  "micz_check"),
     "radial": ("RadialState", "RadialGrid", "laguerre", "radial_t",
                "radial_rho", "kepler_residual", "eigensolve",
+               "laguerre_eigenvalues",
                "oscillator_profile", "twist_profile", "oscillator_residual",
                "oscillator_eigenvalue_exact", "orthogonality_check"),
     "report": ("CheckResult", "Report", "emit"),

@@ -51,7 +51,6 @@ __all__ = [
     "is_symplectic",
     "complexify",
     "complexify_matrix",
-    "random_unit_quaternion",
 ]
 
 
@@ -144,14 +143,6 @@ def is_symplectic(C, tol: float = 1e-12):
                        np.abs(C[..., :n, n:] + C[..., n:, :n].conj()))
     return np.maximum(unitary.max(axis=(-2, -1)),
                       block.max(axis=(-2, -1))) <= tol
-
-
-def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        q = rng.normal(0.0, 1.0, size=4)
-        r = math.sqrt(qnorm2(q))
-        if r > 1e-6:
-            return q * (1.0 / r)
 
 
 @dataclass(frozen=True)

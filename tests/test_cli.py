@@ -478,6 +478,13 @@ def character_without_lowest_weight(monkeypatch):
     monkeypatch.setattr(rep, "sp1_character", chi)
 
 
+def galerkin_off_channel(monkeypatch):
+    """Solve the radial channel lambda + 1/2 in place of lambda."""
+    original = radial._galerkin
+    monkeypatch.setattr(radial, "_galerkin", lambda two_lam, size, count:
+                        original(two_lam + 1, size, count))
+
+
 MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
 
 
@@ -490,8 +497,10 @@ MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
     # the density cut to its constant term gives |chi_s|^2 = s + 1
     (lambda mp: mp.setattr(rep, "_WEYL_DENSITY", Laurent({0: 2})),
      [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
+    # the Laguerre route converges, but to the neighbouring channel
+    (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
-        "schur-density"])
+        "schur-density", "eigensolve-channel"])
 def test_exact_checks_fail_their_negative_controls(control, failed,
                                                    monkeypatch, capsys):
     control(monkeypatch)

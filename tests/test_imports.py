@@ -1,7 +1,7 @@
 """Cold start: each command loads only the layers it uses.
 
 Every case runs in a fresh interpreter, since this one has long since
-imported numpy and scipy.
+imported numpy and scipy.  Only `qkepler eigensolve` loads scipy.
 """
 
 import json
@@ -44,8 +44,11 @@ def fresh_run(argv):
     (["micz", "--sigma", "2"], {"numpy", "scipy"}),
     (["verify", "micz"], {"numpy", "scipy"}),
     (["verify", "schur"], {"numpy", "scipy"}),
+    # the gate's eigenvalues come from the numpy-only Laguerre route
+    (["verify", "eigensolve"], {"scipy"}),
+    (["verify", "all"], {"scipy"}),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction", "micz",
-        "verify-micz", "verify-schur"])
+        "verify-micz", "verify-schur", "verify-eigensolve", "verify-all"])
 def test_commands_load_only_what_they_use(argv, absent):
     code, modules = fresh_run(argv)
     assert code == 0

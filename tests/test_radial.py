@@ -25,8 +25,10 @@ from scipy.special import eval_genlaguerre
 
 from qkepler import radial
 from qkepler.checks import kepler_grid, oscillator_grid
+from qkepler.cli import run
 from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
+    LAGUERRE_BUDGET,
     RadialGrid,
     RadialState,
     UnderResolved,
@@ -34,6 +36,7 @@ from qkepler.radial import (
     eigensolve,
     kepler_residual,
     laguerre,
+    laguerre_eigenvalues,
     orthogonality_check,
     oscillator_eigenvalue_exact,
     oscillator_profile,
@@ -407,6 +410,45 @@ def test_eigensolve_detects_truncated_domain():
 def test_default_t_max_floor():
     assert default_t_max(ModelParams(2, 0), 0, 1) == 60.0
     assert default_t_max(ModelParams(3, 2), 2, 3) > 60.0
+
+
+# ---------------------------------------------------------------------------
+# Laguerre-Galerkin eigensolver
+
+
+@given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
+       l=st.integers(0, 40), count=st.integers(1, 5))
+@example(n=2, sigma_bar=0, l=0, count=5)  # the largest basis, 56 + 16
+@example(n=2, sigma_bar=1, l=0, count=5)  # half-integer lambda
+@example(n=8, sigma_bar=12, l=40, count=5)
+@settings(max_examples=150, deadline=None)
+def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
+    p = ModelParams(n, sigma_bar)
+    vals, estimate = laguerre_eigenvalues(p, l, count)
+    exact = np.array([float(energy(p, i + l)) for i in range(count)])
+    assert np.max(np.abs(vals - exact) / np.abs(exact)) < 1e-10
+    assert estimate <= LAGUERRE_BUDGET
+
+
+def test_laguerre_eigenvalues_validation():
+    p = ModelParams(2, 0)
+    with pytest.raises(ValueError):
+        laguerre_eigenvalues(p, -1)
+    with pytest.raises(ValueError):
+        laguerre_eigenvalues(p, 0, count=0)
+    with pytest.raises(ValueError):
+        laguerre_eigenvalues(p, 0, count=6)
+
+
+def test_laguerre_basis_too_small_is_under_resolved(monkeypatch, capsys):
+    # at N = count the top level is off by about 1e-1, far over budget
+    monkeypatch.setattr(radial, "_laguerre_size", lambda two_lam, count: count)
+    with pytest.raises(UnderResolved, match="two-size estimate"):
+        laguerre_eigenvalues(ModelParams(2, 0), 0, count=3)
+    assert run(["verify", "eigensolve"]) == 1
+    out = capsys.readouterr().out
+    assert "eigensolve[n=2]  FAIL  lhs=two-size estimate" in out
+    assert "eigensolve[n=3]  FAIL  lhs=two-size estimate" in out
 
 
 # ---------------------------------------------------------------------------

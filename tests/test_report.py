@@ -118,7 +118,7 @@ def test_nan_residual_fails_its_check(monkeypatch):
 
 
 @pytest.mark.parametrize("check, target, name", [
-    ("eigensolve", "eigensolve", "eigensolve[n=2]"),
+    ("eigensolve", "laguerre_eigenvalues", "eigensolve[n=2]"),
     ("orthogonality", "orthogonality_check", "orthogonality[n=2]"),
 ])
 def test_under_resolution_fails_its_check(check, target, name, monkeypatch):
