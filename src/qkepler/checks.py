@@ -203,26 +203,25 @@ def residuals() -> list[CheckResult]:
 
 
 def twist() -> list[CheckResult]:
-    """Twisted Kepler profiles are constant multiples of oscillator ones,
-    on r from 0.2 to the state's decay cutoff."""
-    import numpy as np
+    """Twisted Kepler profiles are constant multiples of oscillator ones:
+    the twist's power and c^2 composed with the rho exponents give the
+    oscillator's, exactly."""
     from . import radial
     rows = []
     for n in (2, 3):
-        worst = 0.0
+        cases = ok = 0
         for sb in range(4):
             p = spectral.ModelParams(n, sb)
             for k in range(1, 6):
                 for l in range(4):
                     s = radial.RadialState(p, k, l)
-                    r = np.linspace(0.2, math.sqrt(radial.decay_cutoff(s)),
-                                    200)
-                    ratio = radial.twist_profile(s, r) \
-                        / radial.oscillator_profile(s, r)
-                    scaled = ratio / np.mean(ratio)
-                    worst = worse(worst, float(np.var(scaled)))
-        rows.append(row(f"twist[n={n}]", residual=worst, tolerance=1e-20,
-                        passed=worst < 1e-20))
+                    power, scale, rate = radial.exponents(s, "rho")
+                    shift, c2 = radial.twist_exponents(s)
+                    cases += 1
+                    ok += (power + shift, scale * c2, rate * c2) \
+                        == radial.exponents(s, "oscillator")
+        rows.append(row(f"twist[n={n}]", lhs=ok, rhs=cases,
+                        passed=ok == cases))
     return rows
 
 
@@ -301,7 +300,8 @@ def schur() -> list[CheckResult]:
 
 
 def orthogonality() -> list[CheckResult]:
-    """Gram matrix of the first six radial states at n = 2 is the identity."""
+    """Gram matrix of the first six radial states at n = 2 is the identity,
+    to 1e-12: its Gauss-Laguerre sums are exact, so only rounding is left."""
     import numpy as np
     from . import radial
     def sweep() -> float:
@@ -312,7 +312,7 @@ def orthogonality() -> list[CheckResult]:
                 G = radial.orthogonality_check(p, l, k_max=6)
                 worst = worse(worst, float(np.max(np.abs(G - np.eye(6)))))
         return worst
-    return [_resolved("orthogonality[n=2]", sweep, 1e-7)]
+    return [_resolved("orthogonality[n=2]", sweep, 1e-12)]
 
 
 REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {

@@ -12,9 +12,11 @@ a = 2l + sigma_bar + 2n - 1 and degree m = k - 1.  The rho form
 profile in the coordinate r (measure r^{4n-1} dr) is obtained from the
 rho form by the twist r -> sqrt(nu/2) r and division by r^{5/2}.
 
-Norms are exact closed forms, and profiles are evaluated in log space,
-so a normalized sample is finite wherever its value fits in a double.
-Quadrature only cross-checks the norms (``orthogonality_check``).
+Every profile, twisted or not, reads its exponents as Fractions from
+``exponents`` and ``twist_exponents``.  Norms are exact closed forms, and
+profiles are evaluated in log space, so a normalized sample is finite
+wherever its value fits in a double.  The Gram matrix is a Gauss-Laguerre
+sum, exact for these profiles (``orthogonality_check``).
 
 Each radial operator is written once, on the Laguerre polynomial P
 alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
@@ -36,17 +38,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .quadrature import composite_gauss_legendre
 from .spectral import ModelParams, energy
 
 __all__ = [
     "UnderResolved",
     "RadialState",
     "RadialGrid",
+    "exponents",
+    "twist_exponents",
     "laguerre",
     "radial_t",
     "radial_rho",
@@ -63,6 +67,7 @@ __all__ = [
     "oscillator_residual",
     "oscillator_eigenvalue_exact",
     "orthogonality_check",
+    "GRAM_BUDGET",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -99,11 +104,11 @@ class RadialState:
         """Twice the effective angular momentum l + sigma_bar/2."""
         return 2 * self.l + self.params.sigma_bar
 
-    @property
+    @cached_property
     def ell(self) -> Fraction:
         return Fraction(self.two_ell, 2)
 
-    @property
+    @cached_property
     def nu(self) -> Fraction:
         """The effective principal number k + ell + n - 1 = I + n + sigma_bar/2."""
         return self.k + self.ell + self.params.n - 1
@@ -177,13 +182,17 @@ def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
     return float(out[0]) if x_arr.ndim == 0 else out
 
 
-def _positive(x: ArrayLike, name: str,
-              fun: Callable[[np.ndarray], np.ndarray]) -> ArrayLike:
-    """``fun`` at the positive points ``x``; a float for a scalar ``x``."""
+def _sampled(x: ArrayLike, name: str, fun: Callable[
+        [np.ndarray], tuple[np.ndarray, np.ndarray]]) -> ArrayLike:
+    """sign * exp(log-magnitude), ``fun``'s pair, at the positive points
+    ``x``; a float for a scalar ``x``.  A sample is finite whenever its
+    value is, even where a factor alone is not."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError(f"{name} must be positive")
-    out = fun(np.atleast_1d(arr))
+    sign, logmag = fun(np.atleast_1d(arr))
+    with np.errstate(over="ignore"):  # past the double range
+        out = sign * np.exp(logmag)
     return float(out[0]) if arr.ndim == 0 else out
 
 
@@ -196,22 +205,34 @@ def _log(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _profile(s: RadialState, x: np.ndarray, rho: bool = False,
-             log_norm2: float = 0.0) -> np.ndarray:
-    """The t-profile at t = x, or the rho-profile at rho = x, over sqrt(N).
+def exponents(s: RadialState, coordinate: str) -> tuple[Fraction, ...]:
+    """(power, scale, rate) of the bare profile x^power L^a_m(scale u)
+    e^{-rate u}, u = t in "t" and u = x^2 in "rho" and "oscillator"."""
+    if coordinate == "oscillator":
+        return Fraction(s.two_ell), Fraction(1), Fraction(1, 2)
+    # the rho form is rho^{5/2} R(rho^2)
+    power = s.ell if coordinate == "t" else 2 * s.ell + Fraction(5, 2)
+    return power, 2 / s.nu, 1 / s.nu
 
-    sign * exp(log-magnitude) with log N = ``log_norm2``: a sample is
-    finite whenever its value is, even where a factor alone is not.
-    """
-    nu = float(s.nu)
-    t = x * x if rho else x
-    power = s.two_ell + 2.5 if rho else float(s.ell)
-    lag = laguerre(s.laguerre_index, s.laguerre_degree, 2.0 * t / nu)
-    # log 0 at a Laguerre node, and exp past the double range, are expected
-    with np.errstate(divide="ignore", over="ignore"):
-        logmag = power * np.log(x) + np.log(np.abs(lag)) - t / nu \
-            - 0.5 * log_norm2
-        return np.sign(lag) * np.exp(logmag)
+
+def twist_exponents(s: RadialState) -> tuple[Fraction, Fraction]:
+    """(power, c^2) of the twist r^power R_rho(c r): (-5/2, nu/2)."""
+    return Fraction(-5, 2), s.nu / 2
+
+
+def _profile(s: RadialState, x: np.ndarray, coordinate: str,
+             log_factor: ArrayLike = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log-magnitude) of the profile of ``s`` in ``coordinate`` at
+    the positive points x, times exp(``log_factor``): -log(N)/2 normalizes
+    it, and the twist's power of r is a log factor too."""
+    power, scale, rate = exponents(s, coordinate)
+    u = x if coordinate == "t" else x * x
+    # 1/scale, 1/rate are nu/2, nu, 1 or 2, exact: each product rounds once
+    lag = laguerre(s.laguerre_index, s.laguerre_degree, u / float(1 / scale))
+    with np.errstate(divide="ignore"):  # log 0 at a Laguerre node
+        logmag = float(power) * np.log(x) + np.log(np.abs(lag)) \
+            - u / float(1 / rate) + log_factor
+    return np.sign(lag), logmag
 
 
 def radial_norm2_t(s: RadialState) -> Fraction:
@@ -244,15 +265,14 @@ def radial_t(s: RadialState, t: ArrayLike, normalized: bool = False) -> ArrayLik
     differ from that identity by the fixed factor sqrt(2) coming from the
     two volume measures.
     """
-    log_norm2 = _log(radial_norm2_t(s)) if normalized else 0.0
-    return _positive(t, "t", lambda x: _profile(s, x, log_norm2=log_norm2))
+    log_factor = -0.5 * _log(radial_norm2_t(s)) if normalized else 0.0
+    return _sampled(t, "t", lambda x: _profile(s, x, "t", log_factor))
 
 
 def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> ArrayLike:
     """The rho-coordinate profile; unit norm in L^2(rho^{4n-4} d rho) if requested."""
-    log_norm2 = _log(radial_norm2_rho(s)) if normalized else 0.0
-    return _positive(rho, "rho",
-                     lambda x: _profile(s, x, rho=True, log_norm2=log_norm2))
+    log_factor = -0.5 * _log(radial_norm2_rho(s)) if normalized else 0.0
+    return _sampled(rho, "rho", lambda x: _profile(s, x, "rho", log_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +281,8 @@ def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> Arra
 
 def decay_cutoff(s: RadialState) -> float:
     """x = 2t/nu = r^2 = 2.5 (a + 2m + 1) + 30, past the turning point
-    x = 2 (a + 2m + 1) of the state on both sides; residual grids and the
-    Gram quadrature end there."""
+    x = 2 (a + 2m + 1) of the state on both sides; the residual grids end
+    there."""
     return 2.5 * (s.laguerre_index + 2 * s.laguerre_degree + 1) + 30.0
 
 
@@ -332,24 +352,20 @@ def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
     """Oscillator radial profile r^L Lag(a, m, r^2) exp(-r^2/2), L = 2l + sigma_bar,
-    as sign * exp(log-magnitude) like :func:`_profile`."""
-    def profile(rr: np.ndarray) -> np.ndarray:
-        lag = laguerre(s.laguerre_index, s.laguerre_degree, rr * rr)
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.sign(lag) * np.exp(
-                s.two_ell * np.log(rr) + np.log(np.abs(lag)) - rr * rr / 2.0)
-    return _positive(r, "r", profile)
+    in log space like the others."""
+    return _sampled(r, "r", lambda rr: _profile(s, rr, "oscillator"))
 
 
 def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
-    """The rho profile pushed through the twist: r^{-5/2} R_rho(sqrt(nu/2) r).
+    """The rho profile pushed through the twist: r^{-5/2} R_rho(c r), c^2 = nu/2.
 
     Proportional to ``oscillator_profile`` with one r-independent constant
-    per state.
+    per state; ``checks.twist`` composes the exponents exactly.
     """
-    scale = math.sqrt(float(s.nu) / 2.0)
-    return _positive(r, "r", lambda rr: (
-        _profile(s, scale * rr, rho=True) * np.power(rr, -2.5)))
+    power, c2 = twist_exponents(s)
+    c, power = math.sqrt(c2), float(power)
+    return _sampled(r, "r", lambda rr: (
+        _profile(s, c * rr, "rho", power * np.log(rr))))
 
 
 def _oscillator_weighted(s: RadialState, r: np.ndarray):
@@ -488,6 +504,20 @@ def _orthonormal_laguerre(a: float, size: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _laguerre_rule(a: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_k of the ``size``-point Gauss rule for x^a e^{-x}, the
+    eigenvalues of its Jacobi matrix, and Σ_j q_j(x_k)^2 = Gamma(a+1)/w_k,
+    q_j from :func:`_orthonormal_laguerre`: Christoffel weights w_k keep
+    their relative accuracy at the large nodes where the Golub-Welsch
+    form Gamma(a+1) Q_0k^2 loses it."""
+    k = np.arange(1, size)
+    off = np.sqrt(k * (k + a))
+    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(size) + a + 1)
+                           + np.diag(off, 1) + np.diag(off, -1))
+    q = _orthonormal_laguerre(a, size, x)
+    return x, np.sum(q * q, axis=0)
+
+
 def _laguerre_size(two_lam: int, count: int) -> int:
     """The smaller basis size N for the lowest ``count`` levels of channel 2λ.
 
@@ -527,24 +557,16 @@ def _galerkin(two_lam: int, size: int,
         H_ij = ∫ x^{2λ} e^{-x} [Q_i Q_j / (2h) + (λ(λ+1)/(2h) - x) P_i P_j] dx,
 
     a polynomial of degree <= 2(N-1) + 2 against x^{2λ} e^{-x}: Gauss
-    quadrature on N + 1 nodes is exact.  The nodes are the eigenvalues of
-    the Jacobi matrix; the weights are Christoffel's, 1/Σ_j p_j(x_k)^2,
-    which keep their relative accuracy at the large nodes where the
-    Golub-Welsch form Gamma(a+1) Q_0k^2 loses it.  The smaller basis is
-    the leading block of the larger one, so one quadrature serves both.
-    The Gamma factors of the two unnormalized families leave the constant
-    (2λ+1)(2λ+2) on H, divided out below.
+    quadrature on N + 1 nodes (:func:`_laguerre_rule`) is exact.  The
+    smaller basis is the leading block of the larger one, so one
+    quadrature serves both.  The Gamma factors of the two unnormalized
+    families leave the constant (2λ+1)(2λ+2) on H, divided out below.
     """
     lam = two_lam / 2
     h = (lam + 1) / 2
     big = size + LAGUERRE_STEP
-    nodes = big + 1
-    k = np.arange(1, nodes)
-    off = np.sqrt(k * (k + two_lam))
-    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + two_lam + 1)
-                           + np.diag(off, 1) + np.diag(off, -1))
-    q = _orthonormal_laguerre(two_lam, nodes, x)
-    root_w = 1.0 / np.sqrt(np.sum(q * q, axis=0))
+    x, christoffel = _laguerre_rule(two_lam, big + 1)
+    root_w = 1.0 / np.sqrt(christoffel)
     P = _orthonormal_laguerre(two_lam + 2, big, x) * root_w
     j = np.arange(big)[:, None]
     Q = (lam + 1 + j - x / 2) * P
@@ -593,42 +615,42 @@ def laguerre_eigenvalues(p: ModelParams, l: int,
 # ---------------------------------------------------------------------------
 # orthonormality
 
+GRAM_BUDGET = 1e-12  # largest two-rule difference the Gram route accepts
 
-def orthogonality_check(p: ModelParams, l: int, k_max: int = 6,
-                        quadrature: int = 48) -> np.ndarray:
+
+def orthogonality_check(p: ModelParams, l: int, k_max: int = 6) -> np.ndarray:
     """Gram matrix of the normalized t-profiles for k = 1 .. k_max.
 
-    The cross integrals are quadratures and the normalization is the
-    exact closed-form norm, so the diagonal compares the two.  Row i is
-    integrated on its own truncated domain, sized for the pair
-    (k = i+1, k = k_max), with ``quadrature`` Gauss-Legendre panels of
-    order 16.  Distinct rows therefore reach the same off-diagonal entry
-    through different quadratures; if the two disagree beyond 1e-10 the
-    quadrature is under-resolved and UnderResolved is raised.
+    In L^2(t^{2n} dt) the (i, j) integrand is t^α e^{-c t}, α = a + 1 and
+    c = 1/nu_i + 1/nu_j, times a polynomial of degree <= 2(k_max - 1).
+    With t = y/c the Gauss rule for y^α e^{-y} on k_max nodes is exact,
+    so only rounding separates the closed-form norms from the sampled
+    profiles, taken in log space with the weight divided out before any
+    exp.  The rule on k_max + 2 nodes, whose matrix is returned, agrees
+    to rounding on a polynomial times the weight and on nothing else: a
+    difference over GRAM_BUDGET raises UnderResolved.
     """
     if not 1 <= k_max <= 8:
         raise ValueError("k_max must be between 1 and 8")
-    if quadrature < 1:
-        raise ValueError("quadrature must be >= 1")
-    n = p.n
     states = [RadialState(p, k, l) for k in range(1, k_max + 1)]
-    log_norm2 = [_log(radial_norm2_t(s)) for s in states]
-    top = states[-1]
-    G = np.zeros((k_max, k_max))
-    for i, si in enumerate(states):
-        # decay rate of the cross integrand is the harmonic mean of the
-        # rates; the states share a, so the cutoff is the mean of theirs
-        nu_mix = 2.0 / (1.0 / float(si.nu) + 1.0 / float(top.nu))
-        x_max = (decay_cutoff(si) + decay_cutoff(top)) / 2.0
-        t_hi = nu_mix * x_max / 2.0
-        for j, sj in enumerate(states):
-            G[i, j] = composite_gauss_legendre(
-                lambda t: (_profile(si, t, log_norm2=log_norm2[i])
-                           * _profile(sj, t, log_norm2=log_norm2[j])
-                           * t ** (2 * n)),
-                0.0, t_hi, order=16, panels=quadrature)
-    asym = float(np.max(np.abs(G - G.T)))
-    if asym > 1e-10:
-        raise UnderResolved(
-            f"Gram asymmetry {asym:.2e} indicates quadrature under-resolution")
+    alpha = states[0].laguerre_index + 1
+    y, christoffel = (np.concatenate(v) for v in zip(
+        *(_laguerre_rule(alpha, size) for size in (k_max, k_max + 2))))
+    inv_nu = np.array([1.0 / float(s.nu) for s in states])
+    c = (inv_nu[:, None] + inv_nu)[:, :, None]
+    t = y / c
+    # log of the weight w_k / (c y^α e^{-y}) of t^{2n} R_i R_j at t[i, j]
+    log_w = math.lgamma(alpha + 1) - np.log(christoffel) - alpha * np.log(y) \
+        + y - np.log(c) + 2 * p.n * np.log(t)
+    # row i holds R_i at the nodes of every pair (i, j); t is symmetric
+    sign, log_r = (np.array(v) for v in zip(*(
+        _profile(s, t[i], "t", -0.5 * _log(radial_norm2_t(s)))
+        for i, s in enumerate(states))))
+    terms = sign * sign.transpose(1, 0, 2) \
+        * np.exp(log_r + log_r.transpose(1, 0, 2) + log_w)
+    G = terms[:, :, k_max:].sum(axis=2)
+    estimate = float(np.max(np.abs(terms[:, :, :k_max].sum(axis=2) - G)))
+    if not estimate <= GRAM_BUDGET:
+        raise UnderResolved(f"two-rule estimate {estimate:.1e} exceeds "
+                            f"the budget {GRAM_BUDGET:.0e}")
     return G

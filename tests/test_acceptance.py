@@ -2,8 +2,8 @@
 
 Criterion k runs the k-th entry of ``qkepler.checks.REGISTRY`` at the
 gate's settings and seed, as ``qkepler verify all`` does, and adds the
-oracles that live only here: the spot values of two exact checks, the
-eigensolver time limit and a second seed for each randomized sweep.
+oracles that live only here: the spot values of two exact checks and a
+second seed for each randomized sweep.
 Each test logs a single pass/fail line (printed in the terminal summary)
 before its asserts, so a failing criterion still reports its line.
 """
@@ -24,9 +24,7 @@ def run_criterion(criterion, number: int, name: str) -> None:
     rows = check()
     elapsed = time.perf_counter() - start
     oracle = True
-    if name == "eigensolve":
-        oracle = elapsed < 30.0
-    elif name == "dim-equality":
+    if name == "dim-equality":
         spot = dimension_equality_check(2, 2)
         oracle = spot.lhs == 36 and spot.rhs == 36
     elif name == "ktype-dims":

@@ -485,6 +485,23 @@ def galerkin_off_channel(monkeypatch):
                         original(two_lam + 1, size, count))
 
 
+def rho_power_three_halves(monkeypatch):
+    """The rho power 2 ell + 3/2 in place of 2 ell + 5/2."""
+    original = radial.exponents
+
+    def exponents(s, coordinate):
+        power, scale, rate = original(s, coordinate)
+        return (power - 1 if coordinate == "rho" else power), scale, rate
+    monkeypatch.setattr(radial, "exponents", exponents)
+
+
+def norm_off_by_a_billionth(monkeypatch):
+    """Every closed-form t-norm scaled by 1 + 1e-9."""
+    original = radial.radial_norm2_t
+    monkeypatch.setattr(radial, "radial_norm2_t", lambda s: (
+        original(s) * (1 + Fraction(1, 10 ** 9))))
+
+
 MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
 
 
@@ -499,8 +516,13 @@ MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
      [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
     # the Laguerre route converges, but to the neighbouring channel
     (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
+    # the twisted power is then 2 ell - 1, not the oscillator's 2 ell
+    (rho_power_three_halves, ["twist[n=2]", "twist[n=3]"]),
+    # the Gram diagonal reads 1 - 1e-9, past the bound of 1e-12
+    (norm_off_by_a_billionth, ["orthogonality[n=2]"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
-        "schur-density", "eigensolve-channel"])
+        "schur-density", "eigensolve-channel", "twist-rho-power",
+        "orthogonality-norm"])
 def test_exact_checks_fail_their_negative_controls(control, failed,
                                                    monkeypatch, capsys):
     control(monkeypatch)

@@ -510,12 +510,30 @@ def test_oscillator_profile_past_the_double_range_of_its_power():
                                                        rel=1e-10)
 
 
-def test_twist_ratio_is_constant():
+def worst_twist_spread():
+    """Largest variance of twist_profile / oscillator_profile over its mean."""
     r = np.linspace(0.2, 5.0, 200)
+    worst = 0.0
     for s in states():
         ratio = twist_profile(s, r) / oscillator_profile(s, r)
-        scaled = ratio / np.mean(ratio)
-        assert float(np.var(scaled)) < 1e-20
+        worst = max(worst, float(np.var(ratio / np.mean(ratio))))
+    return worst
+
+
+def test_twist_ratio_is_constant():
+    assert worst_twist_spread() < 1e-20
+
+
+def test_twist_ratio_reads_the_shared_exponents(monkeypatch):
+    # negative control: the rho power 2 ell + 3/2 in the exponent table,
+    # which also fails both exact twist rows of `verify all`
+    original = radial.exponents
+
+    def exponents(s, coordinate):
+        power, scale, rate = original(s, coordinate)
+        return (power - 1 if coordinate == "rho" else power), scale, rate
+    monkeypatch.setattr(radial, "exponents", exponents)
+    assert worst_twist_spread() > 1e-3
 
 
 def test_twist_constant_agrees_between_windows():
@@ -535,26 +553,45 @@ def test_gram_matrix_is_identity():
     p = ModelParams(2, 0)
     G = orthogonality_check(p, 0, k_max=6)
     assert G.shape == (6, 6)
-    assert np.max(np.abs(G - np.eye(6))) < 1e-8
+    assert np.max(np.abs(G - np.eye(6))) < 1e-12
 
 
 @pytest.mark.parametrize("sigma_bar, l", [(1, 0), (2, 2), (0, 1)])
 def test_gram_matrix_other_channels(sigma_bar, l):
     p = ModelParams(2, sigma_bar)
     G = orthogonality_check(p, l, k_max=5)
-    assert np.max(np.abs(G - np.eye(5))) < 1e-8
+    assert np.max(np.abs(G - np.eye(5))) < 1e-12
+
+
+def test_gram_matrix_is_identity_over_the_channels():
+    # the Gauss-Laguerre sums are exact: only rounding is left
+    for n in (2, 3, 4):
+        for sigma_bar in range(9):
+            p = ModelParams(n, sigma_bar)
+            for l in range(11):
+                for k_max in range(1, 9):
+                    G = orthogonality_check(p, l, k_max=k_max)
+                    assert np.max(np.abs(G - np.eye(k_max))) < 1e-12
 
 
 def test_gram_matrix_past_the_double_range():
     # the squared norm at l = 200 is far past 1e308; the Gram entries are
-    # integrals of profiles normalized in log space
+    # sums of profiles normalized in log space
     G = orthogonality_check(ModelParams(2, 0), 200, k_max=2)
-    assert np.max(np.abs(G - np.eye(2))) < 1e-8
+    assert np.max(np.abs(G - np.eye(2))) < 1e-12
 
 
-def test_gram_asymmetry_is_under_resolution():
-    with pytest.raises(UnderResolved, match="asymmetry"):
-        orthogonality_check(ModelParams(2, 0), 0, k_max=6, quadrature=2)
+def test_gram_two_rule_guard_catches_a_non_polynomial_profile(monkeypatch):
+    # t^(ell + 1/4) is no polynomial times the weight t^ell: the rules on
+    # k_max and k_max + 2 nodes disagree
+    original = radial.exponents
+
+    def exponents(s, coordinate):
+        power, scale, rate = original(s, coordinate)
+        return power + Fraction(1, 4), scale, rate
+    monkeypatch.setattr(radial, "exponents", exponents)
+    with pytest.raises(UnderResolved, match="two-rule estimate"):
+        orthogonality_check(ModelParams(2, 0), 0, k_max=6)
 
 
 def test_orthogonality_validation():
@@ -563,5 +600,3 @@ def test_orthogonality_validation():
         orthogonality_check(p, 0, k_max=9)
     with pytest.raises(ValueError):
         orthogonality_check(p, 0, k_max=0)
-    with pytest.raises(ValueError):
-        orthogonality_check(p, 0, quadrature=0)
