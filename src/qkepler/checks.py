@@ -27,7 +27,7 @@ __all__ = ["REGISTRY", "SEEDED", "SEED", "RESIDUAL_TOL", "EIGENSOLVE_TOL",
 
 SEED = 0  # the gate's seed for the randomized sweeps
 RESIDUAL_TOL = 1e-8  # radial ODE residuals, here and in `residual`
-EIGENSOLVE_TOL = 1e-4  # default --tol of `qkepler eigensolve` (finite differences)
+EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin eigenvalues, here and in `eigensolve`
 
 
 def kepler_grid(s: RadialState) -> RadialGrid:
@@ -63,8 +63,8 @@ def _resolved(name: str, sweep: Callable[[], float],
 
 def eigensolve() -> list[CheckResult]:
     """Laguerre-Galerkin radial eigenvalues against the exact energies, to
-    1e-10.  The levels depend on (sigma_bar, l) only through the Laguerre
-    index, so each index is solved once."""
+    EIGENSOLVE_TOL.  The levels depend on (sigma_bar, l) only through the
+    Laguerre index, so each index is solved once."""
     from . import radial
     solved = {}
     def sweep(n: int) -> float:
@@ -79,7 +79,7 @@ def eigensolve() -> list[CheckResult]:
                     exact = float(spectral.energy(p, i + l))
                     worst = worse(worst, abs(num - exact) / abs(exact))
         return worst
-    return [_resolved(f"eigensolve[n={n}]", lambda: sweep(n), 1e-10)
+    return [_resolved(f"eigensolve[n={n}]", lambda: sweep(n), EIGENSOLVE_TOL)
             for n in (2, 3)]
 
 

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Only the parser exits 2: on a value out of range (``--n`` below 2, a
-negative ``--sigma``, ``--l`` or ``--seed``, ``--k`` below 1, ``--grid``
-below 500, ``--count`` outside 1..5, a ``--tmax``, ``--lo``, ``--hi`` or
-``--tol`` not finite and positive), a size that would leave a table
+negative ``--sigma``, ``--l`` or ``--seed``, ``--k`` below 1,
+``--count`` outside 1..5, a ``--lo``, ``--hi`` or ``--tol`` not finite
+and positive), a size that would leave a table
 empty, or ``--seed`` on a `verify` check that draws no random samples.
 `verify` has no other setting: each check sweeps the gate's ranges and
 holds its own bounds.  A command exits 1 when a row fails: an identity
@@ -11,8 +11,8 @@ that does not hold, a sample past the double range, an under-resolved
 grid, or a fault.  A command, or one check of `verify`, that raises
 becomes one failed row named after it, with the exception as lhs and the
 traceback on stderr.  `verify all` runs every check of
-``qkepler.checks`` and is the CI gate.  Reports are deterministic, and a
-command imports numpy and scipy only if it uses them.
+``qkepler.checks`` and is the CI gate.  Reports are deterministic, a
+command imports numpy only if it uses it, and none imports scipy.
 """
 
 from __future__ import annotations
@@ -98,11 +98,9 @@ def _cmd_residual(args, params) -> list[CheckResult]:
 def _cmd_eigensolve(args, params) -> list[CheckResult]:
     from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
-    t_max = args.tmax or radial.default_t_max(p, args.l, args.count)
-    params["tmax"] = t_max
     try:
-        vals = radial.eigensolve(p, args.l, grid_size=args.grid,
-                                 t_max=t_max, count=args.count)
+        vals, params["estimate"] = radial.laguerre_eigenvalues(
+            p, args.l, args.count)
     except radial.UnderResolved as exc:
         return [row("resolution", lhs=str(exc), passed=False)]
     rows = []
@@ -228,12 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--l", type=_integer(0), required=True)
 
     ei = command("eigensolve", _cmd_eigensolve,
-                 "discretized radial eigenvalues vs exact", model,
+                 "Laguerre-Galerkin radial eigenvalues vs exact", model,
                  tol=checks.EIGENSOLVE_TOL)
     ei.add_argument("--l", type=_integer(0), required=True)
-    ei.add_argument("--grid", type=_integer(500), default=4000)
     ei.add_argument("--count", type=_integer(1, 5), default=3)
-    ei.add_argument("--tmax", type=_positive, default=None)
 
     mz = command("micz", _cmd_micz,
                  "n = 2 equivalence with the dimension-five model")

@@ -26,11 +26,11 @@ Fraction.  The float residuals weight H~P - E P by the envelope over its
 largest value on the grid, formed in log space, so no power of t or r
 ever overflows; the exact read-back is H~P/P at a rational point.
 
-Two eigensolvers compute the levels of one channel.  ``eigensolve`` is
-the finite-difference route behind ``qkepler eigensolve``, and the only
-code here that imports scipy; finite differences appear nowhere else.
-``laguerre_eigenvalues``, which the acceptance gate uses, is a
-Laguerre-Galerkin route in numpy alone with a two-size error estimate.
+``laguerre_eigenvalues`` computes the levels of one channel by a
+Laguerre-Galerkin route in numpy alone with a two-size error estimate;
+``qkepler eigensolve`` and the acceptance gate both use it.
+``eigensolve``, a finite-difference route and the only code here that
+imports scipy, is kept only for the benchmark's ``radial`` workload.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -413,8 +413,12 @@ def default_t_max(p: ModelParams, l: int, count: int) -> float:
 
 
 def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
-               t_max: Optional[float] = None, count: int = 3) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of the t-coordinate radial equation.
+               count: int = 3) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the t-coordinate radial equation, by
+    finite differences on [0, :func:`default_t_max`].
+
+    Kept only for the benchmark's ``radial`` workload, which times it;
+    the command line and the gate use :func:`laguerre_eigenvalues`.
 
     Parameters
     ----------
@@ -424,8 +428,6 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
         Angular channel.
     grid_size : int
         Number of uniform subintervals of [0, t_max]; at least 500.
-    t_max : float, optional
-        Domain cutoff; defaults to :func:`default_t_max`.
     count : int
         Number of eigenvalues, at most 5.
 
@@ -449,16 +451,13 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     ValueError
         If the grid is too coarse or too many eigenvalues are requested.
     UnderResolved
-        If the eigenfunctions touch the boundary (t_max too small).
+        If the eigenfunctions touch the boundary (the domain is too small).
     """
     if grid_size < 500:
         raise ValueError("grid_size must be >= 500")
     if not 1 <= count <= 5:
         raise ValueError("count must be between 1 and 5")
-    if t_max is None:
-        t_max = default_t_max(p, l, count)
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    t_max = default_t_max(p, l, count)
     from scipy.linalg import eigh_tridiagonal
     n = p.n
     ell = float(Fraction(2 * l + p.sigma_bar, 2))

@@ -90,30 +90,33 @@ def test_residual_past_the_double_range(which, upper, capsys):
 
 
 def test_eigensolve_command(capsys):
-    code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
-                "--grid", "1500", "--count", "2"])
-    out = out_of(capsys)
-    assert code == 0
-    assert "E[0]" in out and "E[1]" in out
+    # at l = 200 a finite-difference domain would reach t ~ 8e4
+    for l, count in ((0, 5), (200, 3)):
+        code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", str(l),
+                    "--count", str(count)])
+        out = out_of(capsys)
+        assert code == 0
+        assert out.count("  pass  ") == count
+        assert f"E[{count - 1}]" in out
 
 
 def test_eigensolve_failing_tolerance(capsys):
     code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
-                "--grid", "1500", "--count", "1", "--tol", "1e-30"])
+                "--count", "1", "--tol", "1e-30"])
     out = out_of(capsys)
     assert code == 1
     assert "FAIL" in out
 
 
-def test_eigensolve_under_resolution_is_a_failed_row(capsys):
-    # a valid but too small domain fails a row (exit 1), not the arguments
-    code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
-                "--tmax", "10"])
+def test_eigensolve_under_resolution_is_a_failed_row(monkeypatch, capsys):
+    # a basis too small for its guard fails a row (exit 1), not the arguments
+    monkeypatch.setattr(radial, "_laguerre_size", lambda two_lam, count: count)
+    code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
-    assert ("resolution  FAIL  lhs=t_max=10 too small: eigenfunction mass "
-            "at the boundary") in captured.out
+    assert "resolution  FAIL  lhs=two-size estimate " in captured.out
+    assert "exceeds the budget 1e-11" in captured.out
     assert "result: FAIL" in captured.out
 
 
@@ -236,7 +239,7 @@ def test_argument_errors_exit_2(capsys):
     assert run(["spectrum", "--n", "1", "--sigma", "0"]) == 2
     out_of(capsys)
     assert run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
-                "--grid", "10"]) == 2
+                "--count", "0"]) == 2
     out_of(capsys)
     assert run([]) == 2
 
@@ -284,11 +287,12 @@ MODEL = ["--n", "2", "--sigma", "0"]
     ["micz", "--sigma", "-1"],
     ["wavefunction", *MODEL, "--k", "0", "--l", "0"],
     ["residual", "kepler", *MODEL, "--k", "1", "--l", "-1"],
-    ["eigensolve", *MODEL, "--l", "0", "--grid", "499"],
     ["eigensolve", *MODEL, "--l", "0", "--count", "0"],
     ["eigensolve", *MODEL, "--l", "0", "--count", "6"],
+    # eigensolve reads no finite-difference flag, whatever its value
+    ["eigensolve", *MODEL, "--l", "0", "--grid", "4000"],
     *(["eigensolve", *MODEL, "--l", "0", "--tmax", v]
-      for v in ("0", "-1", "nan", "inf")),
+      for v in ("72", "0", "-1", "nan", "inf")),
     *(["wavefunction", *MODEL, "--k", "1", "--l", "0", "--lo", v]
       for v in ("0", "nan")),
     ["wavefunction", *MODEL, "--k", "1", "--l", "0", "--hi", "0"],
@@ -342,9 +346,9 @@ def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
     (raise_in(radial, "kepler_residual"),
      ["residual", "kepler", *MODEL, "--k", "1", "--l", "0"],
      "residual kepler", "RuntimeError: kepler_residual is broken"),
-    (raise_in(radial, "eigensolve"),
-     ["eigensolve", *MODEL, "--l", "0", "--grid", "1000"],
-     "eigensolve", "RuntimeError: eigensolve is broken"),
+    (raise_in(radial, "laguerre_eigenvalues"),
+     ["eigensolve", *MODEL, "--l", "0"],
+     "eigensolve", "RuntimeError: laguerre_eigenvalues is broken"),
 ], ids=["ktype", "spectrum", "residual-kepler", "eigensolve"])
 def test_fault_inside_a_command_is_a_failed_row(fault, argv, name, lhs,
                                                 monkeypatch, capsys):
@@ -367,12 +371,21 @@ def json_report(argv):
     return json.loads(buf.getvalue())
 
 
-def test_eigensolve_reports_its_domain():
-    # without --tmax the domain is default_t_max's: 2 nu^2 + 10 nu at nu = 4
-    report = json_report(["eigensolve", *MODEL, "--l", "0"])
-    assert report["parameters"]["tmax"] == 72.0
-    report = json_report(["eigensolve", *MODEL, "--l", "0", "--tmax", "100"])
-    assert report["parameters"]["tmax"] == 100.0
+def test_eigensolve_reports_its_estimate():
+    for l, count in ((0, 1), (0, 5), (200, 3)):
+        report = json_report(["eigensolve", *MODEL, "--l", str(l),
+                              "--count", str(count)])
+        assert 0.0 <= report["parameters"]["estimate"] \
+            <= radial.LAGUERRE_BUDGET
+
+
+def test_eigensolve_tolerance_is_the_gates():
+    # one bound for the route: the command's default --tol and the check's
+    args = _build_parser().parse_args(["eigensolve", *MODEL, "--l", "0"])
+    assert args.tol == checks.EIGENSOLVE_TOL == 1e-10
+    report = json_report(["verify", "eigensolve"])
+    assert [r["tolerance"] for r in report["results"]] \
+        == [checks.EIGENSOLVE_TOL] * 2
 
 
 STATE = [*MODEL, "--k", "1", "--l", "0"]
@@ -388,8 +401,8 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
      {"n", "sigma", "k", "l", "t_max"}),
     (["residual", "oscillator", *STATE, "--tol", "1e-6"],
      {"n", "sigma", "k", "l", "r_max"}),
-    (["eigensolve", *MODEL, "--l", "0", "--grid", "1000", "--count", "1",
-      "--tol", "1e-3"], {"n", "sigma", "l", "grid", "count", "tmax"}),
+    (["eigensolve", *MODEL, "--l", "0", "--count", "1", "--tol", "1e-3"],
+     {"n", "sigma", "l", "count", "estimate"}),
     (["micz", "--sigma", "1", "--imax", "2"], {"sigma", "imax"}),
     (["verify", "metric", "--seed", "5"], {"check"}),
     (["verify", "collapse"], {"check"}),

@@ -1,7 +1,7 @@
 """Cold start: each command loads only the layers it uses.
 
 Every case runs in a fresh interpreter, since this one has long since
-imported numpy and scipy.  Only `qkepler eigensolve` loads scipy.
+imported numpy and scipy.  No command loads scipy.
 """
 
 import json
@@ -41,13 +41,19 @@ def fresh_run(argv):
      {"numpy", "scipy"}),
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2",
       "--normalized"], {"scipy"}),
+    (["residual", "kepler", "--n", "2", "--sigma", "1", "--k", "3", "--l",
+      "1"], {"scipy"}),
+    (["residual", "oscillator", "--n", "2", "--sigma", "0", "--k", "2",
+      "--l", "0"], {"scipy"}),
+    # the command and the gate share the numpy-only Laguerre route
+    (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], {"scipy"}),
     (["micz", "--sigma", "2"], {"numpy", "scipy"}),
     (["verify", "micz"], {"numpy", "scipy"}),
     (["verify", "schur"], {"numpy", "scipy"}),
-    # the gate's eigenvalues come from the numpy-only Laguerre route
     (["verify", "eigensolve"], {"scipy"}),
     (["verify", "all"], {"scipy"}),
-], ids=["spectrum", "degeneracy", "ktype", "wavefunction", "micz",
+], ids=["spectrum", "degeneracy", "ktype", "wavefunction",
+        "residual-kepler", "residual-oscillator", "eigensolve", "micz",
         "verify-micz", "verify-schur", "verify-eigensolve", "verify-all"])
 def test_commands_load_only_what_they_use(argv, absent):
     code, modules = fresh_run(argv)

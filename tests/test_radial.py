@@ -395,14 +395,13 @@ def test_eigensolve_validation():
         eigensolve(p, 0, count=0)
     with pytest.raises(ValueError):
         eigensolve(p, 0, count=6)
-    with pytest.raises(ValueError):
-        eigensolve(p, 0, t_max=-1.0)
 
 
-def test_eigensolve_detects_truncated_domain():
+def test_eigensolve_detects_truncated_domain(monkeypatch):
     p = ModelParams(2, 0)
-    with pytest.raises(UnderResolved, match="t_max"):
-        eigensolve(p, 2, grid_size=1500, t_max=40.0, count=3)
+    monkeypatch.setattr(radial, "default_t_max", lambda p, l, count: 40.0)
+    with pytest.raises(UnderResolved, match="t_max=40 too small"):
+        eigensolve(p, 2, grid_size=1500, count=3)
     # still a ValueError for callers that catch those
     assert issubclass(UnderResolved, ValueError)
 
