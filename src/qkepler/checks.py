@@ -12,9 +12,10 @@ module loads neither.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import rep, spectral
 from .report import CheckResult, row, worse
@@ -30,21 +31,43 @@ RESIDUAL_TOL = 1e-8  # radial ODE residuals, here and in `residual`
 EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin eigenvalues, here and in `eigensolve`
 
 
-def kepler_grid(s: RadialState) -> RadialGrid:
-    """400 points of t from nu/40 to the state's decay cutoff.  At x = 2t/nu
-    = 0.05 the cancelling centrifugal and Coulomb terms are within a fixed
-    multiple of |E|, the scale of the residual, whatever the state."""
+def _state_sized(s: RadialState | Sequence[RadialState], num: int,
+                 lo: Callable[[RadialState], float],
+                 hi: Callable[[RadialState], float],
+                 weight_exponent: Callable[[RadialState], int]) -> RadialGrid:
+    """``num`` uniform points from lo(s) to hi(s) for the state ``s``, or
+    one row of them per state for a list of states of one n."""
     from . import radial
-    nu = float(s.nu)
-    t_max = nu * radial.decay_cutoff(s) / 2.0
-    return radial.RadialGrid.uniform(nu / 40.0, t_max, 400, 2 * s.params.n)
+    if isinstance(s, radial.RadialState):
+        return radial.RadialGrid.uniform(lo(s), hi(s), num, weight_exponent(s))
+    weights = {weight_exponent(x) for x in s}
+    if len(weights) != 1:
+        raise ValueError("the states of one grid must share n")
+    import numpy as np
+    return radial.RadialGrid.uniform(np.array([lo(x) for x in s]),
+                                     np.array([hi(x) for x in s]), num,
+                                     weights.pop())
 
 
-def oscillator_grid(s: RadialState) -> RadialGrid:
-    """300 points of r from 0.1 to the state's decay cutoff."""
+def kepler_grid(s: RadialState | Sequence[RadialState]) -> RadialGrid:
+    """400 points of t from nu/40 to the state's decay cutoff, one row per
+    state for a list of states.  At x = 2t/nu = 0.05 the cancelling
+    centrifugal and Coulomb terms are within a fixed multiple of |E|, the
+    scale of the residual, whatever the state."""
     from . import radial
-    r_max = math.sqrt(radial.decay_cutoff(s))
-    return radial.RadialGrid.uniform(0.1, r_max, 300, 4 * s.params.n - 1)
+    return _state_sized(
+        s, 400, lambda x: float(x.nu) / 40.0,
+        lambda x: float(x.nu) * radial.decay_cutoff(x) / 2.0,
+        lambda x: 2 * x.params.n)
+
+
+def oscillator_grid(s: RadialState | Sequence[RadialState]) -> RadialGrid:
+    """300 points of r from 0.1 to the state's decay cutoff, one row per
+    state for a list of states."""
+    from . import radial
+    return _state_sized(s, 300, lambda x: 0.1,
+                        lambda x: math.sqrt(radial.decay_cutoff(x)),
+                        lambda x: 4 * x.params.n - 1)
 
 
 def _resolved(name: str, sweep: Callable[[], float],
@@ -175,30 +198,32 @@ def casimir() -> list[CheckResult]:
 
 
 def residuals() -> list[CheckResult]:
-    """Radial ODE residuals of closed forms; exact eigenvalue read-back."""
+    """Radial ODE residuals of closed forms, one batch per operator and n;
+    exact eigenvalue read-back.  H~ reads a state only through n, 2 ell
+    and the Laguerre degree m, so each (2 ell, m) channel is read back
+    once and its value compared with every state of the channel."""
     from . import radial
     rows = []
     for n in (2, 3):
-        worst_k = worst_o = 0.0
-        back_ok = cases = 0
-        for sb in range(4):
-            p = spectral.ModelParams(n, sb)
-            for k in range(1, 6):
-                for l in range(4):
-                    s = radial.RadialState(p, k, l)
-                    worst_k = worse(worst_k,
-                                    radial.kepler_residual(s, kepler_grid(s)))
-                    worst_o = worse(worst_o, radial.oscillator_residual(
-                        s, oscillator_grid(s)))
-                    cases += 1
-                    back_ok += (radial.oscillator_eigenvalue_exact(s)
-                                == s.oscillator_level)
+        states = [radial.RadialState(spectral.ModelParams(n, sb), k, l)
+                  for sb in range(4) for k in range(1, 6) for l in range(4)]
+        worst_k = functools.reduce(worse, radial.residuals(
+            "kepler", states, kepler_grid(states)).tolist(), 0.0)
+        worst_o = functools.reduce(worse, radial.residuals(
+            "oscillator", states, oscillator_grid(states)).tolist(), 0.0)
+        back: dict[tuple[int, int], Fraction] = {}
+        back_ok = 0
+        for s in states:
+            channel = (s.two_ell, s.laguerre_degree)
+            if channel not in back:
+                back[channel] = radial.oscillator_eigenvalue_exact(s)
+            back_ok += back[channel] == s.oscillator_level
         rows.append(row(f"residual-kepler[n={n}]", residual=worst_k,
                         tolerance=RESIDUAL_TOL, passed=worst_k < RESIDUAL_TOL))
         rows.append(row(f"residual-oscillator[n={n}]", residual=worst_o,
                         tolerance=RESIDUAL_TOL, passed=worst_o < RESIDUAL_TOL))
-        rows.append(row(f"readback[n={n}]", lhs=back_ok, rhs=cases,
-                        passed=back_ok == cases))
+        rows.append(row(f"readback[n={n}]", lhs=back_ok, rhs=len(states),
+                        passed=back_ok == len(states)))
     return rows
 
 

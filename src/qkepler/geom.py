@@ -205,7 +205,9 @@ def weight_double(i: int, n: int) -> int:
     if not 1 <= i <= 2 * n:
         raise ValueError(f"index {i} out of range 1..{2 * n}")
     ibar = i + 3 * n if i <= n else i + n
-    assert abs(ibar - i - 2 * n) == n and ibar > 2 * n
+    if abs(ibar - i - 2 * n) != n or ibar <= 2 * n:
+        raise ArithmeticError(f"weight_double({i}, {n}) = {ibar} is off "
+                              f"|i-bar - i - 2n| = n, i-bar > 2n")
     return ibar
 
 

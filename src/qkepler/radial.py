@@ -21,10 +21,14 @@ sum, exact for these profiles (``orthogonality_check``).
 Each radial operator is written once, on the Laguerre polynomial P
 alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
 on the oscillator side) is divided out, H(wP) = w H~P, with analytic
-Laguerre derivatives.  The reduced operator takes a float array or a
-Fraction.  The float residuals weight H~P - E P by the envelope over its
-largest value on the grid, formed in log space, so no power of t or r
-ever overflows; the exact read-back is H~P/P at a rational point.
+Laguerre derivatives.  The reduced operator reads the state's numbers
+as scalars or as column vectors, and its point as a Fraction or a float
+array.  The float residuals are batched: ``residuals`` evaluates H~ once
+per Laguerre degree on the stacked grids of all states of that degree,
+and ``kepler_residual`` and ``oscillator_residual`` are batches of one.
+They weight H~P - E P by the envelope over its largest value on each
+grid row, formed in log space, so no power of t or r ever overflows; the
+exact read-back is H~P/P at a rational point.
 
 ``laguerre_eigenvalues`` computes the levels of one channel by a
 Laguerre-Galerkin route in numpy alone with a two-size error estimate;
@@ -39,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +61,7 @@ __all__ = [
     "radial_norm2_t",
     "radial_norm2_rho",
     "decay_cutoff",
+    "residuals",
     "kepler_residual",
     "eigensolve",
     "laguerre_eigenvalues",
@@ -131,9 +136,10 @@ class RadialState:
 class RadialGrid:
     """Strictly increasing positive sample points with a measure exponent.
 
-    ``weight_exponent`` records the volume weight of the coordinate the
-    points live in: 2n for the t coordinate, 4n-1 for the oscillator
-    coordinate r, 4n-4 for rho.
+    ``points`` is one grid, shape (P,), or one grid row per state, shape
+    (S, P); every row is checked.  ``weight_exponent`` records the volume
+    weight of the coordinate the points live in: 2n for the t coordinate,
+    4n-1 for the oscillator coordinate r, 4n-4 for rho.
     """
 
     points: np.ndarray
@@ -142,16 +148,20 @@ class RadialGrid:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("need a one-dimensional grid with >= 2 points")
-        if pts[0] <= 0.0:
+        if pts.ndim not in (1, 2) or pts.shape[-1] < 2:
+            raise ValueError("need a grid, or one grid row per state, "
+                             "with >= 2 points")
+        if np.any(pts[..., 0] <= 0.0):
             raise ValueError("first grid point must be positive")
-        if np.any(np.diff(pts) <= 0.0):
+        if np.any(np.diff(pts, axis=-1) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
 
     @staticmethod
-    def uniform(lo: float, hi: float, num: int, weight_exponent: int) -> "RadialGrid":
-        return RadialGrid(np.linspace(lo, hi, num), weight_exponent)
+    def uniform(lo: ArrayLike, hi: ArrayLike, num: int,
+                weight_exponent: int) -> "RadialGrid":
+        """``num`` uniform points from lo to hi; one row per entry when lo
+        and hi are arrays."""
+        return RadialGrid(np.linspace(lo, hi, num, axis=-1), weight_exponent)
 
 
 def _laguerre(a, m, x):
@@ -286,17 +296,16 @@ def decay_cutoff(s: RadialState) -> float:
     return 2.5 * (s.laguerre_index + 2 * s.laguerre_degree + 1) + 30.0
 
 
-def _kepler_reduced(s: RadialState, t):
+def _kepler_reduced(t, n, ell, nu, a, m: int):
     """(P, H~P) with P = L^a_m(2t/nu) and H(wP) = w H~P, w = t^ell e^{-t/nu}.
 
     H = -(1/(2 t^{2n})) d/dt t^{2n} d/dt + ell(ell+2n-1)/(2t^2) - 1/t.  With
     g = w'/w, (wP)'/w = P' + gP and (wP)''/w = P'' + 2gP' + (g^2 + g')P.
     Every term is kept, the cancelling centrifugal 1/t^2 terms included.
+    n, ell, nu and the Laguerre index a are numbers, or column vectors with
+    one row per row of ``t``; the degree m is one int.  The arithmetic
+    follows the inputs: Fractions at a rational t give H~P exactly.
     """
-    n, ell, nu = s.params.n, s.ell, s.nu
-    if not isinstance(t, Fraction):
-        ell, nu = float(ell), float(nu)
-    a, m = s.laguerre_index, s.laguerre_degree
     x = 2 * t / nu
     P = _laguerre(a, m, x)
     P1 = -2 / nu * _laguerre(a + 1, m - 1, x)
@@ -309,15 +318,14 @@ def _kepler_reduced(s: RadialState, t):
     return P, HP
 
 
-def _oscillator_reduced(s: RadialState, x):
+def _oscillator_reduced(x, n, L, a, m: int):
     """(P, H~P) with P = L^a_m(x) and H(wP) = w H~P, w = x^{L/2} e^{-x/2}.
 
-    In x = r^2, H = -Lap/2 + r^2/2 on the channel of s is -2x d^2/dx^2
-    - 4n d/dx + L(L+4n-2)/(2x) + x/2; g is as in :func:`_kepler_reduced`.
-    Every term is kept, the cancelling centrifugal 1/x terms included.
+    In x = r^2, H = -Lap/2 + r^2/2 on the channel L = 2 ell is -2x d^2/dx^2
+    - 4n d/dx + L(L+4n-2)/(2x) + x/2; g is as in :func:`_kepler_reduced`,
+    and so is the reading of the inputs.  Every term is kept, the
+    cancelling centrifugal 1/x terms included.
     """
-    n, L = s.params.n, s.two_ell
-    a, m = s.laguerre_index, s.laguerre_degree
     P = _laguerre(a, m, x)
     P1 = -_laguerre(a + 1, m - 1, x)
     P2 = _laguerre(a + 2, m - 2, x)
@@ -329,25 +337,81 @@ def _oscillator_reduced(s: RadialState, x):
     return P, HP
 
 
-def _weighted(P: np.ndarray, HP: np.ndarray,
-              log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, Hf) = (wP, wH~P), the envelope w = exp(log_w) over its largest
-    value on the grid: no power of t or r is ever taken."""
-    w = np.exp(log_w - np.max(log_w))
-    return w * P, w * HP
+def _column(states: Sequence[RadialState],
+            value: Callable[[RadialState], object]) -> ArrayLike:
+    """float(value(s)) of each state as a column vector, or as one float
+    when the states agree on it: a number broadcasts the same way, at the
+    cost of no array operation."""
+    values = [float(value(s)) for s in states]
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values)[:, None]
 
 
-def _relative_residual(f: np.ndarray, Hf: np.ndarray, lam: float) -> float:
-    return float(np.max(np.abs(Hf - lam * f)) / np.max(np.abs(f)))
+def _kepler_terms(states: Sequence[RadialState], t: np.ndarray, m: int):
+    """(P, H~P, log w, E, |E|) of the Kepler states of degree m at their
+    rows of t, E = -1/(2 nu^2) from :func:`energy`."""
+    ell, nu = _column(states, lambda s: s.ell), _column(states, lambda s: s.nu)
+    E = _column(states, lambda s: energy(s.params, s.I))
+    P, HP = _kepler_reduced(t, _column(states, lambda s: s.params.n), ell, nu,
+                            _column(states, lambda s: s.laguerre_index), m)
+    return P, HP, ell * np.log(t) - t / nu, E, abs(E)
+
+
+def _oscillator_terms(states: Sequence[RadialState], r: np.ndarray, m: int):
+    """(P, H~P, log w, lambda, 1) of the oscillator states of degree m at
+    their rows of r, lambda = 2I + sigma_bar + 2n."""
+    L = _column(states, lambda s: s.two_ell)
+    n = _column(states, lambda s: s.params.n)
+    P, HP = _oscillator_reduced(r * r, n, L,
+                                _column(states, lambda s: s.laguerre_index), m)
+    return (P, HP, L * np.log(r) - r * r / 2.0,
+            _column(states, lambda s: s.oscillator_level), 1.0)
+
+
+_TERMS = {"kepler": _kepler_terms, "oscillator": _oscillator_terms}
+
+
+def residuals(operator: str, states: Sequence[RadialState],
+              grid: RadialGrid) -> np.ndarray:
+    """The residual of each state on its row of ``grid``, for the operator
+    "kepler" (:func:`kepler_residual`) or "oscillator"
+    (:func:`oscillator_residual`).
+
+    ``grid`` has one row per state, or is a single grid for a single
+    state.  The states are grouped by Laguerre degree m, the one number
+    the recurrence loops over, and each degree is one evaluation of the
+    reduced operator on its stacked rows, with the other numbers of the
+    states as column vectors, or as one number where the states agree.
+    Each point goes through the same operations whatever the batch, so a
+    residual does not depend on the states beside it.  f = wP and Hf =
+    wH~P carry the envelope w over its largest value on the row: no power
+    of t or r is ever taken.
+    """
+    if operator not in _TERMS:
+        raise ValueError(f"unknown operator {operator!r}")
+    points = np.atleast_2d(grid.points)
+    if len(points) != len(states):
+        raise ValueError(f"{len(states)} states on {len(points)} grid rows")
+    rows_of: dict[int, list[int]] = {}
+    for i, s in enumerate(states):
+        rows_of.setdefault(s.laguerre_degree, []).append(i)
+    out = np.empty(len(states))
+    for m, rows in rows_of.items():
+        P, HP, log_w, lam, scale = _TERMS[operator](
+            [states[i] for i in rows], points[rows], m)
+        w = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
+        f, Hf = w * P, w * HP
+        out[rows] = (np.max(np.abs(Hf - lam * f), axis=1, keepdims=True)
+                     / np.max(np.abs(f), axis=1, keepdims=True) / scale)[:, 0]
+    return out
 
 
 def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
     """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2): scale-free,
-    where over max|f| alone the bound would loosen as 1/nu^2."""
-    t, nu = grid.points, float(s.nu)
-    E = float(energy(s.params, s.I))
-    f, Hf = _weighted(*_kepler_reduced(s, t), float(s.ell) * np.log(t) - t / nu)
-    return _relative_residual(f, Hf, E) / abs(E)
+    where over max|f| alone the bound would loosen as 1/nu^2.  A batch of
+    one of :func:`residuals`."""
+    return float(residuals("kepler", [s], grid)[0])
 
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -368,15 +432,10 @@ def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
         _profile(s, c * rr, "rho", power * np.log(rr))))
 
 
-def _oscillator_weighted(s: RadialState, r: np.ndarray):
-    return _weighted(*_oscillator_reduced(s, r * r),
-                     s.two_ell * np.log(r) - r * r / 2.0)
-
-
 def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
-    """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f."""
-    return _relative_residual(*_oscillator_weighted(s, grid.points),
-                              s.oscillator_level)
+    """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f.
+    A batch of one of :func:`residuals`."""
+    return float(residuals("oscillator", [s], grid)[0])
 
 
 def oscillator_eigenvalue_exact(s: RadialState,
@@ -391,7 +450,9 @@ def oscillator_eigenvalue_exact(s: RadialState,
     if x <= 0:
         raise ValueError("x must be positive")
     for shift in range(s.laguerre_degree + 1):
-        P, HP = _oscillator_reduced(s, x + Fraction(shift, 97))
+        P, HP = _oscillator_reduced(x + Fraction(shift, 97), s.params.n,
+                                    s.two_ell, s.laguerre_index,
+                                    s.laguerre_degree)
         if P != 0:
             return HP / P
     raise ValueError("could not avoid the Laguerre zeros")

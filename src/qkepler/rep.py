@@ -56,6 +56,9 @@ class HighestWeight:
     def __init__(self, entries: Sequence[WeightEntry]):
         doubled = []
         for e in entries:
+            if isinstance(e, int):
+                doubled.append(2 * e)
+                continue
             d = 2 * Fraction(e)
             if d.denominator != 1:
                 raise ValueError(f"entry {e} is not a half integer")
@@ -179,18 +182,22 @@ def dim_R_l(n: int, sigma_bar: int, l: int) -> int:
 
         (1+p-q)/(1+p) * (1 + (p+q)/(2n-1)) * C(p+2n-2, p) * C(q+2n-3, q)
 
-    with p = l + sigma_bar and q = l.  Equals the Weyl dimension of the
-    C_n highest weight (l+sigma_bar, l, 0, ..., 0).
+    with p = l + sigma_bar and q = l, in integers: the numerator
+    (1+p-q)(2n-1+p+q) C(p+2n-2, p) C(q+2n-3, q) and one exact division by
+    (1+p)(2n-1).  Equals the Weyl dimension of the C_n highest weight
+    (l+sigma_bar, l, 0, ..., 0).
     """
     if n < 2 or sigma_bar < 0 or l < 0:
         raise ValueError("need n >= 2, sigma_bar >= 0, l >= 0")
     p, q = l + sigma_bar, l
-    val = (Fraction(1 + p - q, 1 + p)
-           * (1 + Fraction(p + q, 2 * n - 1))
-           * math.comb(p + 2 * n - 2, p)
-           * math.comb(q + 2 * n - 3, q))
-    assert val.denominator == 1
-    return int(val)
+    num = ((1 + p - q) * (2 * n - 1 + p + q)
+           * math.comb(p + 2 * n - 2, p) * math.comb(q + 2 * n - 3, q))
+    den = (1 + p) * (2 * n - 1)
+    out, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"dim R_l product is not an integer: {Fraction(num, den)}")
+    return out
 
 
 def angular_eigenvalue(n: int, sigma_bar: int, l: int) -> int:

@@ -16,10 +16,11 @@ checked in exact Laurent-polynomial arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .laurent import Laurent
 from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
@@ -95,11 +96,17 @@ def energy_kl(p: ModelParams, q: QuantumNumbers) -> Fraction:
     return Fraction(-2, denom * denom)
 
 
+def _degeneracies(p: ModelParams, count: int) -> list[int]:
+    """degeneracy(p, I) for I < ``count``: running sums over l of dim_R_l."""
+    return list(itertools.accumulate(
+        dim_R_l(p.n, p.sigma_bar, l) for l in range(count)))
+
+
 def degeneracy(p: ModelParams, I: int) -> int:
     """Exact dimension of the I-th eigenspace: sum over l <= I of dim_R_l."""
     if I < 0:
         raise ValueError("I must be >= 0")
-    return sum(dim_R_l(p.n, p.sigma_bar, l) for l in range(I + 1))
+    return _degeneracies(p, I + 1)[-1]
 
 
 def oscillator_level_dim(n: int, k: int) -> int:
@@ -119,13 +126,18 @@ class EqualityCheck:
         return self.lhs == self.rhs
 
 
+def _level_sum(k: int, degeneracies: Callable[[int], list[int]]) -> int:
+    """Sum over 2I + sigma_bar = k of (sigma_bar+1)*degeneracy, where
+    ``degeneracies(sigma_bar)[I]`` is the degeneracy of level I."""
+    return sum((k - 2 * I + 1) * degeneracies(k - 2 * I)[I]
+               for I in range(k // 2 + 1))
+
+
 def dimension_equality_check(n: int, k: int) -> EqualityCheck:
     """Compare sum over 2I + sigma_bar = k of (sigma_bar+1)*degeneracy with
     the oscillator level dimension.  Exact on both sides."""
-    lhs = 0
-    for I in range(k // 2 + 1):
-        sigma_bar = k - 2 * I
-        lhs += (sigma_bar + 1) * degeneracy(ModelParams(n, sigma_bar), I)
+    lhs = _level_sum(k, lambda sb: _degeneracies(ModelParams(n, sb),
+                                                 (k - sb) // 2 + 1))
     return EqualityCheck(lhs=lhs, rhs=oscillator_level_dim(n, k))
 
 
@@ -162,12 +174,16 @@ class GenfuncCheck:
 def genfunc_check(n: int, K: int) -> GenfuncCheck:
     """Verify that the degeneracy generating function equals (1 - t)^(-4n).
 
-    The left-hand coefficients are enumerated levelwise; the reference is
-    computed twice, from binomials and from exact series inversion.
+    The left-hand coefficients are enumerated levelwise, from one running
+    degeneracy sum per sigma_bar, so the work is linear in the number of
+    levels; the reference is computed twice, from binomials and from
+    exact series inversion.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    coeffs = tuple(dimension_equality_check(n, k).lhs for k in range(K + 1))
+    table = [_degeneracies(ModelParams(n, sb), (K - sb) // 2 + 1)
+             for sb in range(K + 1)]
+    coeffs = tuple(_level_sum(k, table.__getitem__) for k in range(K + 1))
     binom = tuple(oscillator_level_dim(n, k) for k in range(K + 1))
     inverted = tuple(_series_inverse_one_minus_t_pow(4 * n, K))
     return GenfuncCheck(coefficients=coeffs, binomial=binom, inverted=inverted)

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -543,6 +545,58 @@ def test_exact_checks_fail_their_negative_controls(control, failed,
     out = out_of(capsys)
     assert [line.split()[0] for line in out.splitlines()
             if "  FAIL" in line] == failed
+
+
+def energy_off_by_a_millionth(monkeypatch):
+    """Every Kepler energy the residuals read scaled by 1 + 1e-6."""
+    original = radial.energy
+    monkeypatch.setattr(radial, "energy", lambda p, I: (
+        original(p, I) * (1 + Fraction(1, 10 ** 6))))
+
+
+def readback_off_in_one_channel(monkeypatch):
+    """H~P off by P/10^9 in exact arithmetic on the channel 2 ell = 2,
+    m = 0, which two states share at each n: (sbar, l) = (0, 1), (2, 0)."""
+    original = radial._oscillator_reduced
+
+    def reduced(x, n, L, a, m):
+        P, HP = original(x, n, L, a, m)
+        if isinstance(x, Fraction) and (L, m) == (2, 0):
+            HP += P / 10 ** 9
+        return P, HP
+    monkeypatch.setattr(radial, "_oscillator_reduced", reduced)
+
+
+@pytest.mark.parametrize("control, failed", [
+    # the scale-free residual reads the relative error of E itself
+    (energy_off_by_a_millionth,
+     {f"residual-kepler[n={n}]": "residual=9.9999" for n in (2, 3)}),
+    # the per-channel read-back still counts every state of the channel
+    (readback_off_in_one_channel,
+     {"readback[n=2]": "lhs=78 rhs=80", "readback[n=3]": "lhs=78 rhs=80"}),
+], ids=["residual-energy", "readback-channel"])
+def test_residual_checks_fail_their_negative_controls(control, failed,
+                                                      monkeypatch, capsys):
+    control(monkeypatch)
+    assert run(["verify", "residuals"]) == 1
+    rows = {line.split()[0]: line for line in out_of(capsys).splitlines()
+            if "  FAIL" in line}
+    assert list(rows) == list(failed)
+    for name, shown in failed.items():
+        assert shown in rows[name]
+
+
+def test_gate_survives_optimize_flag():
+    # python -O strips asserts: every guard of the gate is an explicit
+    # raise, so the report is the same bytes
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(checks.__file__))))
+    outs = [subprocess.run(
+        [sys.executable, *flags, "-m", "qkepler.cli", "verify", "all",
+         "--format", "json"], env=env, capture_output=True, check=True).stdout
+        for flags in ([], ["-O"])]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["passed"] is True
 
 
 def test_genfunc_row_counts_the_agreeing_coefficients(monkeypatch, capsys):

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from qkepler import radial
+from qkepler import checks, radial
 from qkepler.checks import kepler_grid, oscillator_grid
 from qkepler.cli import run
 from qkepler.quadrature import composite_gauss_legendre
@@ -116,6 +116,23 @@ def test_radial_grid_validation():
     g = RadialGrid.uniform(0.5, 2.0, 4, 4)
     assert g.points.shape == (4,)
     assert g.weight_exponent == 4
+
+
+def test_radial_grid_checks_every_row():
+    rows = RadialGrid.uniform(np.array([0.5, 1.0]), np.array([2.0, 3.0]), 4, 4)
+    assert rows.points.shape == (2, 4)
+    assert np.array_equal(rows.points[1],
+                          RadialGrid.uniform(1.0, 3.0, 4, 4).points)
+    good = [0.5, 1.0, 1.5]
+    for bad in ([0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [0.5, 1.0, 1.0],
+                [0.5, 2.0, 1.5]):
+        with pytest.raises(ValueError):
+            RadialGrid(np.array([good, bad]), 4)
+    with pytest.raises(ValueError):
+        RadialGrid(np.ones((2, 2, 2)), 4)
+    states = [RadialState(ModelParams(n, 0), 1, 0) for n in (2, 3)]
+    with pytest.raises(ValueError):
+        kepler_grid(states)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +316,55 @@ def test_residuals_on_state_sized_grids(n, sigma_bar, k, l):
     assert oscillator_eigenvalue_exact(s) == s.oscillator_level
 
 
+residual_state = st.builds(lambda sb, k, l: (sb, k, l), st.integers(0, 12),
+                           st.integers(1, 40), st.integers(0, 40))
+
+
+@given(n=st.integers(2, 8), keys=st.lists(residual_state, min_size=1,
+                                          max_size=8))
+@example(n=2, keys=[(0, 1, 0), (3, 5, 2), (0, 1, 3), (12, 40, 40), (1, 5, 0)])
+@settings(max_examples=40, deadline=None)
+def test_batched_residuals_equal_batches_of_one(n, keys):
+    # the kernel groups a batch by Laguerre degree; each state's residual
+    # must not depend on the states beside it, to the last bit
+    states = [RadialState(ModelParams(n, sb), k, l) for sb, k, l in keys]
+    for operator, grid, single in (("kepler", kepler_grid, kepler_residual),
+                                   ("oscillator", oscillator_grid,
+                                    oscillator_residual)):
+        batch = radial.residuals(operator, states, grid(states))
+        alone = np.array([single(s, grid(s)) for s in states])
+        assert np.array_equal(batch, alone)
+        assert np.array_equal(grid(states).points,
+                              np.array([grid(s).points for s in states]))
+
+
+def test_batched_residuals_validation():
+    states = [RadialState(ModelParams(2, 0), k, 0) for k in (1, 2)]
+    with pytest.raises(ValueError):
+        radial.residuals("coulomb", states, kepler_grid(states))
+    with pytest.raises(ValueError):
+        radial.residuals("kepler", states, kepler_grid(states[0]))
+
+
+def test_residual_check_evaluates_once_per_degree(monkeypatch):
+    # 2 operators x 2 values of n x 5 degrees, and one read-back per
+    # (n, 2 ell, m) channel: 10 values of 2 ell and 5 of m per n
+    calls = {"kepler": 0, "oscillator": 0, "readback": 0}
+
+    def counted(name, fun):
+        def wrapper(*args):
+            # the read-back's own exact calls of H~ are not kernel calls
+            calls[name] += not isinstance(args[0], Fraction)
+            return fun(*args)
+        return wrapper
+    for name, attr in (("kepler", "_kepler_reduced"),
+                       ("oscillator", "_oscillator_reduced"),
+                       ("readback", "oscillator_eigenvalue_exact")):
+        monkeypatch.setattr(radial, attr, counted(name, getattr(radial, attr)))
+    assert all(r.passed for r in checks.residuals())
+    assert calls == {"kepler": 10, "oscillator": 10, "readback": 100}
+
+
 def test_kepler_residual_is_scale_free(monkeypatch):
     # at nu = 202, E = -1.2e-5: an energy off by 1e-4 of itself must read
     # 1e-4, not 1e-4 |E| (which passed the 1e-8 bound before)
@@ -324,7 +390,9 @@ def test_kepler_reduced_operator_is_exact_at_rational_points():
     # H~P = E P with no rounding, a read-back of the Kepler energy
     for s in states(smax=3, kmax=4, lmax=3):
         for t in (Fraction(7, 3), Fraction(1, 5), 11):
-            P, HP = radial._kepler_reduced(s, Fraction(t))
+            P, HP = radial._kepler_reduced(
+                Fraction(t), s.params.n, s.ell, s.nu, s.laguerre_index,
+                s.laguerre_degree)
             assert isinstance(HP, Fraction)
             assert HP == energy(s.params, s.I) * P
 

@@ -6,12 +6,14 @@ table entries, recomputed here by hand from the product formula before
 being frozen.
 """
 
-from fractions import Fraction
-
+import math
 import random
+import types
+from fractions import Fraction
 
 import pytest
 
+from qkepler import rep
 from qkepler.rep import (
     HighestWeight,
     RootSystem,
@@ -212,6 +214,15 @@ def test_dim_closed_form_equals_weyl(n):
         for l in range(7):
             hw = HighestWeight([l + sigma_bar, l] + [0] * (n - 2))
             assert dim_R_l(n, sigma_bar, l) == weyl_dim(rs, hw)
+
+
+def test_dim_closed_form_raises_on_a_remainder(monkeypatch):
+    # with C(3, 1) + 1 = 4 and C(1, 0) + 1 = 2 the product at (2, 1, 0) is
+    # 2 * 4 * 4 * 2 = 64 over (1+1) * 3 = 6, not an integer
+    monkeypatch.setattr(rep, "math", types.SimpleNamespace(
+        comb=lambda a, b: math.comb(a, b) + 1))
+    with pytest.raises(ArithmeticError):
+        dim_R_l(2, 1, 0)
 
 
 def test_dim_closed_form_validation():

@@ -127,6 +127,15 @@ def test_genfunc_triple_agreement(n):
         genfunc_check(n, 0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_genfunc_running_sums_equal_the_level_sums(n):
+    # one running degeneracy sum per sigma_bar against each level alone
+    chk = genfunc_check(n, 40)
+    assert list(chk.coefficients) == [
+        dimension_equality_check(n, k).lhs for k in range(41)]
+    assert chk.passed
+
+
 def test_ktype_weight_frozen():
     p = ModelParams(2, 0)
     assert ktype_weight(p, 1).entries == (-1, -1, -2, -2)
