@@ -2,9 +2,9 @@
 
 Only the parser exits 2: on a value out of range (``--n`` below 2, a
 negative ``--sigma``, ``--l`` or ``--seed``, ``--k`` below 1,
-``--count`` outside 1..5, a ``--lo``, ``--hi`` or ``--tol`` not finite
-and positive), a size that would leave a table
-empty, or ``--seed`` on a `verify` check that draws no random samples.
+``--count`` outside 1..5, a ``--lo`` or ``--hi`` not finite and
+positive), a size that would leave a table empty, or ``--seed`` on a
+`verify` check that draws no random samples.
 `verify` has no other setting: each check sweeps the gate's ranges and
 holds its own bounds.  A command exits 1 when a row fails: an identity
 that does not hold, a sample past the double range, an under-resolved
@@ -79,18 +79,19 @@ def _cmd_residual(args, params) -> list[CheckResult]:
     from . import radial
     s = radial.RadialState(spectral.ModelParams(args.n, args.sigma),
                            args.k, args.l)
+    tol = checks.RESIDUAL_TOL
     if args.which == "kepler":
         grid = checks.kepler_grid(s)
         params["t_max"] = float(grid.points[-1])
         r = radial.kepler_residual(s, grid)
-        return [row("kepler-residual", residual=r, tolerance=args.tol,
-                    passed=r < args.tol)]
+        return [row("kepler-residual", residual=r, tolerance=tol,
+                    passed=r < tol)]
     grid = checks.oscillator_grid(s)
     params["r_max"] = float(grid.points[-1])
     r = radial.oscillator_residual(s, grid)
     back = radial.oscillator_eigenvalue_exact(s)
-    return [row("oscillator-residual", residual=r, tolerance=args.tol,
-                passed=r < args.tol),
+    return [row("oscillator-residual", residual=r, tolerance=tol,
+                passed=r < tol),
             row("eigenvalue-readback", lhs=back, rhs=s.oscillator_level,
                 passed=back == s.oscillator_level)]
 
@@ -98,6 +99,7 @@ def _cmd_residual(args, params) -> list[CheckResult]:
 def _cmd_eigensolve(args, params) -> list[CheckResult]:
     from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
+    tol = checks.EIGENSOLVE_TOL
     try:
         vals, params["estimate"] = radial.laguerre_eigenvalues(
             p, args.l, args.count)
@@ -108,7 +110,7 @@ def _cmd_eigensolve(args, params) -> list[CheckResult]:
         exact = float(spectral.energy(p, i + args.l))
         rel = abs(num - exact) / abs(exact)
         rows.append(row(f"E[{i}]", lhs=float(num), rhs=exact, residual=rel,
-                        tolerance=args.tol, passed=rel < args.tol))
+                        tolerance=tol, passed=rel < tol))
     return rows
 
 
@@ -192,13 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a command that reads --tol defaults it to its registry check's bound
-    def command(name, func, text, *parents, tol=None):
+    def command(name, func, text, *parents):
         cmd = sub.add_parser(name, parents=[common, *parents], help=text)
         cmd.set_defaults(func=func)
-        if tol is not None:
-            cmd.add_argument("--tol", type=_positive, default=tol,
-                             help="row tolerance (default %(default)g)")
         return cmd
 
     for name, func, text in (
@@ -219,15 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--normalized", action="store_true")
 
     rs = command("residual", _cmd_residual,
-                 "operator residual of a closed-form state", model,
-                 tol=checks.RESIDUAL_TOL)
+                 "operator residual of a closed-form state", model)
     rs.add_argument("which", choices=("kepler", "oscillator"))
     rs.add_argument("--k", type=_integer(1), required=True)
     rs.add_argument("--l", type=_integer(0), required=True)
 
     ei = command("eigensolve", _cmd_eigensolve,
-                 "Laguerre-Galerkin radial eigenvalues vs exact", model,
-                 tol=checks.EIGENSOLVE_TOL)
+                 "Laguerre-Galerkin radial eigenvalues vs exact", model)
     ei.add_argument("--l", type=_integer(0), required=True)
     ei.add_argument("--count", type=_integer(1, 5), default=3)
 
@@ -247,9 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# not report parameters: the dispatch (the subcommand names the report),
-# the output flags, and --tol, which each row shows
-_NOT_PARAMETERS = {"command", "which", "func", "format", "timestamp", "tol"}
+# not report parameters: the dispatch (the subcommand names the report)
+# and the output flags
+_NOT_PARAMETERS = {"command", "which", "func", "format", "timestamp"}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -9,9 +9,10 @@ the group O*(4n) = U(2n,2n) n O(4n,C), the embedding of U(2n) into it,
 and the index-doubling rule for diagonal weights.
 
 Data layout: quaternion vectors are float arrays (..., n, 4) as in
-``qkepler.qlinalg``, and elements of Sp(n) are their 2n x 2n complex
-images.  Leading axes batch samples, so each sweep draws its samples in
-one array and evaluates them together.
+``qkepler.qlinalg``, a tangent sample is a base point array Z with a
+tangent array W of the same shape, and elements of Sp(n) are their
+2n x 2n complex images.  Leading axes batch samples, so each sweep
+draws its samples in one array and evaluates them together.
 
 Conventions: J denotes the 2n x 2n block matrix [[0, -I_n], [I_n, 0]].
 O*(4n) is cut out of GL(4n,C) by
@@ -21,8 +22,6 @@ O*(4n) is cut out of GL(4n,C) by
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .qlinalg import (
 )
 
 __all__ = [
-    "TangentSample",
     "fubini_study_form",
     "metric_identity_residual",
     "quotient_factor_check",
@@ -56,47 +54,37 @@ __all__ = [
 DEFAULT_MEMBERSHIP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TangentSample:
-    """Base points Z != 0 of H^n with tangent vectors W, as (..., n, 4) arrays.
+def fubini_study_form(Z, W) -> np.ndarray:
+    """The Fubini-Study quadratic form |W|^2/|Z|^2 - |conj(Z).W|^2/|Z|^4.
 
-    Leading axes batch samples; the forms below give one value per sample.
+    Base points Z != 0 and tangent vectors W are (..., n, 4) arrays of
+    equal shape; leading axes batch samples, with one value per sample.
     """
-
-    base: np.ndarray
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.shape(self.base) != np.shape(self.vector):
-            raise ValueError("base and vector must have equal length")
-        if np.any(qdot(self.base, self.base)[..., 0] == 0.0):
-            raise ValueError("base point must be nonzero")
+    if np.shape(Z) != np.shape(W):
+        raise ValueError("base and vector must have equal length")
+    z2 = qdot(Z, Z)[..., 0]
+    if np.any(z2 == 0.0):
+        raise ValueError("base point must be nonzero")
+    return qdot(W, W)[..., 0] / z2 - qnorm2(qdot(Z, W)) / (z2 * z2)
 
 
-def fubini_study_form(s: TangentSample) -> np.ndarray:
-    """The Fubini-Study quadratic form |W|^2/|Z|^2 - |conj(Z).W|^2/|Z|^4."""
-    z2 = qdot(s.base, s.base)[..., 0]
-    zw = qdot(s.base, s.vector)
-    return qdot(s.vector, s.vector)[..., 0] / z2 - qnorm2(zw) / (z2 * z2)
-
-
-def metric_identity_residual(s: TangentSample) -> np.ndarray:
+def metric_identity_residual(Z, W) -> np.ndarray:
     """Deviation of |W|^2 from its radial + Fubini-Study + fiber split.
 
     The split evaluates the identity
 
         |dZ|^2 = d rho^2 + rho^2 (ds_FS^2 + (Im(conj(Z).dZ)/|Z|^2)^2)
 
-    on the sample (Z, W); the return value is identically zero up to
+    on the samples (Z, W), checked and batched as in
+    :func:`fubini_study_form`; the return value is identically zero up to
     rounding for every nonzero Z.
     """
-    z2 = qdot(s.base, s.base)[..., 0]
-    zw = qdot(s.base, s.vector)
-    w, x, y, z = np.moveaxis(zw, -1, 0)
+    fs = fubini_study_form(Z, W)
+    z2 = qdot(Z, Z)[..., 0]
+    w, x, y, z = np.moveaxis(qdot(Z, W), -1, 0)
     radial = w * w / z2
     fiber = (x * x + y * y + z * z) / z2
-    rhs = radial + z2 * fubini_study_form(s) + fiber
-    return np.abs(qdot(s.vector, s.vector)[..., 0] - rhs)
+    return np.abs(qdot(W, W)[..., 0] - (radial + z2 * fs + fiber))
 
 
 def _bordered(a: np.ndarray) -> np.ndarray:
@@ -257,8 +245,8 @@ def metric_sweep(n: int, samples: int, seed: int) -> float:
     """
     rng = np.random.default_rng(seed)
     zw = rng.normal(size=(samples, 2, n, 4))
-    s = TangentSample(zw[:, 0], zw[:, 1])
-    return float(np.max(metric_identity_residual(s), initial=0.0))
+    return float(np.max(metric_identity_residual(zw[:, 0], zw[:, 1]),
+                        initial=0.0))
 
 
 def quotient_sweep(n: int, samples: int, seed: int) -> float:

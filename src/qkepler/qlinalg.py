@@ -26,23 +26,20 @@ matrix [[A, -conj(B)], [B, conj(A)]], its complex image.  The image is
 multiplicative, so group elements of Sp(n) are handled as their images:
 products are complex matmuls and Sp(n) is the image's unitary part.
 
-``Quaternion``, ``QVector`` and ``QMatrix`` are thin object wrappers over
-the same arrays; their arithmetic calls the kernels.  All components are
-64-bit floats; the geometric checks built on top are residual based, so
-no exact quaternion arithmetic is provided.
+Arrays are the only representation of quaternions; ``QMatrix`` is a
+thin wrapper over an (m, n, 4) array whose methods take and return
+arrays.  All components are 64-bit floats; the geometric checks built
+on top are residual based, so no exact quaternion arithmetic is
+provided.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "Quaternion",
-    "QVector",
     "QMatrix",
     "qmul",
     "qconj",
@@ -145,118 +142,13 @@ def is_symplectic(C, tol: float = 1e-12):
                       block.max(axis=(-2, -1))) <= tol
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """One quaternion w + x i + y j + z k with float components."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=dtype)
-
-    @staticmethod
-    def of(q) -> "Quaternion":
-        return Quaternion(*np.asarray(q, dtype=float).tolist())
-
-    def conj(self) -> "Quaternion":
-        return Quaternion.of(qconj(self))
-
-    def norm2(self) -> float:
-        return float(qnorm2(self))
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.norm2())
-
-    def im_norm2(self) -> float:
-        """Squared norm of the imaginary part."""
-        return float(qnorm2((0.0, self.x, self.y, self.z)))
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.of(np.add(self, other))
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.of(np.subtract(self, other))
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion.of(np.negative(self))
-
-    def __mul__(self, other) -> "Quaternion":
-        if isinstance(other, Quaternion):
-            return Quaternion.of(qmul(self, other))
-        return Quaternion.of(np.multiply(self, other))
-
-    __rmul__ = __mul__  # only reached for real scalars, which commute
-
-    def to_complex_pair(self) -> tuple[complex, complex]:
-        """The splitting q = z' + j z''."""
-        return complex(self.w, self.x), complex(self.y, self.z)
-
-    @staticmethod
-    def one() -> "Quaternion":
-        return Quaternion(1.0)
-
-    @staticmethod
-    def unit(axis: str) -> "Quaternion":
-        if axis not in ("i", "j", "k"):
-            raise ValueError(f"unknown axis {axis!r}")
-        return Quaternion.of(np.eye(4)["wijk".index(axis)])
-
-
-class QVector:
-    """A column vector of quaternions over an (n, 4) array."""
-
-    def __init__(self, entries: Iterable):
-        self.array = np.array([np.asarray(q, dtype=float) for q in entries],
-                              dtype=float).reshape(-1, 4)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self.array.astype(dtype or float)
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    def __getitem__(self, i: int) -> Quaternion:
-        return Quaternion.of(self.array[i])
-
-    def norm2(self) -> float:
-        return float(qdot(self, self)[0])
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.norm2())
-
-    def right_mul(self, q) -> "QVector":
-        """Entrywise right multiplication Z |-> Z q."""
-        return QVector(qmul(self, q))
-
-    def __add__(self, other: "QVector") -> "QVector":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return QVector(self.array + other.array)
-
-    def scale(self, c: float) -> "QVector":
-        return QVector(self.array * c)
-
-    @staticmethod
-    def basis(n: int, i: int) -> "QVector":
-        """The i-th standard basis vector (0-based) of H^n."""
-        e = np.zeros((n, 4))
-        e[i, 0] = 1.0
-        return QVector(e)
-
-    @staticmethod
-    def zero(n: int) -> "QVector":
-        return QVector(np.zeros((n, 4)))
-
-    @staticmethod
-    def concat(a: "QVector", b: "QVector") -> "QVector":
-        return QVector(np.concatenate([a.array, b.array]))
-
-
 class QMatrix:
-    """A rectangular matrix of quaternions over an (m, n, 4) array."""
+    """A rectangular matrix of quaternions over an (m, n, 4) array.
+
+    Entries, traces and ``apply`` results are plain arrays.  Nothing in
+    the package reads this class; it stays until the benchmark's tracer
+    stops reading ``QMatrix.__matmul__`` (ROADMAP item 1).
+    """
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = [[np.asarray(q, dtype=float) for q in r] for r in rows]
@@ -272,8 +164,8 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return self.array.shape[:2]
 
-    def __getitem__(self, idx: tuple[int, int]) -> Quaternion:
-        return Quaternion.of(self.array[idx])
+    def __getitem__(self, idx: tuple[int, int]) -> np.ndarray:
+        return self.array[idx].copy()
 
     def dagger(self) -> "QMatrix":
         return QMatrix(qconj(self.array).swapaxes(0, 1))
@@ -284,24 +176,26 @@ class QMatrix:
         return QMatrix(sum(qmul(self.array[:, t, None], other.array[None, t])
                            for t in range(self.shape[1])))
 
-    def apply(self, v) -> QVector:
+    def apply(self, v) -> np.ndarray:
+        """The product M v for an (n, 4) vector v, as an (m, 4) array."""
         v = np.asarray(v, dtype=float)
         if self.shape[1] != len(v):
             raise ValueError("shape mismatch")
-        return QVector((self @ QMatrix(v[:, None])).array[:, 0])
+        return (self @ QMatrix(v[:, None])).array[:, 0]
 
-    def trace(self) -> Quaternion:
+    def trace(self) -> np.ndarray:
         if self.shape[0] != self.shape[1]:
             raise ValueError("trace of a non-square matrix")
-        return Quaternion.of(self.array.diagonal().sum(axis=-1))
+        return self.array.diagonal().sum(axis=-1)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix.diag([Quaternion(1.0)] * n)
+        return QMatrix.diag(np.eye(4)[[0] * n])
 
     @staticmethod
-    def diag(entries: Iterable) -> "QMatrix":
-        es = QVector(entries).array
+    def diag(entries) -> "QMatrix":
+        """The diagonal matrix of an (n, 4) array of entries."""
+        es = np.asarray(entries, dtype=float).reshape(-1, 4)
         out = np.zeros((len(es), len(es), 4))
         out[range(len(es)), range(len(es))] = es
         return QMatrix(out)

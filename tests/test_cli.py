@@ -102,12 +102,16 @@ def test_eigensolve_command(capsys):
         assert f"E[{count - 1}]" in out
 
 
-def test_eigensolve_failing_tolerance(capsys):
+def test_eigensolve_failing_tolerance(monkeypatch, capsys):
+    # an exact energy off by 1e-6 is past the gate's bound of 1e-10
+    energy = spectral.energy
+    monkeypatch.setattr(spectral, "energy",
+                        lambda p, I: energy(p, I) * (1 + Fraction(1, 10**6)))
     code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
-                "--count", "1", "--tol", "1e-30"])
+                "--count", "1"])
     out = out_of(capsys)
     assert code == 1
-    assert "FAIL" in out
+    assert "E[0]  FAIL  " in out
 
 
 def test_eigensolve_under_resolution_is_a_failed_row(monkeypatch, capsys):
@@ -298,9 +302,14 @@ MODEL = ["--n", "2", "--sigma", "0"]
     *(["wavefunction", *MODEL, "--k", "1", "--l", "0", "--lo", v]
       for v in ("0", "nan")),
     ["wavefunction", *MODEL, "--k", "1", "--l", "0", "--hi", "0"],
+    # residual and eigensolve hold the gate's bounds: no --tol, whatever
+    # its value
     *(["residual", "kepler", *MODEL, "--k", "1", "--l", "0", "--tol", v]
-      for v in ("0", "-1", "nan", "inf")),
+      for v in ("0", "-1", "nan", "inf", "1e-8")),
+    ["residual", "oscillator", *MODEL, "--k", "1", "--l", "0", "--tol",
+     "1e-6"],
     ["eigensolve", *MODEL, "--l", "0", "--tol", "0"],
+    ["eigensolve", *MODEL, "--l", "0", "--tol", "1e-10"],
     ["micz", "--sigma", "0", "--tol", "1e-6"],
     ["verify", "twist", "--tol", "-1"],
 ], ids=" ".join)
@@ -382,9 +391,11 @@ def test_eigensolve_reports_its_estimate():
 
 
 def test_eigensolve_tolerance_is_the_gates():
-    # one bound for the route: the command's default --tol and the check's
-    args = _build_parser().parse_args(["eigensolve", *MODEL, "--l", "0"])
-    assert args.tol == checks.EIGENSOLVE_TOL == 1e-10
+    # one bound for the route: the command's rows and the check's
+    assert checks.EIGENSOLVE_TOL == 1e-10
+    report = json_report(["eigensolve", *MODEL, "--l", "0"])
+    assert [r["tolerance"] for r in report["results"]] \
+        == [checks.EIGENSOLVE_TOL] * 3
     report = json_report(["verify", "eigensolve"])
     assert [r["tolerance"] for r in report["results"]] \
         == [checks.EIGENSOLVE_TOL] * 2
@@ -399,11 +410,9 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
     (["ktype", *MODEL], {"n", "sigma", "imax"}),
     (["wavefunction", *STATE], {"n", "sigma", "k", "l", "coordinate", "lo",
                                 "hi", "points", "normalized"}),
-    (["residual", "kepler", *STATE, "--tol", "1e-6"],
-     {"n", "sigma", "k", "l", "t_max"}),
-    (["residual", "oscillator", *STATE, "--tol", "1e-6"],
-     {"n", "sigma", "k", "l", "r_max"}),
-    (["eigensolve", *MODEL, "--l", "0", "--count", "1", "--tol", "1e-3"],
+    (["residual", "kepler", *STATE], {"n", "sigma", "k", "l", "t_max"}),
+    (["residual", "oscillator", *STATE], {"n", "sigma", "k", "l", "r_max"}),
+    (["eigensolve", *MODEL, "--l", "0", "--count", "1"],
      {"n", "sigma", "l", "count", "estimate"}),
     (["micz", "--sigma", "1", "--imax", "2"], {"sigma", "imax"}),
     (["verify", "metric", "--seed", "5"], {"check"}),
@@ -412,7 +421,7 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
         "residual-oscillator", "eigensolve", "micz", "verify-metric",
         "verify-collapse"])
 def test_report_parameters_are_the_flags(argv, keys):
-    # neither --tol nor the positional `which` is a parameter
+    # the positional `which` is not a parameter
     assert set(json_report(argv)["parameters"]) == keys
 
 

@@ -4,8 +4,10 @@ Every case runs in a fresh interpreter, since this one has long since
 imported numpy and scipy.  No command loads scipy.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -22,6 +24,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 print(json.dumps([code, sorted({m.split(".")[0] for m in sys.modules})]))
 """
+
+
+EXACT_CHECKS = ("collapse", "dim-equality", "genfunc", "dims", "ktype-dims",
+                "casimir")
 
 
 def fresh_run(argv):
@@ -50,11 +56,16 @@ def fresh_run(argv):
     (["micz", "--sigma", "2"], {"numpy", "scipy"}),
     (["verify", "micz"], {"numpy", "scipy"}),
     (["verify", "schur"], {"numpy", "scipy"}),
+    # the exact checks, counted in integers and Fractions
+    *((["verify", check], {"numpy", "scipy"})
+      for check in EXACT_CHECKS),
     (["verify", "eigensolve"], {"scipy"}),
     (["verify", "all"], {"scipy"}),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction",
         "residual-kepler", "residual-oscillator", "eigensolve", "micz",
-        "verify-micz", "verify-schur", "verify-eigensolve", "verify-all"])
+        "verify-micz", "verify-schur",
+        *(f"verify-{check}" for check in EXACT_CHECKS),
+        "verify-eigensolve", "verify-all"])
 def test_commands_load_only_what_they_use(argv, absent):
     code, modules = fresh_run(argv)
     assert code == 0
@@ -79,3 +90,15 @@ def test_every_exported_name_resolves():
     assert qkepler.radial.RadialState is qkepler.RadialState
     with pytest.raises(AttributeError):
         qkepler.no_such_name
+
+
+def test_every_submodule_name_resolves():
+    # each name a submodule lists in __all__ exists, and each lazy export
+    # of the package is listed in its submodule's __all__
+    for info in pkgutil.iter_modules(qkepler.__path__):
+        module = importlib.import_module(f"qkepler.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"qkepler.{info.name}.{name}"
+    for mod, names in qkepler._EXPORTS.items():
+        exported = importlib.import_module(f"qkepler.{mod}").__all__
+        assert set(names) <= set(exported), mod
