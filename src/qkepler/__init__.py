@@ -12,11 +12,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "qlinalg": ("QMatrix", "qmul", "qdot", "is_symplectic", "complexify",
-                "complexify_matrix"),
+    "qlinalg": ("QMatrix", "qmul", "qdot", "complexify", "complexify_matrix"),
     "geom": ("fubini_study_form", "metric_identity_residual",
              "quotient_factor_check", "ostar_membership", "embed_u2n",
-             "embed_u2n_uv", "weight_double", "sp_n_in_ostar"),
+             "embed_u2n_uv", "weight_double"),
     "rep": ("HighestWeight", "RootSystem", "weyl_dim", "casimir", "dim_R_l",
             "angular_eigenvalue", "sp1_character", "character_inner",
             "schur_norm"),

@@ -263,8 +263,9 @@ def micz() -> list[CheckResult]:
 
 
 def metric(seed: int = SEED) -> list[CheckResult]:
-    """Fubini-Study metric identity and quotient factor at 1000 random
-    points."""
+    """At 1000 random points each: the Fubini-Study form is |W_perp|^2/|Z|^2,
+    with W_perp the part of W orthogonal to the line Z H, formed by
+    quaternion products; and the Sp(n) trace form is twice it."""
     from . import geom
     rows = []
     for n in (2, 3, 4):
@@ -278,15 +279,16 @@ def metric(seed: int = SEED) -> list[CheckResult]:
 
 
 def ostar(seed: int = SEED) -> list[CheckResult]:
-    """200 random unitary and Sp(n) images lie in O*(4n), to 1e-10; the
-    weight-doubling map, exhaustively for n <= 6, to 1e-14."""
+    """200 random U(2n) images lie in O*(4n), to 1e-10 (Sp(n) lands there
+    as part of U(2n)); the weight-doubling map, exhaustively for n <= 6,
+    to 1e-14."""
     import numpy as np
     from . import geom
     rows = []
     for n in (2, 3):
-        passes, total = geom.ostar_sweep(n, 100, seed, tol=1e-10)
+        passes, total = geom.ostar_sweep(n, 200, seed)
         rows.append(row(f"ostar[n={n}]", lhs=passes, rhs=total,
-                        tolerance=1e-10, passed=passes == total))
+                        tolerance=geom.MEMBERSHIP_TOL, passed=passes == total))
     # a phase planted at slot i must land at the doubled index,
     # conjugated on the u-side embedding and plain on the uv-side
     cases = ok = 0

@@ -1,38 +1,34 @@
 """Geometric identity checks on quaternionic space.
 
 Two families of checks live here.  The metric family verifies, on random
-tangent samples, that the flat metric of H^n splits into a radial part, a
-Fubini-Study part and a fiber part, and that the bi-invariant metric on
-Sp(n) descends to twice the Fubini-Study metric on the quaternionic
-projective space.  The matrix family verifies the defining relations of
-the group O*(4n) = U(2n,2n) n O(4n,C), the embedding of U(2n) into it,
-and the index-doubling rule for diagonal weights.
+tangent samples, that the Fubini-Study form of H^n is the squared length
+of the part of a tangent vector orthogonal to the quaternionic line of
+its base point, and that the bi-invariant metric on Sp(n) descends to
+twice the Fubini-Study metric on the quaternionic projective space.  The
+matrix family verifies the defining relations of the group
+O*(4n) = U(2n,2n) n O(4n,C), the embedding of U(2n) into it, and the
+index-doubling rule for diagonal weights.
 
 Data layout: quaternion vectors are float arrays (..., n, 4) as in
-``qkepler.qlinalg``, a tangent sample is a base point array Z with a
-tangent array W of the same shape, and elements of Sp(n) are their
-2n x 2n complex images.  Leading axes batch samples, so each sweep
-draws its samples in one array and evaluates them together.
+``qkepler.qlinalg``, and a tangent sample is a base point array Z with a
+tangent array W of the same shape.  Leading axes batch samples, so each
+sweep draws its samples in one array and evaluates them together.
 
 Conventions: J denotes the 2n x 2n block matrix [[0, -I_n], [I_n, 0]].
 O*(4n) is cut out of GL(4n,C) by
 
     g^dag diag(I, -I) g = diag(I, -I)   and
     g^T  [[0, J], [-J, 0]] g = [[0, J], [-J, 0]].
+
+Sp(n) needs no sweep of its own: its complex image is a unitary of order
+2n, so its embedding is a case of the U(2n) one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qlinalg import (
-    complexify_matrix,
-    is_symplectic,
-    qconj,
-    qdot,
-    qmul,
-    qnorm2,
-)
+from .qlinalg import qconj, qdot, qmul, qnorm2
 
 __all__ = [
     "fubini_study_form",
@@ -43,15 +39,28 @@ __all__ = [
     "embed_u2n",
     "embed_u2n_uv",
     "weight_double",
-    "sp_n_in_ostar",
     "random_unitary",
-    "random_sp",
     "metric_sweep",
     "quotient_sweep",
     "ostar_sweep",
 ]
 
-DEFAULT_MEMBERSHIP_TOL = 1e-10
+MEMBERSHIP_TOL = 1e-10  # max entry deviation from either O*(4n) relation
+UNITARITY_TOL = 1e-8  # max entry deviation of A^dag A from I in ``_embed``
+
+
+def _pairings(Z, W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|Z|^2, conj(Z).W and |W|^2 of tangent samples, one pairing each."""
+    if np.shape(Z) != np.shape(W):
+        raise ValueError("base and vector must have equal length")
+    z2 = qdot(Z, Z)[..., 0]
+    if np.any(z2 == 0.0):
+        raise ValueError("base point must be nonzero")
+    return z2, qdot(Z, W), qdot(W, W)[..., 0]
+
+
+def _fubini_study(z2, zw, w2) -> np.ndarray:
+    return w2 / z2 - qnorm2(zw) / (z2 * z2)
 
 
 def fubini_study_form(Z, W) -> np.ndarray:
@@ -60,31 +69,26 @@ def fubini_study_form(Z, W) -> np.ndarray:
     Base points Z != 0 and tangent vectors W are (..., n, 4) arrays of
     equal shape; leading axes batch samples, with one value per sample.
     """
-    if np.shape(Z) != np.shape(W):
-        raise ValueError("base and vector must have equal length")
-    z2 = qdot(Z, Z)[..., 0]
-    if np.any(z2 == 0.0):
-        raise ValueError("base point must be nonzero")
-    return qdot(W, W)[..., 0] / z2 - qnorm2(qdot(Z, W)) / (z2 * z2)
+    return _fubini_study(*_pairings(Z, W))
 
 
 def metric_identity_residual(Z, W) -> np.ndarray:
-    """Deviation of |W|^2 from its radial + Fubini-Study + fiber split.
+    """Deviation of |W_perp|^2/|Z|^2 from the Fubini-Study form.
 
-    The split evaluates the identity
+    W_perp = W - Z q with q = conj(Z).W/|Z|^2 is the part of W orthogonal
+    to the quaternionic line Z H, so by Pythagoras
 
-        |dZ|^2 = d rho^2 + rho^2 (ds_FS^2 + (Im(conj(Z).dZ)/|Z|^2)^2)
+        |W_perp|^2 / |Z|^2 = |W|^2/|Z|^2 - |conj(Z).W|^2/|Z|^4 = ds_FS^2(W).
 
-    on the samples (Z, W), checked and batched as in
-    :func:`fubini_study_form`; the return value is identically zero up to
-    rounding for every nonzero Z.
+    The right products Z q go through ``qmul``, so a product that is not
+    associative or not the quaternion one leaves a residual of order one.
+    Samples (Z, W) are checked and batched as in :func:`fubini_study_form`.
     """
-    fs = fubini_study_form(Z, W)
-    z2 = qdot(Z, Z)[..., 0]
-    w, x, y, z = np.moveaxis(qdot(Z, W), -1, 0)
-    radial = w * w / z2
-    fiber = (x * x + y * y + z * z) / z2
-    return np.abs(qdot(W, W)[..., 0] - (radial + z2 * fs + fiber))
+    z2, zw, w2 = _pairings(Z, W)
+    q = zw / z2[..., None]
+    w_perp = np.asarray(W, dtype=float) - qmul(Z, q[..., None, :])
+    return np.abs(qnorm2(w_perp).sum(axis=-1) / z2
+                  - _fubini_study(z2, zw, w2))
 
 
 def _bordered(a: np.ndarray) -> np.ndarray:
@@ -137,8 +141,9 @@ def _ostar_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return eta, omega
 
 
-def ostar_membership(g: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL):
-    """Check both defining relations of O*(4n) to ``tol`` in max entry norm.
+def ostar_membership(g: np.ndarray):
+    """Check both defining relations of O*(4n) to ``MEMBERSHIP_TOL`` in max
+    entry norm.
 
     A batch (..., 4n, 4n) gives one verdict per matrix.
     """
@@ -149,16 +154,17 @@ def ostar_membership(g: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL):
     gT = g.swapaxes(-1, -2)
     d1 = np.abs(gT.conj() @ eta @ g - eta).max(axis=(-2, -1))
     d2 = np.abs(gT @ omega @ g - omega).max(axis=(-2, -1))
-    return np.maximum(d1, d2) <= tol
+    return np.maximum(d1, d2) <= MEMBERSHIP_TOL
 
 
-def _embed(A: np.ndarray, tol: float, lower) -> np.ndarray:
+def _embed(A: np.ndarray, lower) -> np.ndarray:
     """diag(A, lower(A, J)) for unitaries A of order 2n, batched."""
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
         raise ValueError(f"expected a square matrix of order 2n, got {A.shape}")
     m = A.shape[-1]
-    if not np.all(np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(m)) <= tol):
+    deviation = np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(m))
+    if not np.all(deviation <= UNITARITY_TOL):
         raise ValueError("input is not unitary to tolerance")
     out = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
     out[..., :m, :m] = A
@@ -166,7 +172,7 @@ def _embed(A: np.ndarray, tol: float, lower) -> np.ndarray:
     return out
 
 
-def embed_u2n(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def embed_u2n(A: np.ndarray) -> np.ndarray:
     """Embed a unitary A of order 2n into O*(4n) as diag(A, -J conj(A) J).
 
     The image satisfies both O* relations and is unitary, so it lands in
@@ -175,12 +181,12 @@ def embed_u2n(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     partner matrix in the (U, conj(V)) frame (see :func:`embed_u2n_uv`)
     carries the phase itself at that slot.
     """
-    return _embed(A, tol, lambda A, J: -J @ A.conj() @ J)
+    return _embed(A, lambda A, J: -J @ A.conj() @ J)
 
 
-def embed_u2n_uv(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def embed_u2n_uv(A: np.ndarray) -> np.ndarray:
     """The same group element written in the (U, conj(V)) frame: diag(A, -J A J)."""
-    return _embed(A, tol, lambda A, J: -J @ A @ J)
+    return _embed(A, lambda A, J: -J @ A @ J)
 
 
 def weight_double(i: int, n: int) -> int:
@@ -199,42 +205,20 @@ def weight_double(i: int, n: int) -> int:
     return ibar
 
 
-def sp_n_in_ostar(C: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL):
-    """Push Sp(n) elements, given as complex images, into O*(4n) and test membership."""
-    if not np.all(is_symplectic(C, tol=1e-9)):
-        raise ValueError("input is not symplectic-unitary to tolerance")
-    return ostar_membership(embed_u2n(C), tol)
-
-
-def _polar(M: np.ndarray) -> np.ndarray:
-    """The unitary polar factors W Vh of square matrices M = W S Vh, batched.
-
-    Haar on Ginibre input (Mezzadri, Notices AMS 54, 2007): a Ginibre batch
-    is invariant under left multiplication by a fixed unitary h, and the
-    factor of hM is h times that of M, so the factor's law is left
-    invariant, which on a compact group means Haar.  A quaternionic
-    Ginibre image is invariant under Sp(n), and its factor M (M^dag
-    M)^(-1/2) keeps the quaternionic block form, so it is Haar on Sp(n).
-    """
-    W, _, Vh = np.linalg.svd(M)
-    return W @ Vh
-
-
 def random_unitary(dim: int, rng: np.random.Generator,
                    samples: int) -> np.ndarray:
     """``samples`` Haar unitaries of order ``dim``, as one (samples, dim, dim)
-    batch: polar factors of complex Ginibre matrices.
+    batch: the unitary polar factors W Vh of complex Ginibre matrices
+    G = W S Vh, each drawing its real part, then its imaginary part.
 
-    Each matrix draws its real part, then its imaginary part.
+    Haar on Ginibre input (Mezzadri, Notices AMS 54, 2007): a Ginibre batch
+    is invariant under left multiplication by a fixed unitary h, and the
+    factor of hG is h times that of G, so the factor's law is left
+    invariant, which on a compact group means Haar.
     """
     G = rng.normal(size=(samples, 2, dim, dim))
-    return _polar(G[:, 0] + 1j * G[:, 1])
-
-
-def random_sp(n: int, rng: np.random.Generator, samples: int) -> np.ndarray:
-    """``samples`` Haar elements of Sp(n), as a (samples, 2n, 2n) batch of
-    complex images: polar factors of quaternionic Ginibre matrices."""
-    return _polar(complexify_matrix(rng.normal(size=(samples, n, n, 4))))
+    W, _, Vh = np.linalg.svd(G[:, 0] + 1j * G[:, 1])
+    return W @ Vh
 
 
 def metric_sweep(n: int, samples: int, seed: int) -> float:
@@ -257,16 +241,8 @@ def quotient_sweep(n: int, samples: int, seed: int) -> float:
     return float(np.max(np.abs(s1 - 2.0 * s2), initial=0.0))
 
 
-def ostar_sweep(n: int, samples: int, seed: int,
-                tol: float = DEFAULT_MEMBERSHIP_TOL) -> tuple[int, int]:
-    """Count O* membership passes over seeded unitary and Sp(n) images.
-
-    Returns (passes, total) with total = 2*samples: ``samples`` random
-    embedded unitaries and ``samples`` random symplectic images.
-    """
-    rng = np.random.default_rng(seed)
-    U = random_unitary(2 * n, rng, samples)
-    S = random_sp(n, rng, samples)
-    passes = np.count_nonzero(ostar_membership(embed_u2n(U), tol)) \
-        + np.count_nonzero(sp_n_in_ostar(S, tol))
-    return int(passes), 2 * samples
+def ostar_sweep(n: int, samples: int, seed: int) -> tuple[int, int]:
+    """Count O* membership passes over ``samples`` seeded Haar unitaries of
+    order 2n, embedded by :func:`embed_u2n`; returns (passes, samples)."""
+    U = random_unitary(2 * n, np.random.default_rng(seed), samples)
+    return int(np.count_nonzero(ostar_membership(embed_u2n(U)))), samples

@@ -12,9 +12,9 @@ The sign convention for the imaginary units is fixed globally to
     i j = -k,   j k = -i,   k i = -j,
 
 i.e. the opposite of the classical Hamilton table.  Everything downstream
-(complexification, the symplectic-group checks, the O*(4n) matrix
-identities) assumes this convention, so it must not be changed in
-isolation.
+(complexification, the right products Z q of the metric check, the
+O*(4n) matrix identities) assumes this convention, so it must not be
+changed in isolation.
 
 Splitting a quaternion as q = z' + j z'' with complex z' = w + x i and
 z'' = y + z i identifies H^n with C^{2n} via the stacked column
@@ -23,8 +23,8 @@ multiplication by i acts as the complex scalar i, and right multiplication
 by j acts as Z |-> J conj(Z) with J the block matrix [[0, -I_n], [I_n, 0]].
 A quaternion matrix M = A + j B acts on that column as the 2n x 2n complex
 matrix [[A, -conj(B)], [B, conj(A)]], its complex image.  The image is
-multiplicative, so group elements of Sp(n) are handled as their images:
-products are complex matmuls and Sp(n) is the image's unitary part.
+multiplicative, and it carries Sp(n) onto the unitaries of that block
+form, so Sp(n) sits inside U(2n).
 
 Arrays are the only representation of quaternions; ``QMatrix`` is a
 thin wrapper over an (m, n, 4) array whose methods take and return
@@ -45,7 +45,6 @@ __all__ = [
     "qconj",
     "qnorm2",
     "qdot",
-    "is_symplectic",
     "complexify",
     "complexify_matrix",
 ]
@@ -121,25 +120,6 @@ def complexify_matrix(M) -> np.ndarray:
     C[..., :n, :n], C[..., :n, n:] = A, -B.conj()
     C[..., n:, :n], C[..., n:, n:] = B, A.conj()
     return C
-
-
-def is_symplectic(C, tol: float = 1e-12):
-    """True iff the complex image C of order 2n lies in Sp(n) up to ``tol``.
-
-    Sp(n) is the unitary part of the image: C^dag C = I, and C keeps the
-    block form [[A, -conj(B)], [B, conj(A)]] that commutes with right
-    multiplication by j.  Both are tested in max entry magnitude; a batch
-    (..., 2n, 2n) gives one verdict per matrix.
-    """
-    C = np.asarray(C, dtype=complex)
-    if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] % 2:
-        raise ValueError("expected a square complex image of even order")
-    n = C.shape[-1] // 2
-    unitary = np.abs(C.conj().swapaxes(-1, -2) @ C - np.eye(2 * n))
-    block = np.maximum(np.abs(C[..., :n, :n] - C[..., n:, n:].conj()),
-                       np.abs(C[..., :n, n:] + C[..., n:, :n].conj()))
-    return np.maximum(unitary.max(axis=(-2, -1)),
-                      block.max(axis=(-2, -1))) <= tol
 
 
 class QMatrix:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkepler import checks, radial, rep, spectral
+from qkepler import checks, geom, qlinalg, radial, rep, spectral
 from qkepler.cli import _build_parser, run
 from qkepler.laurent import Laurent
 from qkepler.rep import HighestWeight
@@ -593,6 +593,32 @@ def test_residual_checks_fail_their_negative_controls(control, failed,
     assert list(rows) == list(failed)
     for name, shown in failed.items():
         assert shown in rows[name]
+
+
+QMUL = qlinalg.qmul
+
+
+def qmul_not_associative(a, b):
+    """The z-component cross terms flipped: (i j) k = -1 but i (j k) = +1."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    p = QMUL(a, b)
+    p[..., 3] += 2.0 * (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1])
+    return p
+
+
+@pytest.mark.parametrize("product", [
+    qmul_not_associative,
+    lambda a, b: np.asarray(a, dtype=float) * np.asarray(b, dtype=float),
+], ids=["qmul-not-associative", "qmul-componentwise"])
+def test_metric_rows_read_the_quaternion_product(product, monkeypatch,
+                                                 capsys):
+    # geom imports qmul by name, so both bindings are replaced
+    monkeypatch.setattr(qlinalg, "qmul", product)
+    monkeypatch.setattr(geom, "qmul", product)
+    assert run(["verify", "all"]) == 1
+    out = out_of(capsys)
+    assert [line.split()[0] for line in out.splitlines()
+            if "  FAIL" in line] == [f"metric[n={n}]" for n in (2, 3, 4)]
 
 
 def test_gate_survives_optimize_flag():

@@ -10,7 +10,6 @@ from qkepler.qlinalg import (
     QMatrix,
     complexify,
     complexify_matrix,
-    is_symplectic,
     qconj,
     qdot,
     qmul,
@@ -138,17 +137,6 @@ def test_matrix_building_blocks():
         QMatrix([[ONE, I]]).trace()
     with pytest.raises(ValueError):
         QMatrix([[ONE]]) @ QMatrix([[ONE, I], [J, K]])
-
-
-def test_is_symplectic():
-    # is_symplectic reads the complex image of a quaternion matrix
-    assert is_symplectic(complexify_matrix(QMatrix.identity(3)))
-    q = unit_quaternion(np.random.default_rng(3))
-    assert is_symplectic(complexify_matrix(QMatrix.diag([q, ONE])))
-    assert not is_symplectic(complexify_matrix(
-        QMatrix.diag([2.0 * ONE, ONE])))
-    with pytest.raises(ValueError):
-        is_symplectic(np.eye(2, 4))
 
 
 def test_complexify_matrix_requires_square():
