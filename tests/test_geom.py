@@ -17,7 +17,7 @@ from qkepler.geom import (
     random_unitary,
     weight_double,
 )
-from qkepler.qlinalg import complexify_matrix, qmul, qnorm2
+from qkepler.qlinalg import QMatrix, complexify_matrix, qmul, qnorm2
 
 # the standard basis vectors e_0, e_1 of H^2, as (2, 4) arrays
 E0, E1 = np.eye(8)[[0, 4]].reshape(2, 2, 4)
@@ -151,20 +151,66 @@ def test_weight_double_range_check():
         weight_double(5, 2)
 
 
+def _random_sp(n, rng, samples):
+    # Sp(n) elements as complex images: the unitary polar factors of the
+    # images of quaternionic Ginibre matrices, which keep the block form
+    W, _, Vh = np.linalg.svd(complexify_matrix(rng.normal(
+        size=(samples, n, n, 4))))
+    return W @ Vh
+
+
+def _sp_defect(C):
+    # per image, the max entry distance from U(2n) and from the block
+    # form [[A, -conj(B)], [B, conj(A)]]; zero exactly on Sp(n)
+    n = C.shape[-1] // 2
+    unitary = np.abs(C.conj().swapaxes(-1, -2) @ C - np.eye(2 * n))
+    block = np.maximum(np.abs(C[..., :n, :n] - C[..., n:, n:].conj()),
+                       np.abs(C[..., :n, n:] + C[..., n:, :n].conj()))
+    return np.maximum(unitary.max(axis=(-2, -1)), block.max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_sp_is_symplectic(n):
+    # the polar factors lie in Sp(n), and so do their products
+    C = _random_sp(n, np.random.default_rng(60 + n), 5)
+    assert np.all(_sp_defect(C) < 1e-12)
+    assert np.all(_sp_defect(C[0] @ C[1:]) < 1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sp_n_lands_in_ostar(n):
-    # Sp(n) elements as complex images: the unitary polar factor of the
-    # image of a quaternionic Ginibre matrix keeps its block form
-    M = complexify_matrix(np.random.default_rng(70 + n).normal(
-        size=(5, n, n, 4)))
-    W, _, Vh = np.linalg.svd(M)
-    C = W @ Vh
-    assert np.max(np.abs(C.conj().swapaxes(-1, -2) @ C - np.eye(2 * n))) \
-        < 1e-12
-    A, B = C[:, :n, :n], C[:, n:, :n]
-    assert np.max(np.abs(C[:, :n, n:] + B.conj())) < 1e-12
-    assert np.max(np.abs(C[:, n:, n:] - A.conj())) < 1e-12
+    C = _random_sp(n, np.random.default_rng(70 + n), 5)
+    assert np.all(_sp_defect(C) < 1e-12)
     assert np.all(ostar_membership(embed_u2n(C)))
+
+
+def test_sp_n_in_ostar_rejects_non_symplectic():
+    # the O*(4n) embedding reads all of U(2n): a unitary outside Sp(n)
+    # still lands, and an image outside U(2n) is refused
+    phase = np.diag([1j, 1.0, 1.0, 1.0])
+    assert _sp_defect(phase) > 0.5
+    assert ostar_membership(embed_u2n(phase))
+    # the image of the real diagonal matrix diag(2, 1)
+    C = complexify_matrix(np.diag([2.0, 1.0])[..., None] * np.eye(4)[0])
+    assert _sp_defect(C) > 0.5
+    with pytest.raises(ValueError):
+        embed_u2n(C)
+
+
+def test_complexified_symplectic_is_unitary():
+    # a quaternionic unitary built by hand, a real rotation times unit
+    # quaternions on the diagonal, has a unitary complex image, and the
+    # image of the product is the product of the images
+    rng = np.random.default_rng(81)
+    c, s = np.cos(0.7), np.sin(0.7)
+    R = QMatrix(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+                [..., None] * np.eye(4)[0])
+    q = rng.normal(size=(3, 4))
+    D = QMatrix.diag(q / np.sqrt(qnorm2(q))[:, None])
+    C = complexify_matrix(R @ D)
+    assert np.max(np.abs(C.conj().T @ C - np.eye(6))) < 1e-12
+    assert np.max(np.abs(C - complexify_matrix(R) @ complexify_matrix(D))) \
+        < 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -179,11 +225,13 @@ def test_random_unitary_is_unitary():
     assert np.max(np.abs(U.conj().T @ U - np.eye(6))) < 1e-12
 
 
-@pytest.mark.parametrize("sampler", [random_unitary], ids=["unitary"])
+@pytest.mark.parametrize("sampler", [
+    lambda d, rng, samples: _random_sp(d // 2, rng, samples),
+    random_unitary], ids=["sp", "unitary"])
 def test_samplers_are_haar_in_the_second_moment(sampler):
-    # under Haar measure on U(d) the first column is uniform on the unit
-    # sphere of C^d, so |C_00|^2 ~ Beta(1, d - 1), of mean 1/d and
-    # variance (d - 1)/(d^2 (d + 1))
+    # under Haar measure on Sp(d/2) or U(d) the first column is uniform on
+    # the unit sphere of C^d, so |C_00|^2 ~ Beta(1, d - 1), of mean 1/d
+    # and variance (d - 1)/(d^2 (d + 1))
     d, samples = 4, 8000
     C = sampler(d, np.random.default_rng(0), samples)
     stderr = math.sqrt((d - 1) / (d * d * (d + 1)) / samples)

@@ -139,6 +139,23 @@ def test_matrix_building_blocks():
         QMatrix([[ONE]]) @ QMatrix([[ONE, I], [J, K]])
 
 
+def test_is_symplectic():
+    # the complex image of a quaternion matrix commutes with right
+    # multiplication by j, C J = J conj(C); it lies in Sp(n) exactly
+    # when it is also unitary
+    Jm = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(3))
+    q = unit_quaternion(np.random.default_rng(3))
+    unitary = []
+    for Q in (QMatrix.identity(3), QMatrix.diag([q, ONE, ONE]),
+              QMatrix.diag([2.0 * ONE, ONE, ONE])):
+        C = complexify_matrix(Q)
+        assert np.max(np.abs(C @ Jm - Jm @ C.conj())) < 1e-15
+        unitary.append(np.max(np.abs(C.conj().T @ C - np.eye(6))) < 1e-12)
+    assert unitary == [True, True, False]
+    with pytest.raises(ValueError):
+        complexify_matrix(np.eye(2, 4))
+
+
 def test_complexify_matrix_requires_square():
     with pytest.raises(ValueError):
         complexify_matrix(QMatrix([[ONE, I]]))
