@@ -13,61 +13,17 @@ module loads neither.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable
 
 from . import rep, spectral
 from .report import CheckResult, row, worse
 
-if TYPE_CHECKING:
-    from .radial import RadialGrid, RadialState
-
-__all__ = ["REGISTRY", "SEEDED", "SEED", "RESIDUAL_TOL", "EIGENSOLVE_TOL",
-           "kepler_grid", "oscillator_grid"]
+__all__ = ["REGISTRY", "SEEDED", "SEED", "RESIDUAL_TOL", "EIGENSOLVE_TOL"]
 
 SEED = 0  # the gate's seed for the randomized sweeps
 RESIDUAL_TOL = 1e-8  # radial ODE residuals, here and in `residual`
 EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin eigenvalues, here and in `eigensolve`
-
-
-def _state_sized(s: RadialState | Sequence[RadialState], num: int,
-                 lo: Callable[[RadialState], float],
-                 hi: Callable[[RadialState], float],
-                 weight_exponent: Callable[[RadialState], int]) -> RadialGrid:
-    """``num`` uniform points from lo(s) to hi(s) for the state ``s``, or
-    one row of them per state for a list of states of one n."""
-    from . import radial
-    if isinstance(s, radial.RadialState):
-        return radial.RadialGrid.uniform(lo(s), hi(s), num, weight_exponent(s))
-    weights = {weight_exponent(x) for x in s}
-    if len(weights) != 1:
-        raise ValueError("the states of one grid must share n")
-    import numpy as np
-    return radial.RadialGrid.uniform(np.array([lo(x) for x in s]),
-                                     np.array([hi(x) for x in s]), num,
-                                     weights.pop())
-
-
-def kepler_grid(s: RadialState | Sequence[RadialState]) -> RadialGrid:
-    """400 points of t from nu/40 to the state's decay cutoff, one row per
-    state for a list of states.  At x = 2t/nu = 0.05 the cancelling
-    centrifugal and Coulomb terms are within a fixed multiple of |E|, the
-    scale of the residual, whatever the state."""
-    from . import radial
-    return _state_sized(
-        s, 400, lambda x: float(x.nu) / 40.0,
-        lambda x: float(x.nu) * radial.decay_cutoff(x) / 2.0,
-        lambda x: 2 * x.params.n)
-
-
-def oscillator_grid(s: RadialState | Sequence[RadialState]) -> RadialGrid:
-    """300 points of r from 0.1 to the state's decay cutoff, one row per
-    state for a list of states."""
-    from . import radial
-    return _state_sized(s, 300, lambda x: 0.1,
-                        lambda x: math.sqrt(radial.decay_cutoff(x)),
-                        lambda x: 4 * x.params.n - 1)
 
 
 def _resolved(name: str, sweep: Callable[[], float],
@@ -207,10 +163,9 @@ def residuals() -> list[CheckResult]:
     for n in (2, 3):
         states = [radial.RadialState(spectral.ModelParams(n, sb), k, l)
                   for sb in range(4) for k in range(1, 6) for l in range(4)]
-        worst_k = functools.reduce(worse, radial.residuals(
-            "kepler", states, kepler_grid(states)).tolist(), 0.0)
-        worst_o = functools.reduce(worse, radial.residuals(
-            "oscillator", states, oscillator_grid(states)).tolist(), 0.0)
+        worst_k, worst_o = (functools.reduce(
+            worse, radial.residuals(op, states)[0].tolist(), 0.0)
+            for op in ("kepler", "oscillator"))
         back: dict[tuple[int, int], Fraction] = {}
         back_ok = 0
         for s in states:

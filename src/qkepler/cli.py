@@ -80,20 +80,16 @@ def _cmd_residual(args, params) -> list[CheckResult]:
     s = radial.RadialState(spectral.ModelParams(args.n, args.sigma),
                            args.k, args.l)
     tol = checks.RESIDUAL_TOL
-    if args.which == "kepler":
-        grid = checks.kepler_grid(s)
-        params["t_max"] = float(grid.points[-1])
-        r = radial.kepler_residual(s, grid)
-        return [row("kepler-residual", residual=r, tolerance=tol,
-                    passed=r < tol)]
-    grid = checks.oscillator_grid(s)
-    params["r_max"] = float(grid.points[-1])
-    r = radial.oscillator_residual(s, grid)
-    back = radial.oscillator_eigenvalue_exact(s)
-    return [row("oscillator-residual", residual=r, tolerance=tol,
-                passed=r < tol),
-            row("eigenvalue-readback", lhs=back, rhs=s.oscillator_level,
-                passed=back == s.oscillator_level)]
+    (r,), (end,) = (v.tolist() for v in radial.residuals(args.which, [s]))
+    params["t_max" if args.which == "kepler" else "r_max"] = end
+    rows = [row(f"{args.which}-residual", residual=r, tolerance=tol,
+                passed=r < tol)]
+    if args.which == "oscillator":
+        back = radial.oscillator_eigenvalue_exact(s)
+        rows.append(row("eigenvalue-readback", lhs=back,
+                        rhs=s.oscillator_level,
+                        passed=back == s.oscillator_level))
+    return rows
 
 
 def _cmd_eigensolve(args, params) -> list[CheckResult]:

@@ -23,12 +23,13 @@ alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
 on the oscillator side) is divided out, H(wP) = w H~P, with analytic
 Laguerre derivatives.  The reduced operator reads the state's numbers
 as scalars or as column vectors, and its point as a Fraction or a float
-array.  The float residuals are batched: ``residuals`` evaluates H~ once
-per Laguerre degree on the stacked grids of all states of that degree,
-and ``kepler_residual`` and ``oscillator_residual`` are batches of one.
-They weight H~P - E P by the envelope over its largest value on each
-grid row, formed in log space, so no power of t or r ever overflows; the
-exact read-back is H~P/P at a rational point.
+array.  The float residuals are batched: ``residuals`` sizes one grid
+row per state from the state and evaluates H~ once per Laguerre degree
+on the stacked rows of all states of that degree.  It weights H~P - E P
+by the envelope over its largest value on each row, formed in log space,
+so no power of t or r ever overflows; the exact read-back is H~P/P at a
+rational point.  ``kepler_residual`` and ``oscillator_residual`` run the
+same kernel on a caller's ``RadialGrid``; only the benchmark calls them.
 
 ``laguerre_eigenvalues`` computes the levels of one channel by a
 Laguerre-Galerkin route in numpy alone with a two-size error estimate;
@@ -134,12 +135,14 @@ class RadialState:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive sample points with a measure exponent.
+    """Strictly increasing positive finite sample points, shape (P,), with
+    a measure exponent.
 
-    ``points`` is one grid, shape (P,), or one grid row per state, shape
-    (S, P); every row is checked.  ``weight_exponent`` records the volume
-    weight of the coordinate the points live in: 2n for the t coordinate,
-    4n-1 for the oscillator coordinate r, 4n-4 for rho.
+    ``weight_exponent`` records the volume weight of the coordinate the
+    points live in: 2n for the t coordinate, 4n-1 for the oscillator
+    coordinate r, 4n-4 for rho.  Only :func:`kepler_residual` and
+    :func:`oscillator_residual` read a grid; :func:`residuals` sizes its
+    own rows from the states.
     """
 
     points: np.ndarray
@@ -148,20 +151,20 @@ class RadialGrid:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if pts.ndim not in (1, 2) or pts.shape[-1] < 2:
-            raise ValueError("need a grid, or one grid row per state, "
-                             "with >= 2 points")
-        if np.any(pts[..., 0] <= 0.0):
+        if pts.ndim != 1 or pts.size < 2:
+            raise ValueError("need a 1-D grid of >= 2 points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
+        if pts[0] <= 0.0:
             raise ValueError("first grid point must be positive")
-        if np.any(np.diff(pts, axis=-1) <= 0.0):
+        if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
 
     @staticmethod
-    def uniform(lo: ArrayLike, hi: ArrayLike, num: int,
+    def uniform(lo: float, hi: float, num: int,
                 weight_exponent: int) -> "RadialGrid":
-        """``num`` uniform points from lo to hi; one row per entry when lo
-        and hi are arrays."""
-        return RadialGrid(np.linspace(lo, hi, num, axis=-1), weight_exponent)
+        """``num`` uniform points from lo to hi."""
+        return RadialGrid(np.linspace(lo, hi, num), weight_exponent)
 
 
 def _laguerre(a, m, x):
@@ -372,15 +375,12 @@ def _oscillator_terms(states: Sequence[RadialState], r: np.ndarray, m: int):
 _TERMS = {"kepler": _kepler_terms, "oscillator": _oscillator_terms}
 
 
-def residuals(operator: str, states: Sequence[RadialState],
-              grid: RadialGrid) -> np.ndarray:
-    """The residual of each state on its row of ``grid``, for the operator
-    "kepler" (:func:`kepler_residual`) or "oscillator"
-    (:func:`oscillator_residual`).
+def _residuals(operator: str, states: Sequence[RadialState],
+               points: np.ndarray) -> np.ndarray:
+    """The residual of each state on its row of ``points``, shape (S, P).
 
-    ``grid`` has one row per state, or is a single grid for a single
-    state.  The states are grouped by Laguerre degree m, the one number
-    the recurrence loops over, and each degree is one evaluation of the
+    The states are grouped by Laguerre degree m, the one number the
+    recurrence loops over, and each degree is one evaluation of the
     reduced operator on its stacked rows, with the other numbers of the
     states as column vectors, or as one number where the states agree.
     Each point goes through the same operations whatever the batch, so a
@@ -388,11 +388,6 @@ def residuals(operator: str, states: Sequence[RadialState],
     wH~P carry the envelope w over its largest value on the row: no power
     of t or r is ever taken.
     """
-    if operator not in _TERMS:
-        raise ValueError(f"unknown operator {operator!r}")
-    points = np.atleast_2d(grid.points)
-    if len(points) != len(states):
-        raise ValueError(f"{len(states)} states on {len(points)} grid rows")
     rows_of: dict[int, list[int]] = {}
     for i, s in enumerate(states):
         rows_of.setdefault(s.laguerre_degree, []).append(i)
@@ -407,11 +402,34 @@ def residuals(operator: str, states: Sequence[RadialState],
     return out
 
 
+def residuals(operator: str, states: Sequence[RadialState]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, row end) of each state, for the operator "kepler"
+    (:func:`kepler_residual`) or "oscillator" (:func:`oscillator_residual`)
+    on a grid row sized from the state, ending at :func:`decay_cutoff`.
+
+    Kepler: 400 points of t from nu/40 to nu * cutoff / 2.  At x = 2t/nu
+    = 0.05 the cancelling centrifugal and Coulomb terms are within a
+    fixed multiple of |E|, the scale of the residual, whatever the state.
+    Oscillator: 300 points of r from 0.1 to sqrt(cutoff).
+    """
+    if operator not in _TERMS:
+        raise ValueError(f"unknown operator {operator!r}")
+    cut = np.array([decay_cutoff(s) for s in states])
+    if operator == "kepler":
+        nu = np.array([float(s.nu) for s in states])
+        points = np.linspace(nu / 40.0, nu * cut / 2.0, 400, axis=-1)
+    else:
+        points = np.linspace(np.full(len(states), 0.1), np.sqrt(cut), 300,
+                             axis=-1)
+    return _residuals(operator, states, points), points[:, -1]
+
+
 def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
-    """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2): scale-free,
-    where over max|f| alone the bound would loosen as 1/nu^2.  A batch of
-    one of :func:`residuals`."""
-    return float(residuals("kepler", [s], grid)[0])
+    """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2), on
+    ``grid``: scale-free, where over max|f| alone the bound would loosen
+    as 1/nu^2."""
+    return float(_residuals("kepler", [s], grid.points[None])[0])
 
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -433,29 +451,22 @@ def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
 
 
 def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
-    """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f.
-    A batch of one of :func:`residuals`."""
-    return float(residuals("oscillator", [s], grid)[0])
+    """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f
+    on ``grid``."""
+    return float(_residuals("oscillator", [s], grid.points[None])[0])
 
 
-def oscillator_eigenvalue_exact(s: RadialState,
-                                x: Union[int, Fraction] = Fraction(7, 3)) -> Fraction:
-    """Rational readback H~P/P of the oscillator eigenvalue at r^2 = x.
+def oscillator_eigenvalue_exact(s: RadialState) -> Fraction:
+    """Rational read-back H~P/P of the oscillator eigenvalue at r^2 = 7/3.
 
     The envelope cancels from Hf/f, so exact arithmetic returns 2I +
-    sigma_bar + 2n as a Fraction.  A point at a zero of the Laguerre factor
-    moves to a nearby rational (a degree-m polynomial has m roots at most).
+    sigma_bar + 2n as a Fraction.  P(7/3) is never 0: m! L^a_m has integer
+    coefficients and leading coefficient (-1)^m, so every rational root of
+    P is an integer.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
-    for shift in range(s.laguerre_degree + 1):
-        P, HP = _oscillator_reduced(x + Fraction(shift, 97), s.params.n,
-                                    s.two_ell, s.laguerre_index,
-                                    s.laguerre_degree)
-        if P != 0:
-            return HP / P
-    raise ValueError("could not avoid the Laguerre zeros")
+    P, HP = _oscillator_reduced(Fraction(7, 3), s.params.n, s.two_ell,
+                                s.laguerre_index, s.laguerre_degree)
+    return HP / P
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 from .laurent import Laurent
 from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
@@ -40,7 +40,6 @@ __all__ = [
     "hspace_weight",
     "KtypeCheck",
     "ktype_dim_check",
-    "rkappa_weight",
     "MiczReport",
     "micz_check",
 ]
@@ -228,21 +227,6 @@ def ktype_dim_check(p: ModelParams, I: int) -> KtypeCheck:
     shifted = ktype_weight(p, I).shifted(shift)
     u2n = weyl_dim(RootSystem("A", 2 * p.n - 1), shifted)
     return KtypeCheck(u2n_dim=u2n, sp_sum=degeneracy(p, I))
-
-
-def rkappa_weight(n: int, sigma_bar: int, l: int,
-                  kappa: Union[int, Fraction],
-                  conjugate: bool = False) -> HighestWeight:
-    """The length-2n weight (l+sigma_bar+kappa, l+kappa, kappa, ..., kappa).
-
-    With ``conjugate`` set, returns the reversed and negated form
-    (-kappa, ..., -kappa, -(l+kappa), -(l+sigma_bar+kappa)).  The K-type
-    weight of level I is the conjugate form with kappa = 1 and l = I.
-    """
-    kap = Fraction(kappa)
-    entries = [l + sigma_bar + kap, l + kap] + [kap] * (2 * n - 2)
-    hw = HighestWeight(entries)
-    return hw.conjugate() if conjugate else hw
 
 
 # the constant that conjugation by rho^(3/2) adds to the centrifugal term

@@ -354,9 +354,9 @@ def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
      "ktype", "ValueError: weight ("),
     (raise_in(spectral, "energy"), ["spectrum", *MODEL],
      "spectrum", "RuntimeError: energy is broken"),
-    (raise_in(radial, "kepler_residual"),
+    (raise_in(radial, "residuals"),
      ["residual", "kepler", *MODEL, "--k", "1", "--l", "0"],
-     "residual kepler", "RuntimeError: kepler_residual is broken"),
+     "residual kepler", "RuntimeError: residuals is broken"),
     (raise_in(radial, "laguerre_eigenvalues"),
      ["eigensolve", *MODEL, "--l", "0"],
      "eigensolve", "RuntimeError: laguerre_eigenvalues is broken"),

@@ -83,22 +83,19 @@ def test_argument_errors_load_no_numpy(argv):
     assert not modules & {"numpy", "scipy"}
 
 
-def test_every_exported_name_resolves():
-    for name in qkepler.__all__:
-        assert getattr(qkepler, name) is not None
-    assert set(qkepler.__all__) <= set(dir(qkepler))
-    assert qkepler.radial.RadialState is qkepler.RadialState
-    with pytest.raises(AttributeError):
-        qkepler.no_such_name
+def test_import_qkepler_loads_no_submodule_and_no_numpy():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, qkepler; print(json.dumps("
+         "sorted(m for m in sys.modules if m.startswith(('qkepler.', "
+         "'numpy')))))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == []
 
 
 def test_every_submodule_name_resolves():
-    # each name a submodule lists in __all__ exists, and each lazy export
-    # of the package is listed in its submodule's __all__
+    # each name a submodule lists in __all__ exists
     for info in pkgutil.iter_modules(qkepler.__path__):
         module = importlib.import_module(f"qkepler.{info.name}")
         for name in module.__all__:
             assert hasattr(module, name), f"qkepler.{info.name}.{name}"
-    for mod, names in qkepler._EXPORTS.items():
-        exported = importlib.import_module(f"qkepler.{mod}").__all__
-        assert set(names) <= set(exported), mod

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from qkepler import checks, radial
-from qkepler.checks import kepler_grid, oscillator_grid
 from qkepler.cli import run
 from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
@@ -113,26 +112,16 @@ def test_radial_grid_validation():
         RadialGrid(np.array([0.0, 1.0]), 4)
     with pytest.raises(ValueError):
         RadialGrid(np.array([1.0, 1.0]), 4)
+    # nan compares false with everything, so only a finiteness test
+    # catches it; inf would reach the residual as nan
+    for bad in ([0.1, np.nan, 1.0], [0.1, 0.5, np.inf]):
+        with pytest.raises(ValueError):
+            RadialGrid(np.array(bad), 4)
+    with pytest.raises(ValueError):
+        RadialGrid(np.ones((2, 2)), 4)
     g = RadialGrid.uniform(0.5, 2.0, 4, 4)
     assert g.points.shape == (4,)
     assert g.weight_exponent == 4
-
-
-def test_radial_grid_checks_every_row():
-    rows = RadialGrid.uniform(np.array([0.5, 1.0]), np.array([2.0, 3.0]), 4, 4)
-    assert rows.points.shape == (2, 4)
-    assert np.array_equal(rows.points[1],
-                          RadialGrid.uniform(1.0, 3.0, 4, 4).points)
-    good = [0.5, 1.0, 1.5]
-    for bad in ([0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [0.5, 1.0, 1.0],
-                [0.5, 2.0, 1.5]):
-        with pytest.raises(ValueError):
-            RadialGrid(np.array([good, bad]), 4)
-    with pytest.raises(ValueError):
-        RadialGrid(np.ones((2, 2, 2)), 4)
-    states = [RadialState(ModelParams(n, 0), 1, 0) for n in (2, 3)]
-    with pytest.raises(ValueError):
-        kepler_grid(states)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +299,8 @@ def test_residuals_on_state_sized_grids(n, sigma_bar, k, l):
     s = RadialState(ModelParams(n, sigma_bar), k, l)
     # the worst Kepler residual of the 149240 states in range is 2.6e-11,
     # at (2, 4, 40, 0), on the grid that starts at x = 2t/nu = 0.05
-    for resid in (kepler_residual(s, kepler_grid(s)),
-                  oscillator_residual(s, oscillator_grid(s))):
+    for operator in ("kepler", "oscillator"):
+        [resid], _ = radial.residuals(operator, [s])
         assert math.isfinite(resid) and resid < 1e-10
     assert oscillator_eigenvalue_exact(s) == s.oscillator_level
 
@@ -326,24 +315,29 @@ residual_state = st.builds(lambda sb, k, l: (sb, k, l), st.integers(0, 12),
 @settings(max_examples=40, deadline=None)
 def test_batched_residuals_equal_batches_of_one(n, keys):
     # the kernel groups a batch by Laguerre degree; each state's residual
-    # must not depend on the states beside it, to the last bit
+    # must not depend on the states beside it, to the last bit, and the
+    # grid route of the single-state functions reads the same row
     states = [RadialState(ModelParams(n, sb), k, l) for sb, k, l in keys]
-    for operator, grid, single in (("kepler", kepler_grid, kepler_residual),
-                                   ("oscillator", oscillator_grid,
-                                    oscillator_residual)):
-        batch = radial.residuals(operator, states, grid(states))
-        alone = np.array([single(s, grid(s)) for s in states])
-        assert np.array_equal(batch, alone)
-        assert np.array_equal(grid(states).points,
-                              np.array([grid(s).points for s in states]))
+    for operator, single in (("kepler", kepler_residual),
+                             ("oscillator", oscillator_residual)):
+        batch, ends = radial.residuals(operator, states)
+        for s, r, end in zip(states, batch, ends):
+            [alone], [alone_end] = radial.residuals(operator, [s])
+            cut = radial.decay_cutoff(s)
+            row = (RadialGrid.uniform(float(s.nu) / 40.0,
+                                      float(s.nu) * cut / 2.0, 400,
+                                      2 * s.params.n)
+                   if operator == "kepler" else
+                   RadialGrid.uniform(0.1, math.sqrt(cut), 300,
+                                      4 * s.params.n - 1))
+            assert r == alone == single(s, row)
+            assert end == alone_end == row.points[-1]
 
 
 def test_batched_residuals_validation():
     states = [RadialState(ModelParams(2, 0), k, 0) for k in (1, 2)]
     with pytest.raises(ValueError):
-        radial.residuals("coulomb", states, kepler_grid(states))
-    with pytest.raises(ValueError):
-        radial.residuals("kepler", states, kepler_grid(states[0]))
+        radial.residuals("coulomb", states)
 
 
 def test_residual_check_evaluates_once_per_degree(monkeypatch):
@@ -369,20 +363,25 @@ def test_kepler_residual_is_scale_free(monkeypatch):
     # at nu = 202, E = -1.2e-5: an energy off by 1e-4 of itself must read
     # 1e-4, not 1e-4 |E| (which passed the 1e-8 bound before)
     s = RadialState(ModelParams(2, 0), 1, 200)
-    assert kepler_residual(s, kepler_grid(s)) < 1e-12
+    assert radial.residuals("kepler", [s])[0][0] < 1e-12
     monkeypatch.setattr(radial, "energy",
                         lambda p, I: energy(p, I) * Fraction(10001, 10000))
-    assert kepler_residual(s, kepler_grid(s)) == pytest.approx(1e-4, rel=1e-3)
+    assert radial.residuals("kepler", [s])[0][0] == pytest.approx(1e-4,
+                                                                  rel=1e-3)
 
 
 def test_state_sized_grids_reach_past_the_turning_point():
     # the t-turning point 2 nu^2 and the r-turning point sqrt(2 lambda)
     # of the level lambda = 2 nu both lie inside the grids
-    for s in states(n_values=(2, 8), smax=12, kmax=12, lmax=12):
-        nu = float(s.nu)
-        assert kepler_grid(s).points[-1] > 2.0 * nu ** 2
-        assert oscillator_grid(s).points[-1] > math.sqrt(4.0 * nu)
-    assert kepler_grid(RadialState(ModelParams(2, 0), 1, 0)).points[-1] == 40.0
+    sample = list(states(n_values=(2, 8), smax=12, kmax=12, lmax=12))
+    nu = np.array([float(s.nu) for s in sample])
+    _, t_end = radial.residuals("kepler", sample)
+    _, r_end = radial.residuals("oscillator", sample)
+    assert np.all(t_end > 2.0 * nu ** 2)
+    assert np.all(r_end > np.sqrt(4.0 * nu))
+    _, [t_end] = radial.residuals("kepler", [RadialState(ModelParams(2, 0),
+                                                         1, 0)])
+    assert t_end == 40.0
 
 
 def test_kepler_reduced_operator_is_exact_at_rational_points():
@@ -562,11 +561,15 @@ def test_wrong_channel_fails_oscillator_finite_difference_route():
 
 
 def test_oscillator_exact_readback_at_chosen_points():
+    # the reduced operator follows its input: at a Fraction it returns
+    # H~P = lambda P with no rounding, as on the Kepler side
     s = RadialState(ModelParams(3, 1), 4, 2)
     for x in (2, Fraction(5, 7), Fraction(13, 4)):
-        assert oscillator_eigenvalue_exact(s, x) == s.oscillator_level
-    with pytest.raises(ValueError):
-        oscillator_eigenvalue_exact(s, Fraction(-1, 2))
+        P, HP = radial._oscillator_reduced(
+            Fraction(x), s.params.n, s.two_ell, s.laguerre_index,
+            s.laguerre_degree)
+        assert isinstance(HP, Fraction)
+        assert HP == s.oscillator_level * P
 
 
 def test_oscillator_profile_past_the_double_range_of_its_power():

@@ -21,7 +21,6 @@ from qkepler.spectral import (
     ktype_weight,
     micz_check,
     oscillator_level_dim,
-    rkappa_weight,
     _series_inverse_one_minus_t_pow,
 )
 
@@ -176,21 +175,14 @@ def test_ktype_dim_check_sweep(n):
             assert ktype_dim_check(p, I).passed
 
 
-def test_rkappa_weight_forms():
-    assert rkappa_weight(2, 1, 2, 1).entries == (4, 3, 1, 1)
-    assert rkappa_weight(2, 1, 2, 1, conjugate=True).entries == (-1, -1, -3, -4)
-    half = rkappa_weight(2, 0, 1, Fraction(1, 2))
-    assert half.entries == (Fraction(3, 2), Fraction(3, 2),
-                            Fraction(1, 2), Fraction(1, 2))
-
-
 def test_ktype_weight_is_conjugate_rkappa_at_one():
+    # the conjugate of (I+sbar+kappa, I+kappa, kappa, ..., kappa), kappa = 1
     for n in (2, 3):
         for sigma_bar in range(4):
             p = ModelParams(n, sigma_bar)
             for I in range(5):
-                assert ktype_weight(p, I) == \
-                    rkappa_weight(n, sigma_bar, I, 1, conjugate=True)
+                assert ktype_weight(p, I) == HighestWeight(
+                    [I + sigma_bar + 1, I + 1] + [1] * (2 * n - 2)).conjugate()
 
 
 def test_rkappa_dimension_matches_constituent():
@@ -199,7 +191,7 @@ def test_rkappa_dimension_matches_constituent():
     rs = RootSystem("A", 3)
     for sigma_bar in range(3):
         for l in range(3):
-            hw = rkappa_weight(2, sigma_bar, l, 1)
+            hw = HighestWeight([l + sigma_bar + 1, l + 1, 1, 1])
             assert weyl_dim(rs, hw) == weyl_dim(rs, hw.conjugate())
 
 
