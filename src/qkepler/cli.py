@@ -12,13 +12,14 @@ grid, or a fault.  A command, or one check of `verify`, that raises
 becomes one failed row named after it, with the exception as lhs and the
 traceback on stderr.  `verify all` runs every check of
 ``qkepler.checks`` and is the CI gate.  Reports are deterministic, a
-command imports numpy only if it uses it, and none imports scipy.
+command imports numpy only if it uses it, and none imports scipy.  The
+records are NamedTuples, not data classes, so no command imports that
+module, nor ``inspect`` unless numpy does.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from typing import Callable, Optional, Sequence
@@ -265,8 +266,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     report = Report(name, params, rows, seed=seed)
     if args.timestamp:
         from datetime import datetime, timezone
-        report = dataclasses.replace(
-            report, timestamp=datetime.now(timezone.utc).isoformat())
+        report = report._replace(
+            timestamp=datetime.now(timezone.utc).isoformat())
     sys.stdout.write(emit(report, args.format))
     return 0 if report.passed else 1
 

@@ -41,10 +41,9 @@ imports scipy, is kept only for the benchmark's ``radial`` workload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -87,19 +86,25 @@ class UnderResolved(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class RadialState:
-    """One bound state (k, l) of the model ``params``."""
-
+class _RadialState(NamedTuple):
     params: ModelParams
     k: int
     l: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+
+class RadialState(_RadialState):
+    """One bound state (k, l) of the model ``params``.
+
+    No ``__slots__``: the instance dict holds the cached ``ell`` and
+    ``nu``, which the residual and profile code read thousands of times.
+    """
+
+    def __new__(cls, params: ModelParams, k: int, l: int) -> RadialState:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("l must be >= 0")
+        return super().__new__(cls, params, k, l)
 
     @property
     def I(self) -> int:
@@ -133,7 +138,6 @@ class RadialState:
         return 2 * self.I + self.params.sigma_bar + 2 * self.params.n
 
 
-@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing positive finite sample points, shape (P,), with
     a measure exponent.
@@ -142,15 +146,15 @@ class RadialGrid:
     points live in: 2n for the t coordinate, 4n-1 for the oscillator
     coordinate r, 4n-4 for rho.  Only :func:`kepler_residual` and
     :func:`oscillator_residual` read a grid; :func:`residuals` sizes its
-    own rows from the states.
+    own rows from the states.  Immutable, and equal only to itself.
     """
 
-    points: np.ndarray
-    weight_exponent: int
+    __slots__ = ("points", "weight_exponent")
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points: np.ndarray, weight_exponent: int):
+        pts = np.asarray(points, dtype=float)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weight_exponent", weight_exponent)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("need a 1-D grid of >= 2 points")
         if not np.all(np.isfinite(pts)):
@@ -159,6 +163,9 @@ class RadialGrid:
             raise ValueError("first grid point must be positive")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @staticmethod
     def uniform(lo: float, hi: float, num: int,
@@ -169,7 +176,9 @@ class RadialGrid:
 
 def _laguerre(a, m, x):
     """L^a_m(x) by the recurrence in the degree, 0 for m < 0; ``x`` is a
-    float array or a Fraction, and the arithmetic follows it."""
+    float array, or a Fraction for the exact value."""
+    if isinstance(x, Fraction):
+        return _laguerre_rational(a, m, x)
     if m < 0:
         return x * 0
     prev = x * 0 + 1
@@ -179,6 +188,25 @@ def _laguerre(a, m, x):
     for i in range(1, m):
         prev, cur = cur, ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
     return cur
+
+
+def _laguerre_rational(a: int, m: int, x: Fraction) -> Fraction:
+    """L^a_m(p/q) exactly, for an integer index a: the recurrence on the
+    integers T_i = i! q^i L^a_i(p/q),
+
+        T_0 = 1,  T_1 = (1+a)q - p,
+        T_{i+1} = ((2i+1+a)q - p) T_i - i(i+a) q^2 T_{i-1},
+
+    and one division T_m / (m! q^m) at the end, where Fraction arithmetic
+    would reduce by a gcd at every step."""
+    if m < 0:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    prev, cur = 0, 1  # T_{-1} and T_0: the step at i = 0 gives T_1
+    for i in range(m):
+        prev, cur = cur, (((2 * i + 1 + a) * q - p) * cur
+                          - i * (i + a) * q * q * prev)
+    return Fraction(cur, math.factorial(m) * q ** m)
 
 
 def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:

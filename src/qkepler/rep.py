@@ -22,9 +22,8 @@ nothing imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .laurent import Laurent
 
@@ -43,15 +42,15 @@ __all__ = [
 WeightEntry = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class HighestWeight:
     """A weight vector with integer or half-integer entries.
 
     Entries are stored internally as doubled integers; ``entries`` gives
-    them back as Fractions.
+    them back as Fractions.  Immutable, and equal, hashed and sized by
+    its entries.
     """
 
-    twice: tuple[int, ...]
+    __slots__ = ("twice",)
 
     def __init__(self, entries: Sequence[WeightEntry]):
         doubled = []
@@ -64,6 +63,20 @@ class HighestWeight:
                 raise ValueError(f"entry {e} is not a half integer")
             doubled.append(int(d))
         object.__setattr__(self, "twice", tuple(doubled))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HighestWeight):
+            return NotImplemented
+        return self.twice == other.twice
+
+    def __hash__(self) -> int:
+        return hash(self.twice)
+
+    def __repr__(self) -> str:
+        return f"HighestWeight(twice={self.twice!r})"
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -81,18 +94,22 @@ class HighestWeight:
         return HighestWeight([-e for e in reversed(self.entries)])
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """A classical root system of family A or C with the given rank."""
-
+class _RootSystem(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "C"):
-            raise ValueError(f"unsupported family {self.family!r}")
-        if self.rank < 1:
+
+class RootSystem(_RootSystem):
+    """A classical root system of family A or C with the given rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> RootSystem:
+        if family not in ("A", "C"):
+            raise ValueError(f"unsupported family {family!r}")
+        if rank < 1:
             raise ValueError("rank must be positive")
+        return super().__new__(cls, family, rank)
 
     @property
     def weight_length(self) -> int:

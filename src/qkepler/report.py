@@ -9,13 +9,9 @@ exact rationals are printed as fractions and never coerced to float.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 __all__ = ["CheckResult", "Report", "row", "worse", "emit", "report_from_json"]
 
@@ -45,8 +41,7 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named comparison; lhs and rhs may be numbers or exact rationals."""
 
     name: str
@@ -78,14 +73,13 @@ def worse(a: float, b: float) -> float:
     return b if b != b or b > a else a
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     parameters: dict
     results: Sequence[CheckResult]
     seed: Optional[int] = None
     timestamp: Optional[str] = None
-    schema: str = field(default=SCHEMA)
+    schema: str = SCHEMA
 
     @property
     def passed(self) -> bool:
@@ -116,6 +110,8 @@ def _emit_text(report: Report) -> str:
 
 
 def _emit_csv(report: Report) -> str:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "lhs", "rhs", "residual", "tolerance", "pass"])
@@ -127,6 +123,7 @@ def _emit_csv(report: Report) -> str:
 
 
 def _emit_json(report: Report) -> str:
+    import json
     payload = {
         "schema": report.schema,
         "command": report.command,
@@ -163,6 +160,7 @@ def emit(report: Report, fmt: str = "text") -> str:
 
 def report_from_json(text: str) -> Report:
     """Rebuild a Report from its json emission (floats and strings only)."""
+    import json
     payload = json.loads(text)
     results = tuple(
         CheckResult(name=row["name"], lhs=row["lhs"], rhs=row["rhs"],

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .laurent import Laurent
 from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
@@ -45,32 +44,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """The pair (n, sigma_bar) fixing one model; requires n >= 2."""
-
+class _ModelParams(NamedTuple):
     n: int
     sigma_bar: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+
+class ModelParams(_ModelParams):
+    """The pair (n, sigma_bar) fixing one model; requires n >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, sigma_bar: int) -> ModelParams:
+        if n < 2:
             raise ValueError("n must be >= 2")
-        if self.sigma_bar < 0:
+        if sigma_bar < 0:
             raise ValueError("sigma_bar must be >= 0")
+        return super().__new__(cls, n, sigma_bar)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Radial number k >= 1 and angular number l >= 0."""
-
+class _QuantumNumbers(NamedTuple):
     k: int
     l: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+
+class QuantumNumbers(_QuantumNumbers):
+    """Radial number k >= 1 and angular number l >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, l: int) -> QuantumNumbers:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("l must be >= 0")
+        return super().__new__(cls, k, l)
 
     @property
     def I(self) -> int:
@@ -115,8 +122,7 @@ def oscillator_level_dim(n: int, k: int) -> int:
     return math.comb(4 * n + k - 1, 4 * n - 1)
 
 
-@dataclass(frozen=True)
-class EqualityCheck:
+class EqualityCheck(NamedTuple):
     lhs: int
     rhs: int
 
@@ -159,8 +165,7 @@ def _series_inverse_one_minus_t_pow(m: int, K: int) -> list[int]:
     return inv
 
 
-@dataclass(frozen=True)
-class GenfuncCheck:
+class GenfuncCheck(NamedTuple):
     coefficients: tuple[int, ...]  # enumerated left-hand side, degree 0..K
     binomial: tuple[int, ...]      # C(4n+k-1, 4n-1)
     inverted: tuple[int, ...]      # series coefficients of (1-t)^(-4n)
@@ -206,8 +211,7 @@ def hspace_weight(p: ModelParams) -> HighestWeight:
     return HighestWeight([-1] * (2 * p.n - 1) + [-(1 + p.sigma_bar)])
 
 
-@dataclass(frozen=True)
-class KtypeCheck:
+class KtypeCheck(NamedTuple):
     u2n_dim: int
     sp_sum: int
 
@@ -262,8 +266,7 @@ def _micz_radial(phi: Laurent, sigma_bar: int) -> Laurent:
             - r(-1) * phi)
 
 
-@dataclass(frozen=True)
-class MiczReport:
+class MiczReport(NamedTuple):
     sigma_bar: int
     spectrum_exact: bool
     operator_exact: tuple[bool, ...]  # on Phi = r^j, j = 0, 1, 2, 3

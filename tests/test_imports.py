@@ -1,7 +1,9 @@
 """Cold start: each command loads only the layers it uses.
 
 Every case runs in a fresh interpreter, since this one has long since
-imported numpy and scipy.  No command loads scipy.
+imported numpy and scipy.  No command loads scipy, and one that loads no
+numpy loads neither ``dataclasses`` nor ``inspect`` (numpy imports
+``inspect`` itself).
 """
 
 import importlib
@@ -29,6 +31,9 @@ print(json.dumps([code, sorted({m.split(".")[0] for m in sys.modules})]))
 EXACT_CHECKS = ("collapse", "dim-equality", "genfunc", "dims", "ktype-dims",
                 "casimir")
 
+# what a command that needs no numpy leaves unloaded
+NO_NUMPY = {"numpy", "scipy", "dataclasses", "inspect"}
+
 
 def fresh_run(argv):
     """Exit code and top-level modules loaded after ``cli.run(argv)``."""
@@ -40,11 +45,9 @@ def fresh_run(argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["spectrum", "--n", "3", "--sigma", "2"], {"numpy", "scipy"}),
-    (["degeneracy", "--n", "8", "--sigma", "12", "--imax", "20"],
-     {"numpy", "scipy"}),
-    (["ktype", "--n", "8", "--sigma", "12", "--imax", "20"],
-     {"numpy", "scipy"}),
+    (["spectrum", "--n", "3", "--sigma", "2"], NO_NUMPY),
+    (["degeneracy", "--n", "8", "--sigma", "12", "--imax", "20"], NO_NUMPY),
+    (["ktype", "--n", "8", "--sigma", "12", "--imax", "20"], NO_NUMPY),
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2",
       "--normalized"], {"scipy"}),
     (["residual", "kepler", "--n", "2", "--sigma", "1", "--k", "3", "--l",
@@ -53,12 +56,11 @@ def fresh_run(argv):
       "--l", "0"], {"scipy"}),
     # the command and the gate share the numpy-only Laguerre route
     (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], {"scipy"}),
-    (["micz", "--sigma", "2"], {"numpy", "scipy"}),
-    (["verify", "micz"], {"numpy", "scipy"}),
-    (["verify", "schur"], {"numpy", "scipy"}),
+    (["micz", "--sigma", "2"], NO_NUMPY),
+    (["verify", "micz"], NO_NUMPY),
+    (["verify", "schur"], NO_NUMPY),
     # the exact checks, counted in integers and Fractions
-    *((["verify", check], {"numpy", "scipy"})
-      for check in EXACT_CHECKS),
+    *((["verify", check], NO_NUMPY) for check in EXACT_CHECKS),
     (["verify", "eigensolve"], {"scipy"}),
     (["verify", "all"], {"scipy"}),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction",
@@ -83,14 +85,36 @@ def test_argument_errors_load_no_numpy(argv):
     assert not modules & {"numpy", "scipy"}
 
 
-def test_import_qkepler_loads_no_submodule_and_no_numpy():
+def loaded_after(code):
+    """Top-level modules loaded after ``code`` in a fresh interpreter,
+    which writes its own output to stderr."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys, qkepler; print(json.dumps("
-         "sorted(m for m in sys.modules if m.startswith(('qkepler.', "
-         "'numpy')))))"],
+        [sys.executable, "-c", code + "\nprint(' '.join(sys.modules))"],
         env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == []
+    return set(proc.stdout.split())
+
+
+def test_import_qkepler_loads_no_submodule_and_no_numpy():
+    modules = loaded_after("import sys, qkepler")
+    assert not {m for m in modules if m.startswith(("qkepler.", "numpy"))}
+
+
+def test_import_cli_loads_no_dataclasses_and_no_inspect():
+    modules = loaded_after("import sys, qkepler.cli")
+    assert "qkepler.cli" in modules
+    assert not modules & NO_NUMPY
+
+
+@pytest.mark.parametrize("fmt, absent", [
+    ("text", {"csv", "json"}), ("csv", {"json"}), ("json", {"csv"})])
+def test_report_formats_load_only_their_own_module(fmt, absent):
+    modules = loaded_after(
+        "import sys\nfrom qkepler.cli import run\n"
+        "sys.stdout, out = sys.stderr, sys.stdout\n"
+        f"run(['spectrum', '--n', '2', '--sigma', '0', '--format', '{fmt}'])\n"
+        "sys.stdout = out")
+    assert not modules & absent
 
 
 def test_every_submodule_name_resolves():
