@@ -11,10 +11,11 @@ that does not hold, a sample past the double range, an under-resolved
 grid, or a fault.  A command, or one check of `verify`, that raises
 becomes one failed row named after it, with the exception as lhs and the
 traceback on stderr.  `verify all` runs every check of
-``qkepler.checks`` and is the CI gate.  Reports are deterministic, a
-command imports numpy only if it uses it, and none imports scipy.  The
-records are NamedTuples, not data classes, so no command imports that
-module, nor ``inspect`` unless numpy does.
+``qkepler.checks`` and is the CI gate; only `verify` and `eigensolve`
+import ``qkepler.checks``.  Reports are deterministic, a command imports
+numpy only if it uses it, and none imports scipy.  The records are
+NamedTuples, not data classes, so no command imports ``dataclasses``,
+nor ``inspect`` unless numpy does.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-from . import checks, spectral
+from . import spectral
 from .report import CheckResult, Report, emit, row
 
 __all__ = ["run", "main"]
@@ -78,23 +79,19 @@ def _cmd_wavefunction(args, params) -> list[CheckResult]:
 
 def _cmd_residual(args, params) -> list[CheckResult]:
     from . import radial
-    s = radial.RadialState(spectral.ModelParams(args.n, args.sigma),
-                           args.k, args.l)
-    tol = checks.RESIDUAL_TOL
-    (r,), (end,) = (v.tolist() for v in radial.residuals(args.which, [s]))
-    params["t_max" if args.which == "kepler" else "r_max"] = end
-    rows = [row(f"{args.which}-residual", residual=r, tolerance=tol,
-                passed=r < tol)]
-    if args.which == "oscillator":
-        back = radial.oscillator_eigenvalue_exact(s)
-        rows.append(row("eigenvalue-readback", lhs=back,
-                        rhs=s.oscillator_level,
-                        passed=back == s.oscillator_level))
-    return rows
+    p = spectral.ModelParams(args.n, args.sigma)
+    s = radial.RadialState(p, args.k, args.l)
+    channel = (p.n, s.two_ell, s.laguerre_degree)
+    if args.which == "kepler":
+        held, points = radial.kepler_ode(*channel, spectral.energy(p, s.I))
+    else:
+        held, points = radial.oscillator_ode(*channel, s.oscillator_level)
+    return [row(f"{args.which}-ode", lhs=held, rhs=points,
+                passed=held == points)]
 
 
 def _cmd_eigensolve(args, params) -> list[CheckResult]:
-    from . import radial
+    from . import checks, radial
     p = spectral.ModelParams(args.n, args.sigma)
     tol = checks.EIGENSOLVE_TOL
     try:
@@ -124,6 +121,7 @@ def _cmd_micz(args, params) -> list[CheckResult]:
 
 
 def _cmd_verify(args, params) -> list[CheckResult]:
+    from . import checks
     rows = []
     for name in checks.REGISTRY if args.check == "all" else [args.check]:
         seed = {"seed": args.seed} if name in checks.SEEDED else {}
@@ -167,6 +165,24 @@ def _positive(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text!r}")
     return value
+
+
+class _FromChecks:
+    """``read(qkepler.checks)``, taken when used (a choice parsed, a help
+    formatted), so that building the parser imports nothing."""
+
+    def __init__(self, read: Callable):
+        self.read = read
+
+    def _value(self):
+        from . import checks
+        return self.read(checks)
+
+    def __iter__(self):  # `in` iterates too
+        return iter(self._value())
+
+    def __str__(self) -> str:
+        return str(self._value())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,11 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vf = command("verify", _cmd_verify,
                  "acceptance checks; 'all' is the CI gate")
-    vf.add_argument("check", choices=(*checks.REGISTRY, "all"))
+    # a metavar, so that add_argument does not iterate the choices
+    vf.add_argument("check", metavar="check", help="%(choices)s",
+                    choices=_FromChecks(lambda c: (*c.REGISTRY, "all")))
     vf.add_argument("--seed", type=_integer(0),
-                    help="seed for the randomized checks, "
-                         f"{' and '.join(sorted(checks.SEEDED))} "
-                         f"(default {checks.SEED})")
+                    help="seed for the randomized checks, %(seeded)s"
+                    ).seeded = _FromChecks(lambda c: (
+                        f"{' and '.join(sorted(c.SEEDED))} "
+                        f"(default {c.SEED})"))
     return parser
 
 
@@ -250,6 +269,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":  # a seed iff the check reads one
+            from . import checks
             if args.check not in {"all", *checks.SEEDED}:
                 if args.seed is not None:
                     parser.error(f"verify {args.check} does not read --seed")

@@ -1,4 +1,4 @@
-"""Radial wavefunctions, ODE residuals, eigensolver and oscillator twist.
+"""Radial wavefunctions, radial equations, eigensolvers and oscillator twist.
 
 Closed-form bound states are generalized Laguerre profiles.  In the
 coordinate t (measure t^{2n} dt) the (k, l) state for parameters
@@ -21,15 +21,13 @@ sum, exact for these profiles (``orthogonality_check``).
 Each radial operator is written once, on the Laguerre polynomial P
 alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
 on the oscillator side) is divided out, H(wP) = w H~P, with analytic
-Laguerre derivatives.  The reduced operator reads the state's numbers
-as scalars or as column vectors, and its point as a Fraction or a float
-array.  The float residuals are batched: ``residuals`` sizes one grid
-row per state from the state and evaluates H~ once per Laguerre degree
-on the stacked rows of all states of that degree.  It weights H~P - E P
-by the envelope over its largest value on each row, formed in log space,
-so no power of t or r ever overflows; the exact read-back is H~P/P at a
-rational point.  ``kepler_residual`` and ``oscillator_residual`` run the
-same kernel on a caller's ``RadialGrid``; only the benchmark calls them.
+Laguerre derivatives, and the result is multiplied through until no
+division is left.  That form is a polynomial of degree at most m + 2 in
+t (or x = r^2), so ``kepler_ode`` and ``oscillator_ode`` check the
+equations exactly on ints at m + 3 points, the energy or level read
+from the library.  ``kepler_residual`` and ``oscillator_residual`` run
+the same lines on a caller's ``RadialGrid`` of floats and divide at the
+end; only the benchmark calls them.
 
 ``laguerre_eigenvalues`` computes the levels of one channel by a
 Laguerre-Galerkin route in numpy alone with a two-size error estimate;
@@ -43,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -60,8 +58,8 @@ __all__ = [
     "radial_rho",
     "radial_norm2_t",
     "radial_norm2_rho",
-    "decay_cutoff",
-    "residuals",
+    "kepler_ode",
+    "oscillator_ode",
     "kepler_residual",
     "eigensolve",
     "laguerre_eigenvalues",
@@ -70,7 +68,6 @@ __all__ = [
     "oscillator_profile",
     "twist_profile",
     "oscillator_residual",
-    "oscillator_eigenvalue_exact",
     "orthogonality_check",
     "GRAM_BUDGET",
 ]
@@ -145,8 +142,8 @@ class RadialGrid:
     ``weight_exponent`` records the volume weight of the coordinate the
     points live in: 2n for the t coordinate, 4n-1 for the oscillator
     coordinate r, 4n-4 for rho.  Only :func:`kepler_residual` and
-    :func:`oscillator_residual` read a grid; :func:`residuals` sizes its
-    own rows from the states.  Immutable, and equal only to itself.
+    :func:`oscillator_residual` read a grid.  Immutable, and equal only to
+    itself.
     """
 
     __slots__ = ("points", "weight_exponent")
@@ -175,38 +172,30 @@ class RadialGrid:
 
 
 def _laguerre(a, m, x):
-    """L^a_m(x) by the recurrence in the degree, 0 for m < 0; ``x`` is a
-    float array, or a Fraction for the exact value."""
-    if isinstance(x, Fraction):
-        return _laguerre_rational(a, m, x)
+    """L^a_m(x) at the float array x by the recurrence in the degree, 0 for
+    m < 0."""
     if m < 0:
         return x * 0
-    prev = x * 0 + 1
-    if m == 0:
-        return prev
-    cur = 1 + a - x
-    for i in range(1, m):
+    prev, cur = x * 0, x * 0 + 1  # L_{-1} and L_0: the step at i = 0 gives L_1
+    for i in range(m):
         prev, cur = cur, ((2 * i + 1 + a - x) * cur - (i + a) * prev) / (i + 1)
     return cur
 
 
-def _laguerre_rational(a: int, m: int, x: Fraction) -> Fraction:
-    """L^a_m(p/q) exactly, for an integer index a: the recurrence on the
-    integers T_i = i! q^i L^a_i(p/q),
+def _laguerre_int(a: int, m: int, p: int, q: int) -> int:
+    """m! q^m L^a_m(p/q) for ints a, p, q, 0 for m < 0: the recurrence on
+    the integers T_i = i! q^i L^a_i(p/q),
 
         T_0 = 1,  T_1 = (1+a)q - p,
-        T_{i+1} = ((2i+1+a)q - p) T_i - i(i+a) q^2 T_{i-1},
-
-    and one division T_m / (m! q^m) at the end, where Fraction arithmetic
-    would reduce by a gcd at every step."""
+        T_{i+1} = ((2i+1+a)q - p) T_i - i(i+a) q^2 T_{i-1}.
+    """
     if m < 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
+        return 0
     prev, cur = 0, 1  # T_{-1} and T_0: the step at i = 0 gives T_1
     for i in range(m):
         prev, cur = cur, (((2 * i + 1 + a) * q - p) * cur
                           - i * (i + a) * q * q * prev)
-    return Fraction(cur, math.factorial(m) * q ** m)
+    return cur
 
 
 def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
@@ -317,147 +306,112 @@ def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> Arra
 
 
 # ---------------------------------------------------------------------------
-# residuals of the reduced operators
+# the radial equations: exact identities and float residuals
 
 
-def decay_cutoff(s: RadialState) -> float:
-    """x = 2t/nu = r^2 = 2.5 (a + 2m + 1) + 30, past the turning point
-    x = 2 (a + 2m + 1) of the state on both sides; the residual grids end
-    there."""
-    return 2.5 * (s.laguerre_index + 2 * s.laguerre_degree + 1) + 30.0
+def _jet(a: int, m: int, u, k: int, q):
+    """(P, P', P'') of P(u) = L^a_m(k u / q), by d/dx L^a_m = -L^{a+1}_{m-1}:
+    the values at a float array u, and at an int u the values times
+    m! q^m, ints from :func:`_laguerre_int`."""
+    if isinstance(u, int):
+        p = k * u
+        return (_laguerre_int(a, m, p, q),
+                -m * k * _laguerre_int(a + 1, m - 1, p, q),
+                m * (m - 1) * k * k * _laguerre_int(a + 2, m - 2, p, q))
+    x, c = k * u / q, k / q
+    return (_laguerre(a, m, x), -c * _laguerre(a + 1, m - 1, x),
+            c * c * _laguerre(a + 2, m - 2, x))
 
 
-def _kepler_reduced(t, n, ell, nu, a, m: int):
-    """(P, H~P) with P = L^a_m(2t/nu) and H(wP) = w H~P, w = t^ell e^{-t/nu}.
+def _kepler_reduced(t, n: int, two_ell: int, m: int):
+    """(P, 2D^2 H~P) on the channel (n, 2 ell, m): P = L^a_m(4t/V), V =
+    2 nu = 2 ell + 2m + 2n, a = 2 ell + 2n - 1, D = 2tV, H(wP) = w H~P, w =
+    t^ell e^{-t/nu}.
 
     H = -(1/(2 t^{2n})) d/dt t^{2n} d/dt + ell(ell+2n-1)/(2t^2) - 1/t.  With
-    g = w'/w, (wP)'/w = P' + gP and (wP)''/w = P'' + 2gP' + (g^2 + g')P.
-    Every term is kept, the cancelling centrifugal 1/t^2 terms included.
-    n, ell, nu and the Laguerre index a are numbers, or column vectors with
-    one row per row of ``t``; the degree m is one int.  The arithmetic
-    follows the inputs: Fractions at a rational t give H~P exactly.
+    g = w'/w = G/D, G = 2 ell V - 4t, (wP)'/w = P' + gP and (wP)''/w = P''
+    + 2gP' + (g^2 + g')P, g' = -ell/t^2.  Times 2D^2 no division is left:
+    a polynomial in t of degree at most m + 2, every term kept, the
+    cancelling centrifugal ones included.  Ints at an int t (P times
+    m! V^m, see :func:`_jet`), floats at a float array.
     """
-    x = 2 * t / nu
-    P = _laguerre(a, m, x)
-    P1 = -2 / nu * _laguerre(a + 1, m - 1, x)
-    P2 = 4 / nu ** 2 * _laguerre(a + 2, m - 2, x)
-    g = ell / t - 1 / nu
-    D1 = P1 + g * P
-    D2 = P2 + 2 * g * P1 + (g * g - ell / t ** 2) * P
-    HP = (-(D2 + 2 * n / t * D1) / 2
-          + ell * (ell + 2 * n - 1) / (2 * t ** 2) * P - P / t)
-    return P, HP
+    V, a = two_ell + 2 * (m + n), two_ell + 2 * n - 1
+    P, P1, P2 = _jet(a, m, t, 4, V)
+    D, G = 2 * t * V, two_ell * V - 4 * t
+    DD1 = D * P1 + G * P
+    DDD2 = D * D * P2 + 2 * G * D * P1 + (G * G - 2 * two_ell * V * V) * P
+    return P, (-DDD2 - 4 * n * V * DD1
+               + two_ell * (two_ell + 4 * n - 2) * V * V * P
+               - 8 * t * V * V * P)
 
 
-def _oscillator_reduced(x, n, L, a, m: int):
-    """(P, H~P) with P = L^a_m(x) and H(wP) = w H~P, w = x^{L/2} e^{-x/2}.
+def _oscillator_reduced(x, n: int, L: int, m: int):
+    """(P, 2x H~P) on the channel (n, L = 2 ell, m): P = L^a_m(x), and
+    H(wP) = w H~P, w = x^{L/2} e^{-x/2}.
 
-    In x = r^2, H = -Lap/2 + r^2/2 on the channel L = 2 ell is -2x d^2/dx^2
-    - 4n d/dx + L(L+4n-2)/(2x) + x/2; g is as in :func:`_kepler_reduced`,
-    and so is the reading of the inputs.  Every term is kept, the
-    cancelling centrifugal 1/x terms included.
+    In x = r^2, H = -Lap/2 + r^2/2 is -2x d^2/dx^2 - 4n d/dx +
+    L(L+4n-2)/(2x) + x/2.  Here D = 2x and G = L - x, so g = G/D, g' =
+    -L/(2x^2), and the rest reads as in :func:`_kepler_reduced`: a
+    polynomial in x of degree at most m + 2, ints at an int x.
     """
-    P = _laguerre(a, m, x)
-    P1 = -_laguerre(a + 1, m - 1, x)
-    P2 = _laguerre(a + 2, m - 2, x)
-    g = (L - x) / (2 * x)
-    D1 = P1 + g * P
-    D2 = P2 + 2 * g * P1 + (g * g - L / (2 * x * x)) * P
-    HP = (-2 * x * D2 - 4 * n * D1
-          + L * (L + 4 * n - 2) / (2 * x) * P + x * P / 2)
-    return P, HP
+    P, P1, P2 = _jet(L + 2 * n - 1, m, x, 1, 1)
+    D, G = 2 * x, L - x
+    DD1 = D * P1 + G * P
+    DDD2 = D * D * P2 + 2 * G * D * P1 + (G * G - 2 * L) * P
+    return P, (-DDD2 - 4 * n * DD1 + L * (L + 4 * n - 2) * P + x * x * P)
 
 
-def _column(states: Sequence[RadialState],
-            value: Callable[[RadialState], object]) -> ArrayLike:
-    """float(value(s)) of each state as a column vector, or as one float
-    when the states agree on it: a number broadcasts the same way, at the
-    cost of no array operation."""
-    values = [float(value(s)) for s in states]
-    if values.count(values[0]) == len(values):
-        return values[0]
-    return np.array(values)[:, None]
+def kepler_ode(n: int, two_ell: int, m: int, E: Fraction) -> tuple[int, int]:
+    """(points where it holds, points) of H~P = E P on the channel, at t =
+    1 .. m + 3: 2D^2 (H~P - E P) has degree at most m + 2 in t, so it
+    vanishes identically if it vanishes there.  With 8V^2 E = num/den it
+    reads den 2D^2 H~P = num t^2 P at t, in ints."""
+    V = two_ell + 2 * (m + n)
+    num, den = (E * (8 * V * V)).as_integer_ratio()
+    held = 0
+    for t in range(1, m + 4):
+        P, HP = _kepler_reduced(t, n, two_ell, m)
+        held += den * HP == num * t * t * P
+    return held, m + 3
 
 
-def _kepler_terms(states: Sequence[RadialState], t: np.ndarray, m: int):
-    """(P, H~P, log w, E, |E|) of the Kepler states of degree m at their
-    rows of t, E = -1/(2 nu^2) from :func:`energy`."""
-    ell, nu = _column(states, lambda s: s.ell), _column(states, lambda s: s.nu)
-    E = _column(states, lambda s: energy(s.params, s.I))
-    P, HP = _kepler_reduced(t, _column(states, lambda s: s.params.n), ell, nu,
-                            _column(states, lambda s: s.laguerre_index), m)
-    return P, HP, ell * np.log(t) - t / nu, E, abs(E)
+def oscillator_ode(n: int, L: int, m: int, lam: int) -> tuple[int, int]:
+    """(points where it holds, points) of H~P = lam P on the channel at
+    x = r^2 = 1 .. m + 3, in ints, as in :func:`kepler_ode`."""
+    held = 0
+    for x in range(1, m + 4):
+        P, HP = _oscillator_reduced(x, n, L, m)
+        held += HP == 2 * x * lam * P
+    return held, m + 3
 
 
-def _oscillator_terms(states: Sequence[RadialState], r: np.ndarray, m: int):
-    """(P, H~P, log w, lambda, 1) of the oscillator states of degree m at
-    their rows of r, lambda = 2I + sigma_bar + 2n."""
-    L = _column(states, lambda s: s.two_ell)
-    n = _column(states, lambda s: s.params.n)
-    P, HP = _oscillator_reduced(r * r, n, L,
-                                _column(states, lambda s: s.laguerre_index), m)
-    return (P, HP, L * np.log(r) - r * r / 2.0,
-            _column(states, lambda s: s.oscillator_level), 1.0)
-
-
-_TERMS = {"kepler": _kepler_terms, "oscillator": _oscillator_terms}
-
-
-def _residuals(operator: str, states: Sequence[RadialState],
-               points: np.ndarray) -> np.ndarray:
-    """The residual of each state on its row of ``points``, shape (S, P).
-
-    The states are grouped by Laguerre degree m, the one number the
-    recurrence loops over, and each degree is one evaluation of the
-    reduced operator on its stacked rows, with the other numbers of the
-    states as column vectors, or as one number where the states agree.
-    Each point goes through the same operations whatever the batch, so a
-    residual does not depend on the states beside it.  f = wP and Hf =
-    wH~P carry the envelope w over its largest value on the row: no power
-    of t or r is ever taken.
-    """
-    rows_of: dict[int, list[int]] = {}
-    for i, s in enumerate(states):
-        rows_of.setdefault(s.laguerre_degree, []).append(i)
-    out = np.empty(len(states))
-    for m, rows in rows_of.items():
-        P, HP, log_w, lam, scale = _TERMS[operator](
-            [states[i] for i in rows], points[rows], m)
-        w = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
-        f, Hf = w * P, w * HP
-        out[rows] = (np.max(np.abs(Hf - lam * f), axis=1, keepdims=True)
-                     / np.max(np.abs(f), axis=1, keepdims=True) / scale)[:, 0]
-    return out
-
-
-def residuals(operator: str, states: Sequence[RadialState]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(residual, row end) of each state, for the operator "kepler"
-    (:func:`kepler_residual`) or "oscillator" (:func:`oscillator_residual`)
-    on a grid row sized from the state, ending at :func:`decay_cutoff`.
-
-    Kepler: 400 points of t from nu/40 to nu * cutoff / 2.  At x = 2t/nu
-    = 0.05 the cancelling centrifugal and Coulomb terms are within a
-    fixed multiple of |E|, the scale of the residual, whatever the state.
-    Oscillator: 300 points of r from 0.1 to sqrt(cutoff).
-    """
-    if operator not in _TERMS:
-        raise ValueError(f"unknown operator {operator!r}")
-    cut = np.array([decay_cutoff(s) for s in states])
-    if operator == "kepler":
-        nu = np.array([float(s.nu) for s in states])
-        points = np.linspace(nu / 40.0, nu * cut / 2.0, 400, axis=-1)
-    else:
-        points = np.linspace(np.full(len(states), 0.1), np.sqrt(cut), 300,
-                             axis=-1)
-    return _residuals(operator, states, points), points[:, -1]
+def _residual(P, HP, lam, log_w, scale: float) -> float:
+    """max |w (H~P - lam P)| / (scale max |w P|), the envelope w over its
+    largest value on the grid, formed in log space."""
+    w = np.exp(log_w - np.max(log_w))
+    return float(np.max(np.abs(w * (HP - lam * P)))
+                 / np.max(np.abs(w * P)) / scale)
 
 
 def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
     """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2), on
     ``grid``: scale-free, where over max|f| alone the bound would loosen
     as 1/nu^2."""
-    return float(_residuals("kepler", [s], grid.points[None])[0])
+    t, nu = grid.points, float(s.nu)
+    P, HP = _kepler_reduced(t, s.params.n, s.two_ell, s.laguerre_degree)
+    E, D = float(energy(s.params, s.I)), 4 * nu * t  # D = 2tV
+    return _residual(P, HP / (2 * D * D), E,
+                     float(s.ell) * np.log(t) - t / nu, abs(E))
+
+
+def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
+    """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f
+    on ``grid``."""
+    r = grid.points
+    x = r * r
+    P, HP = _oscillator_reduced(x, s.params.n, s.two_ell, s.laguerre_degree)
+    return _residual(P, HP / (2 * x), s.oscillator_level,
+                     s.two_ell * np.log(r) - x / 2, 1.0)
 
 
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -476,25 +430,6 @@ def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
     c, power = math.sqrt(c2), float(power)
     return _sampled(r, "r", lambda rr: (
         _profile(s, c * rr, "rho", power * np.log(rr))))
-
-
-def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
-    """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f
-    on ``grid``."""
-    return float(_residuals("oscillator", [s], grid.points[None])[0])
-
-
-def oscillator_eigenvalue_exact(s: RadialState) -> Fraction:
-    """Rational read-back H~P/P of the oscillator eigenvalue at r^2 = 7/3.
-
-    The envelope cancels from Hf/f, so exact arithmetic returns 2I +
-    sigma_bar + 2n as a Fraction.  P(7/3) is never 0: m! L^a_m has integer
-    coefficients and leading coefficient (-1)^m, so every rational root of
-    P is an integer.
-    """
-    P, HP = _oscillator_reduced(Fraction(7, 3), s.params.n, s.two_ell,
-                                s.laguerre_index, s.laguerre_degree)
-    return HP / P
 
 
 # ---------------------------------------------------------------------------

@@ -68,27 +68,25 @@ def test_wavefunction_sampling(capsys):
 
 
 def test_residual_commands(capsys):
+    # the exact identity at m + 3 points, as in the gate
     assert run(["residual", "kepler", "--n", "2", "--sigma", "1",
                 "--k", "2", "--l", "1"]) == 0
-    out_of(capsys)
+    assert "kepler-ode  pass  lhs=4 rhs=4" in out_of(capsys)
     assert run(["residual", "oscillator", "--n", "3", "--sigma", "0",
                 "--k", "3", "--l", "0"]) == 0
-    out = out_of(capsys)
-    assert "eigenvalue-readback" in out
+    assert "oscillator-ode  pass  lhs=5 rhs=5" in out_of(capsys)
 
 
-@pytest.mark.parametrize("which, upper", [("kepler", "t_max: 105040"),
-                                           ("oscillator", "r_max: 32.249")])
-def test_residual_past_the_double_range(which, upper, capsys):
-    # t^200 on the state-sized grid is far past 1e308; the envelope is
-    # weighted in log space, so the residual is finite and passes
+@pytest.mark.parametrize("which", ["kepler", "oscillator"])
+def test_residual_past_the_double_range(which, capsys):
+    # t^200 is far past 1e308, but the identity never forms a power of t
+    # or r: it reads the Laguerre polynomial alone, in ints
     code = run(["residual", which, "--n", "2", "--sigma", "0", "--k", "1",
                 "--l", "200"])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
-    assert upper in captured.out
-    assert "nan" not in captured.out
+    assert f"{which}-ode  pass  lhs=3 rhs=3" in captured.out
 
 
 def test_eigensolve_command(capsys):
@@ -354,9 +352,9 @@ def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
      "ktype", "ValueError: weight ("),
     (raise_in(spectral, "energy"), ["spectrum", *MODEL],
      "spectrum", "RuntimeError: energy is broken"),
-    (raise_in(radial, "residuals"),
+    (raise_in(radial, "kepler_ode"),
      ["residual", "kepler", *MODEL, "--k", "1", "--l", "0"],
-     "residual kepler", "RuntimeError: residuals is broken"),
+     "residual kepler", "RuntimeError: kepler_ode is broken"),
     (raise_in(radial, "laguerre_eigenvalues"),
      ["eigensolve", *MODEL, "--l", "0"],
      "eigensolve", "RuntimeError: laguerre_eigenvalues is broken"),
@@ -410,8 +408,8 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
     (["ktype", *MODEL], {"n", "sigma", "imax"}),
     (["wavefunction", *STATE], {"n", "sigma", "k", "l", "coordinate", "lo",
                                 "hi", "points", "normalized"}),
-    (["residual", "kepler", *STATE], {"n", "sigma", "k", "l", "t_max"}),
-    (["residual", "oscillator", *STATE], {"n", "sigma", "k", "l", "r_max"}),
+    (["residual", "kepler", *STATE], {"n", "sigma", "k", "l"}),
+    (["residual", "oscillator", *STATE], {"n", "sigma", "k", "l"}),
     (["eigensolve", *MODEL, "--l", "0", "--count", "1"],
      {"n", "sigma", "l", "count", "estimate"}),
     (["micz", "--sigma", "1", "--imax", "2"], {"sigma", "imax"}),
@@ -432,6 +430,18 @@ def test_verify_takes_only_the_seed():
     options = {s for a in verbs.choices["verify"]._actions
                for s in a.option_strings}
     assert options == {"-h", "--help", "--seed", "--format", "--timestamp"}
+
+
+def test_verify_help_reads_the_registry(monkeypatch, capsys):
+    # the parser reads the check names and the seeded checks from
+    # qkepler.checks only when it shows them
+    monkeypatch.setenv("COLUMNS", "400")
+    assert run(["verify", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert ", ".join([*checks.REGISTRY, "all"]) in out
+    assert (f"seed for the randomized checks, "
+            f"{' and '.join(sorted(checks.SEEDED))} "
+            f"(default {checks.SEED})") in out
 
 
 def test_only_the_seeded_checks_take_an_argument():
@@ -557,32 +567,31 @@ def test_exact_checks_fail_their_negative_controls(control, failed,
 
 
 def energy_off_by_a_millionth(monkeypatch):
-    """Every Kepler energy the residuals read scaled by 1 + 1e-6."""
-    original = radial.energy
-    monkeypatch.setattr(radial, "energy", lambda p, I: (
+    """Every Kepler energy the check reads scaled by 1 + 1e-6."""
+    original = spectral.energy
+    monkeypatch.setattr(spectral, "energy", lambda p, I: (
         original(p, I) * (1 + Fraction(1, 10 ** 6))))
 
 
 def readback_off_in_one_channel(monkeypatch):
-    """H~P off by P/10^9 in exact arithmetic on the channel 2 ell = 2,
-    m = 0, which two states share at each n: (sbar, l) = (0, 1), (2, 0)."""
+    """2x H~P off by P on the oscillator channel 2 ell = 2, m = 0, which
+    two states share at each n, (sbar, l) = (0, 1), (2, 0): the identity
+    no longer reads their level back."""
     original = radial._oscillator_reduced
 
-    def reduced(x, n, L, a, m):
-        P, HP = original(x, n, L, a, m)
-        if isinstance(x, Fraction) and (L, m) == (2, 0):
-            HP += P / 10 ** 9
-        return P, HP
+    def reduced(x, n, L, m):
+        P, HP = original(x, n, L, m)
+        return P, HP + P if (L, m) == (2, 0) else HP
     monkeypatch.setattr(radial, "_oscillator_reduced", reduced)
 
 
 @pytest.mark.parametrize("control, failed", [
-    # the scale-free residual reads the relative error of E itself
+    # the identity fails at every point for every state
     (energy_off_by_a_millionth,
-     {f"residual-kepler[n={n}]": "residual=9.9999" for n in (2, 3)}),
-    # the per-channel read-back still counts every state of the channel
+     {f"kepler-ode[n={n}]": "lhs=0 rhs=80" for n in (2, 3)}),
+    # a channel is checked once but counts every state in it
     (readback_off_in_one_channel,
-     {"readback[n=2]": "lhs=78 rhs=80", "readback[n=3]": "lhs=78 rhs=80"}),
+     {f"oscillator-ode[n={n}]": "lhs=78 rhs=80" for n in (2, 3)}),
 ], ids=["residual-energy", "readback-channel"])
 def test_residual_checks_fail_their_negative_controls(control, failed,
                                                       monkeypatch, capsys):

@@ -3,7 +3,8 @@
 Every case runs in a fresh interpreter, since this one has long since
 imported numpy and scipy.  No command loads scipy, and one that loads no
 numpy loads neither ``dataclasses`` nor ``inspect`` (numpy imports
-``inspect`` itself).
+``inspect`` itself).  Only `verify` and `eigensolve` load
+``qkepler.checks``.
 """
 
 import importlib
@@ -24,7 +25,7 @@ import contextlib, io, json, sys
 from qkepler.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
-print(json.dumps([code, sorted({m.split(".")[0] for m in sys.modules})]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -34,9 +35,12 @@ EXACT_CHECKS = ("collapse", "dim-equality", "genfunc", "dims", "ktype-dims",
 # what a command that needs no numpy leaves unloaded
 NO_NUMPY = {"numpy", "scipy", "dataclasses", "inspect"}
 
+# what a table command leaves unloaded: it runs no check
+TABLE = NO_NUMPY | {"qkepler.checks"}
+
 
 def fresh_run(argv):
-    """Exit code and top-level modules loaded after ``cli.run(argv)``."""
+    """Exit code and modules loaded after ``cli.run(argv)``."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, check=True)
@@ -45,18 +49,18 @@ def fresh_run(argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["spectrum", "--n", "3", "--sigma", "2"], NO_NUMPY),
-    (["degeneracy", "--n", "8", "--sigma", "12", "--imax", "20"], NO_NUMPY),
-    (["ktype", "--n", "8", "--sigma", "12", "--imax", "20"], NO_NUMPY),
+    (["spectrum", "--n", "3", "--sigma", "2"], TABLE),
+    (["degeneracy", "--n", "8", "--sigma", "12", "--imax", "20"], TABLE),
+    (["ktype", "--n", "8", "--sigma", "12", "--imax", "20"], TABLE),
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2",
-      "--normalized"], {"scipy"}),
+      "--normalized"], {"scipy", "qkepler.checks"}),
     (["residual", "kepler", "--n", "2", "--sigma", "1", "--k", "3", "--l",
-      "1"], {"scipy"}),
+      "1"], {"scipy", "qkepler.checks"}),
     (["residual", "oscillator", "--n", "2", "--sigma", "0", "--k", "2",
-      "--l", "0"], {"scipy"}),
+      "--l", "0"], {"scipy", "qkepler.checks"}),
     # the command and the gate share the numpy-only Laguerre route
     (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], {"scipy"}),
-    (["micz", "--sigma", "2"], NO_NUMPY),
+    (["micz", "--sigma", "2"], TABLE),
     (["verify", "micz"], NO_NUMPY),
     (["verify", "schur"], NO_NUMPY),
     # the exact checks, counted in integers and Fractions
@@ -103,7 +107,7 @@ def test_import_qkepler_loads_no_submodule_and_no_numpy():
 def test_import_cli_loads_no_dataclasses_and_no_inspect():
     modules = loaded_after("import sys, qkepler.cli")
     assert "qkepler.cli" in modules
-    assert not modules & NO_NUMPY
+    assert not modules & TABLE
 
 
 @pytest.mark.parametrize("fmt, absent", [

@@ -11,7 +11,7 @@ Oracles used here and nowhere else:
   log-space evaluation;
 * a second-order central-difference application of the Kepler and the
   oscillator operators, independent of the reduced operators inside the
-  library, which the float residuals and the exact read-back share.
+  library, which the exact identities and the float residuals share.
 """
 
 import math
@@ -33,11 +33,12 @@ from qkepler.radial import (
     UnderResolved,
     default_t_max,
     eigensolve,
+    kepler_ode,
     kepler_residual,
     laguerre,
     laguerre_eigenvalues,
     orthogonality_check,
-    oscillator_eigenvalue_exact,
+    oscillator_ode,
     oscillator_profile,
     oscillator_residual,
     radial_norm2_rho,
@@ -289,6 +290,39 @@ def test_kepler_residual_analytic_small():
         assert kepler_residual(s, grid_s) < 1e-10
 
 
+def channel(s):
+    """The numbers through which a state reaches its reduced operators."""
+    return s.params.n, s.two_ell, s.laguerre_degree
+
+
+@given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
+       k=st.integers(1, 40), l=st.integers(0, 40))
+@example(n=2, sigma_bar=0, k=1, l=200)  # t^ell alone is past 1e308
+@example(n=8, sigma_bar=12, k=40, l=40)
+@settings(max_examples=100, deadline=None)
+def test_radial_odes_hold_exactly(n, sigma_bar, k, l):
+    # each identity holds at all m + 3 points, and fails for an energy off
+    # by 1e-12 of itself or a level off by one
+    s = RadialState(ModelParams(n, sigma_bar), k, l)
+    E, lam, points = energy(s.params, s.I), s.oscillator_level, s.k + 2
+    assert kepler_ode(*channel(s), E) == (points, points)
+    assert oscillator_ode(*channel(s), lam) == (points, points)
+    assert kepler_ode(*channel(s), E * (1 + Fraction(1, 10 ** 12)))[0] \
+        < points
+    assert oscillator_ode(*channel(s), lam + 1)[0] < points
+
+
+def state_sized_grids(s):
+    """Kepler and oscillator grids past the turning points of the state,
+    to x = 2t/nu = r^2 = 2.5 (a + 2m + 1) + 30: 400 points of t from
+    x = 0.05, where the cancelling centrifugal and Coulomb terms are
+    within a fixed multiple of |E|, and 300 of r from 0.1."""
+    cut = 2.5 * (s.laguerre_index + 2 * s.laguerre_degree + 1) + 30.0
+    nu = float(s.nu)
+    return (RadialGrid.uniform(nu / 40.0, nu * cut / 2.0, 400, 2 * s.params.n),
+            RadialGrid.uniform(0.1, math.sqrt(cut), 300, 4 * s.params.n - 1))
+
+
 @given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
        k=st.integers(1, 40), l=st.integers(0, 40))
 @example(n=2, sigma_bar=0, k=1, l=200)  # t^ell alone is past 1e308
@@ -296,104 +330,89 @@ def test_kepler_residual_analytic_small():
 @example(n=5, sigma_bar=1, k=40, l=0)  # 4.6e-10 on a grid from t = 0.1
 @settings(max_examples=100, deadline=None)
 def test_residuals_on_state_sized_grids(n, sigma_bar, k, l):
+    # the float kernel the benchmark times, on the multiplied-through
+    # operators: the worst Kepler residual over 3000 random states in
+    # range is 2.2e-11, at (2, 4, 40, 0)
     s = RadialState(ModelParams(n, sigma_bar), k, l)
-    # the worst Kepler residual of the 149240 states in range is 2.6e-11,
-    # at (2, 4, 40, 0), on the grid that starts at x = 2t/nu = 0.05
-    for operator in ("kepler", "oscillator"):
-        [resid], _ = radial.residuals(operator, [s])
+    kepler_grid, oscillator_grid = state_sized_grids(s)
+    for resid in (kepler_residual(s, kepler_grid),
+                  oscillator_residual(s, oscillator_grid)):
         assert math.isfinite(resid) and resid < 1e-10
-    assert oscillator_eigenvalue_exact(s) == s.oscillator_level
 
 
-residual_state = st.builds(lambda sb, k, l: (sb, k, l), st.integers(0, 12),
-                           st.integers(1, 40), st.integers(0, 40))
+def coulomb_halved(original):
+    """The Kepler operator with -1/(2t) in place of -1/t: its term
+    -8tV^2 P of 2D^2 H~P read as -4tV^2 P."""
+    def reduced(t, n, two_ell, m):
+        P, HP = original(t, n, two_ell, m)
+        V = two_ell + 2 * (m + n)
+        return P, HP + 4 * t * V * V * P
+    return reduced
 
 
-@given(n=st.integers(2, 8), keys=st.lists(residual_state, min_size=1,
-                                          max_size=8))
-@example(n=2, keys=[(0, 1, 0), (3, 5, 2), (0, 1, 3), (12, 40, 40), (1, 5, 0)])
-@settings(max_examples=40, deadline=None)
-def test_batched_residuals_equal_batches_of_one(n, keys):
-    # the kernel groups a batch by Laguerre degree; each state's residual
-    # must not depend on the states beside it, to the last bit, and the
-    # grid route of the single-state functions reads the same row
-    states = [RadialState(ModelParams(n, sb), k, l) for sb, k, l in keys]
-    for operator, single in (("kepler", kepler_residual),
-                             ("oscillator", oscillator_residual)):
-        batch, ends = radial.residuals(operator, states)
-        for s, r, end in zip(states, batch, ends):
-            [alone], [alone_end] = radial.residuals(operator, [s])
-            cut = radial.decay_cutoff(s)
-            row = (RadialGrid.uniform(float(s.nu) / 40.0,
-                                      float(s.nu) * cut / 2.0, 400,
-                                      2 * s.params.n)
-                   if operator == "kepler" else
-                   RadialGrid.uniform(0.1, math.sqrt(cut), 300,
-                                      4 * s.params.n - 1))
-            assert r == alone == single(s, row)
-            assert end == alone_end == row.points[-1]
+def potential_doubled(original):
+    """The oscillator with r^2 in place of r^2/2: its term x^2 P of
+    2x H~P read as 2x^2 P."""
+    def reduced(x, n, L, m):
+        P, HP = original(x, n, L, m)
+        return P, HP + x * x * P
+    return reduced
 
 
-def test_batched_residuals_validation():
-    states = [RadialState(ModelParams(2, 0), k, 0) for k in (1, 2)]
-    with pytest.raises(ValueError):
-        radial.residuals("coulomb", states)
+@pytest.mark.parametrize("attr, mutant, ode", [
+    ("_kepler_reduced", coulomb_halved, "kepler"),
+    ("_oscillator_reduced", potential_doubled, "oscillator"),
+], ids=["kepler-coulomb", "oscillator-potential"])
+def test_identities_fail_for_a_one_term_operator_mutant(attr, mutant, ode,
+                                                        monkeypatch):
+    monkeypatch.setattr(radial, attr, mutant(getattr(radial, attr)))
+    for s in states(smax=3, kmax=4, lmax=3):
+        if ode == "kepler":
+            held, points = kepler_ode(*channel(s), energy(s.params, s.I))
+        else:
+            held, points = oscillator_ode(*channel(s), s.oscillator_level)
+        assert held < points
+    assert run(["verify", "residuals"]) == 1
 
 
-def test_residual_check_evaluates_once_per_degree(monkeypatch):
-    # 2 operators x 2 values of n x 5 degrees, and one read-back per
-    # (n, 2 ell, m) channel: 10 values of 2 ell and 5 of m per n
-    calls = {"kepler": 0, "oscillator": 0, "readback": 0}
+def test_residual_check_evaluates_each_channel_once(monkeypatch):
+    # per n, 80 states fall into 50 channels (n, 2 ell, m): 10 values of
+    # 2 ell and 5 of m, each with one energy and one level
+    calls = {"kepler_ode": [], "oscillator_ode": []}
 
     def counted(name, fun):
         def wrapper(*args):
-            # the read-back's own exact calls of H~ are not kernel calls
-            calls[name] += not isinstance(args[0], Fraction)
+            calls[name].append(args[:3])
             return fun(*args)
         return wrapper
-    for name, attr in (("kepler", "_kepler_reduced"),
-                       ("oscillator", "_oscillator_reduced"),
-                       ("readback", "oscillator_eigenvalue_exact")):
-        monkeypatch.setattr(radial, attr, counted(name, getattr(radial, attr)))
+    for name in calls:
+        monkeypatch.setattr(radial, name, counted(name, getattr(radial, name)))
     assert all(r.passed for r in checks.residuals())
-    assert calls == {"kepler": 10, "oscillator": 10, "readback": 100}
+    for args in calls.values():
+        assert len(args) == len(set(args)) == 100
 
 
 def test_kepler_residual_is_scale_free(monkeypatch):
     # at nu = 202, E = -1.2e-5: an energy off by 1e-4 of itself must read
-    # 1e-4, not 1e-4 |E| (which passed the 1e-8 bound before)
+    # 1e-4, not 1e-4 |E| (which passed the 1e-8 bound before); the grid
+    # reaches past the turning point 2 nu^2, where t^200 is past 1e308
     s = RadialState(ModelParams(2, 0), 1, 200)
-    assert radial.residuals("kepler", [s])[0][0] < 1e-12
+    grid = RadialGrid.uniform(5.0, 105040.0, 400, 4)
+    assert kepler_residual(s, grid) < 1e-12
     monkeypatch.setattr(radial, "energy",
                         lambda p, I: energy(p, I) * Fraction(10001, 10000))
-    assert radial.residuals("kepler", [s])[0][0] == pytest.approx(1e-4,
-                                                                  rel=1e-3)
-
-
-def test_state_sized_grids_reach_past_the_turning_point():
-    # the t-turning point 2 nu^2 and the r-turning point sqrt(2 lambda)
-    # of the level lambda = 2 nu both lie inside the grids
-    sample = list(states(n_values=(2, 8), smax=12, kmax=12, lmax=12))
-    nu = np.array([float(s.nu) for s in sample])
-    _, t_end = radial.residuals("kepler", sample)
-    _, r_end = radial.residuals("oscillator", sample)
-    assert np.all(t_end > 2.0 * nu ** 2)
-    assert np.all(r_end > np.sqrt(4.0 * nu))
-    _, [t_end] = radial.residuals("kepler", [RadialState(ModelParams(2, 0),
-                                                         1, 0)])
-    assert t_end == 40.0
+    assert kepler_residual(s, grid) == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_kepler_reduced_operator_is_exact_at_rational_points():
-    # the reduced operator follows its input: at a Fraction it returns
-    # H~P = E P with no rounding, a read-back of the Kepler energy
+    # the reduced operator follows its input: at an int t it returns ints,
+    # and 2D^2 H~P = 2D^2 E P with no rounding, D = 2tV
     for s in states(smax=3, kmax=4, lmax=3):
-        for t in (Fraction(7, 3), Fraction(1, 5), 11):
-            P, HP = radial._kepler_reduced(
-                Fraction(t), s.params.n, s.ell, s.nu, s.laguerre_index,
-                s.laguerre_degree)
-            assert isinstance(HP, Fraction)
-            assert HP == energy(s.params, s.I) * P
+        V = int(2 * s.nu)
+        for t in (1, 7, 11, 40):
+            P, HP = radial._kepler_reduced(t, *channel(s))
+            assert isinstance(P, int) and isinstance(HP, int)
+            assert HP == 2 * (2 * t * V) ** 2 * energy(s.params, s.I) * P
 
 
 def test_kepler_equation_by_finite_differences():
@@ -528,9 +547,13 @@ def test_oscillator_residual_small():
 
 
 def test_oscillator_eigenvalue_readbacks():
+    # the identity reads the level back: it holds at 2I + sigma_bar + 2n
+    # and at no other integer near it
     for s in states(n_values=(2, 3), smax=2, kmax=4, lmax=2):
-        level = s.oscillator_level
-        assert oscillator_eigenvalue_exact(s) == level
+        level, points = s.oscillator_level, s.k + 2
+        for lam in range(level - 3, level + 4):
+            held, _ = oscillator_ode(*channel(s), lam)
+            assert (held == points) == (lam == level)
 
 
 def oscillator_fd_residual(s, L):
@@ -561,15 +584,13 @@ def test_wrong_channel_fails_oscillator_finite_difference_route():
 
 
 def test_oscillator_exact_readback_at_chosen_points():
-    # the reduced operator follows its input: at a Fraction it returns
-    # H~P = lambda P with no rounding, as on the Kepler side
+    # the reduced operator follows its input: at an int x = r^2 it returns
+    # ints, and 2x H~P = 2x lambda P with no rounding, as on the Kepler side
     s = RadialState(ModelParams(3, 1), 4, 2)
-    for x in (2, Fraction(5, 7), Fraction(13, 4)):
-        P, HP = radial._oscillator_reduced(
-            Fraction(x), s.params.n, s.two_ell, s.laguerre_index,
-            s.laguerre_degree)
-        assert isinstance(HP, Fraction)
-        assert HP == s.oscillator_level * P
+    for x in (2, 5, 13):
+        P, HP = radial._oscillator_reduced(x, *channel(s))
+        assert isinstance(P, int) and isinstance(HP, int)
+        assert HP == 2 * x * s.oscillator_level * P
 
 
 def test_oscillator_profile_past_the_double_range_of_its_power():
