@@ -5,15 +5,18 @@ criterion k is the k-th entry.  ``qkepler verify`` runs them (``all``
 runs every entry in order and is the CI gate) and the acceptance tests
 gate on them.  A check returns its ``CheckResult`` rows; it sweeps the
 gate's ranges and holds its own bounds, so it takes no arguments, except
-that the randomized checks named in ``SEEDED`` take ``seed``.  A check
-imports numpy, ``radial`` or ``geom`` when it runs, so loading this
-module loads neither.
+that the randomized checks named in ``SEEDED`` take ``seed``.  A row is
+a counted identity (``_tally``) or a worst residual against its bound
+(``_resolved``); only ``schur-norm`` and ``ostar`` are built by hand.
+A check imports numpy, ``radial`` or ``geom`` when it runs, so loading
+this module loads neither; ``_resolved`` imports ``radial``, so
+``verify metric`` loads it too.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import rep, spectral
 from .report import CheckResult, row, worse
@@ -22,6 +25,18 @@ __all__ = ["REGISTRY", "SEEDED", "SEED", "EIGENSOLVE_TOL"]
 
 SEED = 0  # the gate's seed for the randomized sweeps
 EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin eigenvalues, here and in `eigensolve`
+
+
+def _tally(name: str, outcomes: Iterable[bool]) -> CheckResult:
+    """The row of a counted identity: lhs of the rhs outcomes hold.
+
+    It passes only when every outcome holds; an empty tally checked
+    nothing, so it fails.
+    """
+    outcomes = [bool(ok) for ok in outcomes]
+    held = sum(outcomes)
+    return row(name, lhs=held, rhs=len(outcomes),
+               passed=held == len(outcomes) > 0)
 
 
 def _resolved(name: str, sweep: Callable[[], float],
@@ -36,6 +51,18 @@ def _resolved(name: str, sweep: Callable[[], float],
     except UnderResolved as exc:
         return row(name, lhs=str(exc), tolerance=tol, passed=False)
     return row(name, residual=worst, tolerance=tol, passed=worst < tol)
+
+
+def _r_l_weight(n: int, sb: int, l: int) -> rep.HighestWeight:
+    """The C_n highest weight (l + sbar, l, 0, ..., 0) of R_l."""
+    return rep.HighestWeight([l + sb, l] + [0] * (n - 2))
+
+
+def _states(n: int) -> list:
+    """The states sbar <= 3, k <= 5, l <= 3 that residuals and twist sweep."""
+    from . import radial
+    return [radial.RadialState(spectral.ModelParams(n, sb), k, l)
+            for sb in range(4) for k in range(1, 6) for l in range(4)]
 
 
 def eigensolve() -> list[CheckResult]:
@@ -62,74 +89,43 @@ def eigensolve() -> list[CheckResult]:
 
 def collapse() -> list[CheckResult]:
     """E(k, l) depends on k + l only, exactly, for 1 <= k and k + l <= 12."""
-    rows = []
-    for n in (2, 3, 4):
-        cases = ok = 0
-        for sb in range(7):
-            p = spectral.ModelParams(n, sb)
-            for I in range(12):
-                level = spectral.energy(p, I)
-                for k in range(1, I + 2):
-                    cases += 1
-                    ok += spectral.energy_kl(
-                        p, spectral.QuantumNumbers(k, I + 1 - k)) == level
-        rows.append(row(f"collapse[n={n}]", lhs=ok, rhs=cases,
-                        passed=ok == cases))
-    return rows
+    return [_tally(f"collapse[n={n}]", (
+        spectral.energy_kl(p, k, I + 1 - k) == level
+        for sb in range(7) for p in [spectral.ModelParams(n, sb)]
+        for I in range(12) for level in [spectral.energy(p, I)]
+        for k in range(1, I + 2))) for n in (2, 3, 4)]
 
 
 def dim_equality() -> list[CheckResult]:
     """Level dimensions against the 4n-dimensional oscillator, k <= 12."""
-    rows = []
-    for n in (2, 3, 4):
-        ok = sum(spectral.dimension_equality_check(n, k).passed
-                 for k in range(13))
-        rows.append(row(f"dim-equality[n={n}]", lhs=ok, rhs=13,
-                        passed=ok == 13))
-    return rows
+    return [_tally(f"dim-equality[n={n}]", (
+        spectral.dimension_equality_check(n, k).passed for k in range(13)))
+        for n in (2, 3, 4)]
 
 
 def genfunc() -> list[CheckResult]:
-    """Generating-function coefficients up to k = 12 by three routes."""
-    rows = []
-    for n in (2, 3, 4):
-        chk = spectral.genfunc_check(n, 12)
-        ok = sum(c == b == i for c, b, i in zip(
-            chk.coefficients, chk.binomial, chk.inverted))
-        rows.append(row(f"genfunc[n={n}]", lhs=ok, rhs=13, passed=ok == 13))
-    return rows
+    """Generating-function coefficients k = 0..12 by three routes.  A
+    route short of a coefficient is a fault, not a shorter row."""
+    return [_tally(f"genfunc[n={n}]", (
+        chk.coefficients[k] == chk.binomial[k] == chk.inverted[k]
+        for k in range(13)))
+        for n in (2, 3, 4) for chk in [spectral.genfunc_check(n, 12)]]
 
 
 def dims() -> list[CheckResult]:
     """Closed-form dimensions of R_l against the Weyl formula, l, sbar <= 6."""
-    rows = []
-    for n in (2, 3, 4):
-        cases = ok = 0
-        for l in range(7):
-            for sb in range(7):
-                cases += 1
-                hw = rep.HighestWeight([l + sb, l] + [0] * (n - 2))
-                ok += rep.dim_R_l(n, sb, l) == rep.weyl_dim(
-                    rep.RootSystem("C", n), hw)
-        rows.append(row(f"dims[n={n}]", lhs=ok, rhs=cases,
-                        passed=ok == cases))
-    return rows
+    return [_tally(f"dims[n={n}]", (
+        rep.dim_R_l(n, sb, l) == rep.weyl_dim(cn, _r_l_weight(n, sb, l))
+        for l in range(7) for sb in range(7)))
+        for n in (2, 3, 4) for cn in [rep.RootSystem("C", n)]]
 
 
 def ktype_dims() -> list[CheckResult]:
     """U(2n) K-type dimensions against the Sp(n) decomposition for
     sbar, I <= 5."""
-    rows = []
-    for n in (2, 3):
-        cases = ok = 0
-        for sb in range(6):
-            for I in range(6):
-                cases += 1
-                ok += spectral.ktype_dim_check(
-                    spectral.ModelParams(n, sb), I).passed
-        rows.append(row(f"ktype-dims[n={n}]", lhs=ok, rhs=cases,
-                        passed=ok == cases))
-    return rows
+    return [_tally(f"ktype-dims[n={n}]", (
+        spectral.ktype_dim_check(spectral.ModelParams(n, sb), I).passed
+        for sb in range(6) for I in range(6))) for n in (2, 3)]
 
 
 def casimir() -> list[CheckResult]:
@@ -137,19 +133,11 @@ def casimir() -> list[CheckResult]:
     l, sbar <= 8."""
     sp1 = [rep.casimir(rep.RootSystem("C", 1), rep.HighestWeight([sb]))
            for sb in range(9)]
-    rows = []
-    for n in range(2, 6):
-        cn = rep.RootSystem("C", n)
-        cases = ok = 0
-        for l in range(9):
-            for sb in range(9):
-                cases += 1
-                hw = rep.HighestWeight([l + sb, l] + [0] * (n - 2))
-                ok += rep.angular_eigenvalue(n, sb, l) \
-                    == 2 * (rep.casimir(cn, hw) - sp1[sb])
-        rows.append(row(f"casimir[n={n}]", lhs=ok, rhs=cases,
-                        passed=ok == cases))
-    return rows
+    return [_tally(f"casimir[n={n}]", (
+        rep.angular_eigenvalue(n, sb, l)
+        == 2 * (rep.casimir(cn, _r_l_weight(n, sb, l)) - sp1[sb])
+        for l in range(9) for sb in range(9)))
+        for n in range(2, 6) for cn in [rep.RootSystem("C", n)]]
 
 
 def residuals() -> list[CheckResult]:
@@ -158,22 +146,16 @@ def residuals() -> list[CheckResult]:
     reaches an identity only through its channel (n, 2 ell, m) and its
     energy or level, so each distinct one is checked once."""
     from . import radial
-    rows = []
-    for n in (2, 3):
-        states = [radial.RadialState(spectral.ModelParams(n, sb), k, l)
-                  for sb in range(4) for k in range(1, 6) for l in range(4)]
-        for name, ode, eigen in (
-                ("kepler-ode", radial.kepler_ode,
-                 lambda s: spectral.energy(s.params, s.I)),
-                ("oscillator-ode", radial.oscillator_ode,
-                 lambda s: s.oscillator_level)):
-            once = functools.cache(ode)
-            ok = sum(held == points for held, points in (
-                once(n, s.two_ell, s.laguerre_degree, eigen(s))
-                for s in states))
-            rows.append(row(f"{name}[n={n}]", lhs=ok, rhs=len(states),
-                            passed=ok == len(states)))
-    return rows
+    identities = (
+        ("kepler-ode", functools.cache(radial.kepler_ode),
+         lambda s: spectral.energy(s.params, s.I)),
+        ("oscillator-ode", functools.cache(radial.oscillator_ode),
+         lambda s: s.oscillator_level))
+    return [_tally(f"{name}[n={n}]", (
+        held == points for s in states for held, points in [
+            once(n, s.two_ell, s.laguerre_degree, eigen(s))]))
+        for n in (2, 3) for states in [_states(n)]
+        for name, once, eigen in identities]
 
 
 def twist() -> list[CheckResult]:
@@ -181,34 +163,21 @@ def twist() -> list[CheckResult]:
     the twist's power and c^2 composed with the rho exponents give the
     oscillator's, exactly."""
     from . import radial
-    rows = []
-    for n in (2, 3):
-        cases = ok = 0
-        for sb in range(4):
-            p = spectral.ModelParams(n, sb)
-            for k in range(1, 6):
-                for l in range(4):
-                    s = radial.RadialState(p, k, l)
-                    power, scale, rate = radial.exponents(s, "rho")
-                    shift, c2 = radial.twist_exponents(s)
-                    cases += 1
-                    ok += (power + shift, scale * c2, rate * c2) \
-                        == radial.exponents(s, "oscillator")
-        rows.append(row(f"twist[n={n}]", lhs=ok, rhs=cases,
-                        passed=ok == cases))
-    return rows
+    def composes(s) -> bool:
+        power, scale, rate = radial.exponents(s, "rho")
+        shift, c2 = radial.twist_exponents(s)
+        return ((power + shift, scale * c2, rate * c2)
+                == radial.exponents(s, "oscillator"))
+    return [_tally(f"twist[n={n}]", map(composes, _states(n)))
+            for n in (2, 3)]
 
 
 def micz() -> list[CheckResult]:
     """n = 2 equivalence with the five-dimensional monopole model: the
     spectrum, the operator on r^j (j <= 3) and the centrifugal read-back,
     each an exact identity."""
-    rows = []
-    for sb in range(7):
-        ids = spectral.micz_check(sb, i_max=20).identities
-        rows.append(row(f"micz[{sb}]", lhs=sum(ids), rhs=len(ids),
-                        passed=all(ids)))
-    return rows
+    return [_tally(f"micz[{sb}]", spectral.micz_check(sb, i_max=20).identities)
+            for sb in range(7)]
 
 
 def metric(seed: int = SEED) -> list[CheckResult]:
@@ -216,15 +185,10 @@ def metric(seed: int = SEED) -> list[CheckResult]:
     with W_perp the part of W orthogonal to the line Z H, formed by
     quaternion products; and the Sp(n) trace form is twice it."""
     from . import geom
-    rows = []
-    for n in (2, 3, 4):
-        r = geom.metric_sweep(n, 1000, seed)
-        rows.append(row(f"metric[n={n}]", residual=r, tolerance=1e-12,
-                        passed=r < 1e-12))
-        q = geom.quotient_sweep(n, 1000, seed)
-        rows.append(row(f"quotient[n={n}]", residual=q, tolerance=1e-13,
-                        passed=q < 1e-13))
-    return rows
+    return [_resolved(f"{name}[n={n}]", lambda: sweep(n, 1000, seed), tol)
+            for n in (2, 3, 4) for name, sweep, tol in (
+                ("metric", geom.metric_sweep, 1e-12),
+                ("quotient", geom.quotient_sweep, 1e-13))]
 
 
 def ostar(seed: int = SEED) -> list[CheckResult]:
@@ -241,8 +205,7 @@ def ostar(seed: int = SEED) -> list[CheckResult]:
     # a phase planted at slot i (stack entry i) must land at the doubled
     # index, conjugated on the u-side embedding and plain on the uv-side
     phase = np.exp(0.7j)
-    cases = ok = 0
-    for n in range(1, 7):
+    def planted(n: int):
         i = np.arange(2 * n)
         A = np.tile(np.eye(2 * n, dtype=complex), (2 * n, 1, 1))
         A[i, i, i] = phase
@@ -253,26 +216,20 @@ def ostar(seed: int = SEED) -> list[CheckResult]:
         good = ((np.abs(d[i, ibar] - np.conj(phase)) < 1e-14)
                 & (np.abs(du[i, ibar] - phase) < 1e-14))
         d[i, i] = d[i, ibar] = 1.0
-        good &= np.all(np.abs(d - 1.0) < 1e-14, axis=1)
-        cases += 2 * n
-        ok += int(np.sum(good))
-    rows.append(row("weight-double[n<=6]", lhs=ok, rhs=cases,
-                    passed=ok == cases))
+        return good & np.all(np.abs(d - 1.0) < 1e-14, axis=1)
+    rows.append(_tally("weight-double[n<=6]",
+                       (ok for n in range(1, 7) for ok in planted(n))))
     return rows
 
 
 def schur() -> list[CheckResult]:
     """Schur orthonormality of the Sp(1) characters up to weight 10,
     exactly."""
-    rows = []
-    for sb in range(11):
-        norm = rep.schur_norm(sb)
-        rows.append(row(f"schur-norm[{sb}]", lhs=norm, rhs=1,
-                        passed=norm == 1))
-    pairs = [(s1, s2) for s1 in range(11) for s2 in range(s1 + 1, 11)]
-    ok = sum(rep.character_inner(s1, s2) == 0 for s1, s2 in pairs)
-    rows.append(row("schur-cross", lhs=ok, rhs=len(pairs),
-                    passed=ok == len(pairs)))
+    rows = [row(f"schur-norm[{sb}]", lhs=norm, rhs=1, passed=norm == 1)
+            for sb in range(11) for norm in [rep.schur_norm(sb)]]
+    rows.append(_tally("schur-cross", (
+        rep.character_inner(s1, s2) == 0
+        for s1 in range(11) for s2 in range(s1 + 1, 11))))
     return rows
 
 
@@ -298,4 +255,5 @@ REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {
         casimir, residuals, twist, micz, metric, ostar, schur,
         orthogonality)}
 
-SEEDED = frozenset({"metric", "ostar"})  # the checks that take ``seed``
+SEEDED = frozenset(name for name, check in REGISTRY.items()
+                   if check.__code__.co_argcount)  # they take ``seed``

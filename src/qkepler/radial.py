@@ -93,7 +93,7 @@ class RadialState(_RadialState):
     """One bound state (k, l) of the model ``params``.
 
     No ``__slots__``: the instance dict holds the cached ``ell`` and
-    ``nu``, which the residual and profile code read thousands of times.
+    ``nu``, which the exponents, the norms and the profiles read.
     """
 
     def __new__(cls, params: ModelParams, k: int, l: int) -> RadialState:

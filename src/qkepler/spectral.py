@@ -26,7 +26,6 @@ from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
 
 __all__ = [
     "ModelParams",
-    "QuantumNumbers",
     "energy",
     "energy_kl",
     "degeneracy",
@@ -62,28 +61,6 @@ class ModelParams(_ModelParams):
         return super().__new__(cls, n, sigma_bar)
 
 
-class _QuantumNumbers(NamedTuple):
-    k: int
-    l: int
-
-
-class QuantumNumbers(_QuantumNumbers):
-    """Radial number k >= 1 and angular number l >= 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, l: int) -> QuantumNumbers:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if l < 0:
-            raise ValueError("l must be >= 0")
-        return super().__new__(cls, k, l)
-
-    @property
-    def I(self) -> int:
-        return self.k - 1 + self.l
-
-
 def energy(p: ModelParams, I: int) -> Fraction:
     """Exact level energy -(1/2)/(I + n + sigma_bar/2)^2 for I >= 0."""
     if I < 0:
@@ -92,13 +69,18 @@ def energy(p: ModelParams, I: int) -> Fraction:
     return Fraction(-2, denom * denom)
 
 
-def energy_kl(p: ModelParams, q: QuantumNumbers) -> Fraction:
-    """Energy in (k, l) labels: -(1/2)/(k + l + (sigma_bar + 2n)/2 - 1)^2.
+def energy_kl(p: ModelParams, k: int, l: int) -> Fraction:
+    """Energy in (k, l) labels, radial number k >= 1 and angular number
+    l >= 0: -(1/2)/(k + l + (sigma_bar + 2n)/2 - 1)^2.
 
     Depends on (k, l) only through k + l, which is the eigenvalue collapse
     that makes the levels (I + 1)-fold degenerate across channels.
     """
-    denom = 2 * q.k + 2 * q.l + p.sigma_bar + 2 * p.n - 2
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    denom = 2 * k + 2 * l + p.sigma_bar + 2 * p.n - 2
     return Fraction(-2, denom * denom)
 
 

@@ -536,6 +536,13 @@ def norm_off_by_a_billionth(monkeypatch):
         original(s) * (1 + Fraction(1, 10 ** 9))))
 
 
+def genfunc_one_short(monkeypatch):
+    """Every route stops at k = 11: twelve coefficients that agree."""
+    original = spectral.genfunc_check
+    monkeypatch.setattr(spectral, "genfunc_check", lambda n, K: (
+        spectral.GenfuncCheck(*(route[:-1] for route in original(n, K)))))
+
+
 MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
 
 
@@ -554,9 +561,11 @@ MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
     (rho_power_three_halves, ["twist[n=2]", "twist[n=3]"]),
     # the Gram diagonal reads 1 - 1e-9, past the bound of 1e-12
     (norm_off_by_a_billionth, ["orthogonality[n=2]"]),
+    # the row counts k = 0..12, so a missing coefficient is a fault row
+    (genfunc_one_short, ["genfunc"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
         "schur-density", "eigensolve-channel", "twist-rho-power",
-        "orthogonality-norm"])
+        "orthogonality-norm", "genfunc-one-short"])
 def test_exact_checks_fail_their_negative_controls(control, failed,
                                                    monkeypatch, capsys):
     control(monkeypatch)

@@ -1,6 +1,6 @@
 """The result and parameter records: immutable, validated, read by name.
 
-Ten records are NamedTuples, so they also compare equal to plain tuples
+Nine records are NamedTuples, so they also compare equal to plain tuples
 of their fields.  ``HighestWeight`` compares by its entries and
 ``RadialGrid`` by identity.
 """
@@ -23,7 +23,6 @@ RECORDS = {
     "KtypeCheck": lambda: spectral.ktype_dim_check(P, 2),
     "MiczReport": lambda: spectral.micz_check(1, i_max=2),
     "ModelParams": lambda: P,
-    "QuantumNumbers": lambda: spectral.QuantumNumbers(2, 1),
     "RootSystem": lambda: rep.RootSystem("C", 2),
     "RadialState": lambda: radial.RadialState(P, 2, 1),
     "HighestWeight": lambda: rep.HighestWeight([2, Fraction(1, 2), 0]),
@@ -45,8 +44,8 @@ def test_fields_cannot_be_assigned(name):
 @pytest.mark.parametrize("make, args, message", [
     (spectral.ModelParams, (1, 0), "n must be >= 2"),
     (spectral.ModelParams, (2, -1), "sigma_bar must be >= 0"),
-    (spectral.QuantumNumbers, (0, 0), "k must be >= 1"),
-    (spectral.QuantumNumbers, (1, -1), "l must be >= 0"),
+    (spectral.energy_kl, (P, 0, 0), "k must be >= 1"),
+    (spectral.energy_kl, (P, 1, -1), "l must be >= 0"),
     (rep.RootSystem, ("B", 2), "unsupported family 'B'"),
     (rep.RootSystem, ("C", 0), "rank must be positive"),
     (lambda k, l: radial.RadialState(P, k, l), (0, 0), "k must be >= 1"),

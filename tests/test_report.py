@@ -101,6 +101,15 @@ def test_row_with_nonfinite_residual_fails():
     assert row("x", lhs=1, rhs=1, passed=True).passed is True
 
 
+def test_tally_counts_outcomes_and_an_empty_one_fails():
+    assert checks._tally("x", iter([True, np.bool_(True)])) == (
+        "x", 2, 2, None, None, True)
+    assert checks._tally("x", [True, False]) == ("x", 1, 2, None, None, False)
+    # 0 = 0 checked nothing
+    assert checks._tally("x", []) == ("x", 0, 0, None, None, False)
+    assert type(checks._tally("x", [np.bool_(True)]).lhs) is int
+
+
 def test_worst_accumulation_keeps_nan():
     assert worse(1.0, 2.0) == worse(2.0, 1.0) == 2.0
     assert math.isnan(worse(0.0, math.nan))  # max(0.0, nan) == 0.0

@@ -10,7 +10,6 @@ from qkepler.rep import HighestWeight, RootSystem, weyl_dim
 from qkepler.spectral import (
     MiczReport,
     ModelParams,
-    QuantumNumbers,
     degeneracy,
     dimension_equality_check,
     energy,
@@ -31,10 +30,9 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ModelParams(2, -1)
     with pytest.raises(ValueError):
-        QuantumNumbers(0, 0)
+        energy_kl(ModelParams(2, 0), 0, 0)
     with pytest.raises(ValueError):
-        QuantumNumbers(1, -1)
-    assert QuantumNumbers(3, 2).I == 4
+        energy_kl(ModelParams(2, 0), 1, -1)
 
 
 @pytest.mark.parametrize("n, sigma_bar, I, expected", [
@@ -69,8 +67,7 @@ def test_energy_collapse_exact():
             p = ModelParams(n, sigma_bar)
             for k in range(1, 13):
                 for l in range(13 - k):
-                    q = QuantumNumbers(k, l)
-                    assert energy_kl(p, q) == energy(p, q.I)
+                    assert energy_kl(p, k, l) == energy(p, k - 1 + l)
 
 
 @pytest.mark.parametrize("n, sigma_bar, degs", [
