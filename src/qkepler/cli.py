@@ -12,10 +12,12 @@ grid, or a fault.  A command, or one check of `verify`, that raises
 becomes one failed row named after it, with the exception as lhs and the
 traceback on stderr.  `verify all` runs every check of
 ``qkepler.checks`` and is the CI gate; only `verify` and `eigensolve`
-import ``qkepler.checks``.  Reports are deterministic, a command imports
-numpy only if it uses it, and none imports scipy.  The records are
-NamedTuples, not data classes, so no command imports ``dataclasses``,
-nor ``inspect`` unless numpy does.
+import ``qkepler.checks``.  Reports are deterministic, and no command imports
+scipy.  Only `eigensolve` and the numeric checks of `verify` import
+numpy: the table commands, `wavefunction` (sampled on Python floats, at
+the points ``numpy.linspace`` would give) and `residual` (exact, on
+ints) do not.  The records are NamedTuples, not data classes, so no
+command imports ``dataclasses``, nor ``inspect`` unless numpy does.
 """
 
 from __future__ import annotations
@@ -63,17 +65,24 @@ def _cmd_ktype(args, params) -> list[CheckResult]:
     return rows
 
 
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``numpy.linspace(lo, hi, num)`` as floats, point for point: i*step +
+    lo, with hi last, and [lo] for one point."""
+    if num == 1:
+        return [lo]
+    step = (hi - lo) / (num - 1)
+    return [i * step + lo for i in range(num - 1)] + [hi]
+
+
 def _cmd_wavefunction(args, params) -> list[CheckResult]:
-    import numpy as np
     from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
     s = radial.RadialState(p, args.k, args.l)
-    pts = np.linspace(args.lo, args.hi, args.points)
+    pts = _linspace(args.lo, args.hi, args.points)
     fun = radial.radial_t if args.coordinate == "t" else radial.radial_rho
     vals = fun(s, pts, normalized=args.normalized)
     # a value past the double range reads inf and fails its row
-    return [row(f"sample[{i}]", lhs=float(x), rhs=float(v),
-                passed=math.isfinite(v))
+    return [row(f"sample[{i}]", lhs=x, rhs=v, passed=math.isfinite(v))
             for i, (x, v) in enumerate(zip(pts, vals))]
 
 

@@ -15,8 +15,16 @@ rho form by the twist r -> sqrt(nu/2) r and division by r^{5/2}.
 Every profile, twisted or not, reads its exponents as Fractions from
 ``exponents`` and ``twist_exponents``.  Norms are exact closed forms, and
 profiles are evaluated in log space, so a normalized sample is finite
-wherever its value fits in a double.  The Gram matrix is a Gauss-Laguerre
-sum, exact for these profiles (``orthogonality_check``).
+wherever its value fits in a double.  A profile is sampled one Python
+float at a time with ``math``, whatever holds the points, so ``qkepler
+wavefunction`` (a list) and ``radial_t`` on an ndarray give the same
+floats.  The Gram matrix is a Gauss-Laguerre sum, exact for these
+profiles (``orthogonality_check``), and the one route that evaluates
+profiles on arrays.
+
+Importing this module loads no numpy.  The array routes (``RadialGrid``,
+``laguerre``, the float residuals, both eigensolvers and the Gram matrix)
+import it when they run.
 
 Each radial operator is written once, on the Laguerre polynomial P
 alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
@@ -41,11 +49,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from .spectral import ModelParams, energy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UnderResolved",
@@ -72,7 +81,7 @@ __all__ = [
     "GRAM_BUDGET",
 ]
 
-ArrayLike = Union[float, np.ndarray]
+ArrayLike = Union[float, list, "np.ndarray"]
 
 
 class UnderResolved(ValueError):
@@ -149,6 +158,7 @@ class RadialGrid:
     __slots__ = ("points", "weight_exponent")
 
     def __init__(self, points: np.ndarray, weight_exponent: int):
+        import numpy as np
         pts = np.asarray(points, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weight_exponent", weight_exponent)
@@ -168,12 +178,13 @@ class RadialGrid:
     def uniform(lo: float, hi: float, num: int,
                 weight_exponent: int) -> "RadialGrid":
         """``num`` uniform points from lo to hi."""
+        import numpy as np
         return RadialGrid(np.linspace(lo, hi, num), weight_exponent)
 
 
 def _laguerre(a, m, x):
-    """L^a_m(x) at the float array x by the recurrence in the degree, 0 for
-    m < 0."""
+    """L^a_m(x) at a float or a float array x by the recurrence in the
+    degree, 0 for m < 0."""
     if m < 0:
         return x * 0
     prev, cur = x * 0, x * 0 + 1  # L_{-1} and L_0: the step at i = 0 gives L_1
@@ -207,23 +218,38 @@ def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
+    import numpy as np
     x_arr = np.asarray(x, dtype=float)
     out = _laguerre(a, m, np.atleast_1d(x_arr))
     return float(out[0]) if x_arr.ndim == 0 else out
 
 
-def _sampled(x: ArrayLike, name: str, fun: Callable[
-        [np.ndarray], tuple[np.ndarray, np.ndarray]]) -> ArrayLike:
-    """sign * exp(log-magnitude), ``fun``'s pair, at the positive points
-    ``x``; a float for a scalar ``x``.  A sample is finite whenever its
-    value is, even where a factor alone is not."""
+def _sampled(x: ArrayLike, name: str,
+             fun: Callable[[float], tuple[float, float]]) -> ArrayLike:
+    """sign * exp(log-magnitude), ``fun``'s pair at one float, at each of
+    the positive points ``x``: a float for a number (or a 0-d array), a
+    list for a list, an ndarray of the same shape for an ndarray.  A
+    sample is finite whenever its value is, even where a factor alone is
+    not, and reads inf past the double range."""
+    def samples(points: list[float]) -> list[float]:
+        if any(v <= 0.0 for v in points):
+            raise ValueError(f"{name} must be positive")
+        return [_exp(*fun(v)) for v in points]
+    if isinstance(x, list):
+        return samples([float(v) for v in x])
+    if getattr(x, "ndim", 0) == 0:
+        return samples([float(x)])[0]
+    import numpy as np  # x is an ndarray, so numpy is loaded already
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be positive")
-    sign, logmag = fun(np.atleast_1d(arr))
-    with np.errstate(over="ignore"):  # past the double range
-        out = sign * np.exp(logmag)
-    return float(out[0]) if arr.ndim == 0 else out
+    return np.array(samples(arr.ravel().tolist())).reshape(arr.shape)
+
+
+def _exp(sign: float, logmag: float) -> float:
+    """sign * exp(logmag), and sign * inf where math.exp overflows."""
+    try:
+        return sign * math.exp(logmag)
+    except OverflowError:  # past the double range
+        return sign * math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +276,34 @@ def twist_exponents(s: RadialState) -> tuple[Fraction, Fraction]:
     return Fraction(-5, 2), s.nu / 2
 
 
-def _profile(s: RadialState, x: np.ndarray, coordinate: str,
-             log_factor: ArrayLike = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log-magnitude) of the profile of ``s`` in ``coordinate`` at
-    the positive points x, times exp(``log_factor``): -log(N)/2 normalizes
-    it, and the twist's power of r is a log factor too."""
+def _shape(s: RadialState, coordinate: str) -> tuple:
+    """What :func:`_profile` reads of ``s`` in ``coordinate``, formed once
+    per state: (squared, a, m, power, 1/scale, 1/rate), squared when u =
+    x^2, with the Laguerre index a and degree m, and the
+    :func:`exponents` as floats.  1/scale and 1/rate are nu/2, nu, 1 or
+    2, exact: each product with them rounds once."""
     power, scale, rate = exponents(s, coordinate)
-    u = x if coordinate == "t" else x * x
-    # 1/scale, 1/rate are nu/2, nu, 1 or 2, exact: each product rounds once
-    lag = laguerre(s.laguerre_index, s.laguerre_degree, u / float(1 / scale))
+    return (coordinate != "t", s.laguerre_index, s.laguerre_degree,
+            float(power), float(1 / scale), float(1 / rate))
+
+
+def _profile(shape: tuple, x, log_factor=0.0):
+    """(sign, log-magnitude) of the profile ``shape`` (see :func:`_shape`)
+    at the positive point x, times exp(``log_factor``): -log(N)/2
+    normalizes it, and the twist's power of r is a log factor too.  The
+    arithmetic follows x: math at a float, numpy at a float array."""
+    squared, a, m, power, inv_scale, inv_rate = shape
+    u = x * x if squared else x
+    lag = _laguerre(a, m, u / inv_scale)
+    if isinstance(x, float):
+        if lag == 0.0:  # a Laguerre node, where math.log raises
+            return 0.0, -math.inf
+        return math.copysign(1.0, lag), power * math.log(x) \
+            + math.log(abs(lag)) - u / inv_rate + log_factor
+    import numpy as np
     with np.errstate(divide="ignore"):  # log 0 at a Laguerre node
-        logmag = float(power) * np.log(x) + np.log(np.abs(lag)) \
-            - u / float(1 / rate) + log_factor
+        logmag = power * np.log(x) + np.log(np.abs(lag)) \
+            - u / inv_rate + log_factor
     return np.sign(lag), logmag
 
 
@@ -296,13 +338,15 @@ def radial_t(s: RadialState, t: ArrayLike, normalized: bool = False) -> ArrayLik
     two volume measures.
     """
     log_factor = -0.5 * _log(radial_norm2_t(s)) if normalized else 0.0
-    return _sampled(t, "t", lambda x: _profile(s, x, "t", log_factor))
+    shape = _shape(s, "t")
+    return _sampled(t, "t", lambda x: _profile(shape, x, log_factor))
 
 
 def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> ArrayLike:
     """The rho-coordinate profile; unit norm in L^2(rho^{4n-4} d rho) if requested."""
     log_factor = -0.5 * _log(radial_norm2_rho(s)) if normalized else 0.0
-    return _sampled(rho, "rho", lambda x: _profile(s, x, "rho", log_factor))
+    shape = _shape(s, "rho")
+    return _sampled(rho, "rho", lambda x: _profile(shape, x, log_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +432,7 @@ def oscillator_ode(n: int, L: int, m: int, lam: int) -> tuple[int, int]:
 def _residual(P, HP, lam, log_w, scale: float) -> float:
     """max |w (H~P - lam P)| / (scale max |w P|), the envelope w over its
     largest value on the grid, formed in log space."""
+    import numpy as np
     w = np.exp(log_w - np.max(log_w))
     return float(np.max(np.abs(w * (HP - lam * P)))
                  / np.max(np.abs(w * P)) / scale)
@@ -397,6 +442,7 @@ def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
     """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2), on
     ``grid``: scale-free, where over max|f| alone the bound would loosen
     as 1/nu^2."""
+    import numpy as np
     t, nu = grid.points, float(s.nu)
     P, HP = _kepler_reduced(t, s.params.n, s.two_ell, s.laguerre_degree)
     E, D = float(energy(s.params, s.I)), 4 * nu * t  # D = 2tV
@@ -407,6 +453,7 @@ def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
 def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
     """Max relative residual of (-Lap/2 + r^2/2) f = (2I + sigma_bar + 2n) f
     on ``grid``."""
+    import numpy as np
     r = grid.points
     x = r * r
     P, HP = _oscillator_reduced(x, s.params.n, s.two_ell, s.laguerre_degree)
@@ -417,7 +464,8 @@ def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
 def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
     """Oscillator radial profile r^L Lag(a, m, r^2) exp(-r^2/2), L = 2l + sigma_bar,
     in log space like the others."""
-    return _sampled(r, "r", lambda rr: _profile(s, rr, "oscillator"))
+    shape = _shape(s, "oscillator")
+    return _sampled(r, "r", lambda rr: _profile(shape, rr))
 
 
 def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
@@ -428,8 +476,9 @@ def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
     """
     power, c2 = twist_exponents(s)
     c, power = math.sqrt(c2), float(power)
+    shape = _shape(s, "rho")
     return _sampled(r, "r", lambda rr: (
-        _profile(s, c * rr, "rho", power * np.log(rr))))
+        _profile(shape, c * rr, power * math.log(rr))))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +542,7 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     if not 1 <= count <= 5:
         raise ValueError("count must be between 1 and 5")
     t_max = default_t_max(p, l, count)
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal
     n = p.n
     ell = float(Fraction(2 * l + p.sigma_bar, 2))
@@ -527,6 +577,7 @@ def _orthonormal_laguerre(a: float, size: int, x: np.ndarray) -> np.ndarray:
     off-diagonal sqrt(k(k+a))), started from 1 instead of
     1/sqrt(Gamma(a+1)), so no Gamma function is ever formed.
     """
+    import numpy as np
     k = np.arange(size)
     b = np.sqrt(k * (k + a))
     out = np.empty((size, x.size))
@@ -544,6 +595,7 @@ def _laguerre_rule(a: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     q_j from :func:`_orthonormal_laguerre`: Christoffel weights w_k keep
     their relative accuracy at the large nodes where the Golub-Welsch
     form Gamma(a+1) Q_0k^2 loses it."""
+    import numpy as np
     k = np.arange(1, size)
     off = np.sqrt(k * (k + a))
     x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(size) + a + 1)
@@ -596,6 +648,7 @@ def _galerkin(two_lam: int, size: int,
     quadrature serves both.  The Gamma factors of the two unnormalized
     families leave the constant (2λ+1)(2λ+2) on H, divided out below.
     """
+    import numpy as np
     lam = two_lam / 2
     h = (lam + 1) / 2
     big = size + LAGUERRE_STEP
@@ -637,6 +690,7 @@ def laguerre_eigenvalues(p: ModelParams, l: int,
         raise ValueError("l must be >= 0")
     if not 1 <= count <= 5:
         raise ValueError("count must be between 1 and 5")
+    import numpy as np
     two_lam = RadialState(p, 1, l).laguerre_index - 1
     small, vals = _galerkin(two_lam, _laguerre_size(two_lam, count), count)
     estimate = float(np.max(np.abs(small - vals) / np.abs(vals)))
@@ -666,6 +720,7 @@ def orthogonality_check(p: ModelParams, l: int, k_max: int = 6) -> np.ndarray:
     """
     if not 1 <= k_max <= 8:
         raise ValueError("k_max must be between 1 and 8")
+    import numpy as np
     states = [RadialState(p, k, l) for k in range(1, k_max + 1)]
     alpha = states[0].laguerre_index + 1
     y, christoffel = (np.concatenate(v) for v in zip(
@@ -678,7 +733,7 @@ def orthogonality_check(p: ModelParams, l: int, k_max: int = 6) -> np.ndarray:
         + y - np.log(c) + 2 * p.n * np.log(t)
     # row i holds R_i at the nodes of every pair (i, j); t is symmetric
     sign, log_r = (np.array(v) for v in zip(*(
-        _profile(s, t[i], "t", -0.5 * _log(radial_norm2_t(s)))
+        _profile(_shape(s, "t"), t[i], -0.5 * _log(radial_norm2_t(s)))
         for i, s in enumerate(states))))
     terms = sign * sign.transpose(1, 0, 2) \
         * np.exp(log_r + log_r.transpose(1, 0, 2) + log_w)

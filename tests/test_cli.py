@@ -166,6 +166,62 @@ def test_wavefunction_past_the_double_range_fails():
     assert all(not r["passed"] for r in rows[1:])
 
 
+def test_wavefunction_on_a_laguerre_node_reads_zero():
+    # L^3_1(2t/3) = 4 - 2t/3 vanishes at t = 6, where log|L| is -inf
+    code, rows = wavefunction_rows(["--n", "2", "--sigma", "0", "--k", "2",
+                                    "--l", "0", "--lo", "6", "--hi", "6",
+                                    "--points", "1"])
+    assert code == 0
+    assert rows == [{"name": "sample[0]", "lhs": 6.0, "rhs": 0.0,
+                     "residual": None, "tolerance": None, "passed": True}]
+
+
+def test_wavefunction_sample_past_the_double_range_reads_inf():
+    # t^100 e^(-t/102) at t = 10200 is about e^823: the sample overflows
+    code, rows = wavefunction_rows(["--n", "2", "--sigma", "0", "--k", "1",
+                                    "--l", "100", "--lo", "10200", "--hi",
+                                    "10200", "--points", "1"])
+    assert code == 1
+    assert [(r["rhs"], r["passed"]) for r in rows] == [(math.inf, False)]
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    (0.2, 10.0, 9), (3.5, 3.5, 4), (7.0, 0.5, 6), (0.1, 1e4, 2),
+    (2.0, 2.0, 1), (0.3, 900.0, 1)])
+def test_wavefunction_points_are_numpys_linspace(lo, hi, points):
+    code, rows = wavefunction_rows(["--n", "2", "--sigma", "0", "--k", "1",
+                                    "--l", "0", "--lo", repr(lo),
+                                    "--hi", repr(hi),
+                                    "--points", str(points)])
+    assert code == 0
+    assert [r["lhs"] for r in rows] == \
+        [float(x) for x in np.linspace(lo, hi, points)]
+
+
+def test_wavefunction_equals_the_library_on_numpys_grid():
+    # the command samples a list, the library an ndarray: the same floats
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        n, sb, k, l = (int(rng.integers(2, 9)), int(rng.integers(0, 13)),
+                       int(rng.integers(1, 41)), int(rng.integers(0, 41)))
+        lo, hi = (float(v) for v in rng.uniform(0.05, 60.0, 2))
+        points = 1 if case % 8 == 0 else int(rng.integers(2, 13))
+        coordinate = ("t", "rho")[case % 2]
+        normalized = case % 4 >= 2
+        argv = ["--n", str(n), "--sigma", str(sb), "--k", str(k),
+                "--l", str(l), "--lo", repr(lo), "--hi", repr(hi),
+                "--points", str(points), "--coordinate", coordinate]
+        code, rows = wavefunction_rows(
+            argv + ["--normalized"] * normalized)
+        pts = np.linspace(lo, hi, points)
+        s = radial.RadialState(spectral.ModelParams(n, sb), k, l)
+        fun = radial.radial_t if coordinate == "t" else radial.radial_rho
+        vals = fun(s, pts, normalized=normalized)
+        assert [r["lhs"] for r in rows] == [float(x) for x in pts]
+        assert [r["rhs"] for r in rows] == [float(v) for v in vals]
+        assert code == (0 if np.all(np.isfinite(vals)) else 1)
+
+
 def test_micz_command(capsys):
     code = run(["micz", "--sigma", "2", "--imax", "5"])
     out = out_of(capsys)

@@ -3,7 +3,8 @@
 Every case runs in a fresh interpreter, since this one has long since
 imported numpy and scipy.  No command loads scipy, and one that loads no
 numpy loads neither ``dataclasses`` nor ``inspect`` (numpy imports
-``inspect`` itself).  Only `verify` and `eigensolve` load
+``inspect`` itself).  Only `eigensolve` and the numeric checks of
+`verify` load numpy, and only `verify` and `eigensolve` load
 ``qkepler.checks``.
 """
 
@@ -30,7 +31,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 
 EXACT_CHECKS = ("collapse", "dim-equality", "genfunc", "dims", "ktype-dims",
-                "casimir")
+                "casimir", "residuals", "twist")
 
 # what a command that needs no numpy leaves unloaded
 NO_NUMPY = {"numpy", "scipy", "dataclasses", "inspect"}
@@ -52,12 +53,17 @@ def fresh_run(argv):
     (["spectrum", "--n", "3", "--sigma", "2"], TABLE),
     (["degeneracy", "--n", "8", "--sigma", "12", "--imax", "20"], TABLE),
     (["ktype", "--n", "8", "--sigma", "12", "--imax", "20"], TABLE),
+    # profiles are sampled on Python floats, the equations on ints
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2",
-      "--normalized"], {"scipy", "qkepler.checks"}),
+      "--normalized"], TABLE),
+    (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2"],
+     TABLE),
+    (["wavefunction", "--n", "3", "--sigma", "0", "--k", "4", "--l", "1",
+      "--coordinate", "rho"], TABLE),
     (["residual", "kepler", "--n", "2", "--sigma", "1", "--k", "3", "--l",
-      "1"], {"scipy", "qkepler.checks"}),
+      "1"], TABLE),
     (["residual", "oscillator", "--n", "2", "--sigma", "0", "--k", "2",
-      "--l", "0"], {"scipy", "qkepler.checks"}),
+      "--l", "0"], TABLE),
     # the command and the gate share the numpy-only Laguerre route
     (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], {"scipy"}),
     (["micz", "--sigma", "2"], TABLE),
@@ -68,7 +74,8 @@ def fresh_run(argv):
     (["verify", "eigensolve"], {"scipy"}),
     (["verify", "all"], {"scipy"}),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction",
-        "residual-kepler", "residual-oscillator", "eigensolve", "micz",
+        "wavefunction-t", "wavefunction-rho", "residual-kepler",
+        "residual-oscillator", "eigensolve", "micz",
         "verify-micz", "verify-schur",
         *(f"verify-{check}" for check in EXACT_CHECKS),
         "verify-eigensolve", "verify-all"])
@@ -102,6 +109,13 @@ def loaded_after(code):
 def test_import_qkepler_loads_no_submodule_and_no_numpy():
     modules = loaded_after("import sys, qkepler")
     assert not {m for m in modules if m.startswith(("qkepler.", "numpy"))}
+
+
+def test_import_radial_loads_no_numpy():
+    # numpy is imported inside the array routes that use it
+    modules = loaded_after("import sys, qkepler.radial")
+    assert "qkepler.radial" in modules
+    assert not modules & TABLE
 
 
 def test_import_cli_loads_no_dataclasses_and_no_inspect():

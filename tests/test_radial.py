@@ -267,6 +267,24 @@ def test_normalized_scalar_value():
     assert v == pytest.approx(radial_t(s, 1.0) / math.sqrt(radial_norm2_t(s)))
 
 
+def test_profile_returns_follow_the_input():
+    # one float at a time underneath: the same values in every container
+    s = RadialState(ModelParams(3, 1), 4, 2)
+    grid = np.linspace(0.5, 30.0, 12)
+    want = [radial_t(s, float(x)) for x in grid]
+    assert all(type(v) is float for v in want)
+    got = radial_t(s, list(grid))
+    assert type(got) is list and got == want
+    arr = radial_t(s, grid)
+    assert isinstance(arr, np.ndarray) and arr.shape == (12,)
+    assert arr.tolist() == want
+    square = radial_t(s, grid.reshape(3, 4))
+    assert square.shape == (3, 4) and square.ravel().tolist() == want
+    assert type(radial_t(s, np.float64(2.0))) is float
+    assert type(radial_t(s, np.array(2.0))) is float  # 0-d reads as a number
+    assert radial_t(s, np.array([])).shape == (0,)
+
+
 def test_node_count_matches_radial_number():
     # Sturm oscillation: the k-th state has k-1 interior sign changes
     for s in states(n_values=(2,), smax=2, kmax=5, lmax=1):
