@@ -5,8 +5,8 @@ identities.
 The package holds no names of its own: import a submodule by name
 (``from qkepler import radial``).  ``import qkepler`` loads no submodule
 and no numpy.  numpy loads only when an array route runs: the
-eigensolvers, the Gram matrix, and ``geom`` and ``qlinalg``, which work
-on float arrays; ``import qkepler.radial`` does not load it.
+eigensolvers, and ``geom`` and ``qlinalg``, which work on float arrays;
+``import qkepler.radial`` does not load it.
 """
 
 __version__ = "0.1.0"

@@ -234,19 +234,13 @@ def schur() -> list[CheckResult]:
 
 
 def orthogonality() -> list[CheckResult]:
-    """Gram matrix of the first six radial states at n = 2 is the identity,
-    to 1e-12: its Gauss-Laguerre sums are exact, so only rounding is left."""
-    import numpy as np
+    """The first six radial states of each channel sbar, l <= 2 at n = 2
+    are orthogonal, with the closed-form norms: each Gram entry i <= j is
+    one exact identity in ints (``radial.gram_identities``)."""
     from . import radial
-    def sweep() -> float:
-        worst = 0.0
-        for sb in range(3):
-            p = spectral.ModelParams(2, sb)
-            for l in range(3):
-                G = radial.orthogonality_check(p, l, k_max=6)
-                worst = worse(worst, float(np.max(np.abs(G - np.eye(6)))))
-        return worst
-    return [_resolved("orthogonality[n=2]", sweep, 1e-12)]
+    return [_tally("orthogonality[n=2]", (
+        held for sb in range(3) for p in [spectral.ModelParams(2, sb)]
+        for l in range(3) for held in radial.gram_identities(p, l, 6)))]
 
 
 REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {

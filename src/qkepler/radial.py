@@ -12,19 +12,17 @@ a = 2l + sigma_bar + 2n - 1 and degree m = k - 1.  The rho form
 profile in the coordinate r (measure r^{4n-1} dr) is obtained from the
 rho form by the twist r -> sqrt(nu/2) r and division by r^{5/2}.
 
-Every profile, twisted or not, reads its exponents as Fractions from
-``exponents`` and ``twist_exponents``.  Norms are exact closed forms, and
+Every profile reads its exponents as Fractions from ``exponents``, and
+``twist_exponents`` holds the twist.  Norms are exact closed forms, and
 profiles are evaluated in log space, so a normalized sample is finite
 wherever its value fits in a double.  A profile is sampled one Python
 float at a time with ``math``, whatever holds the points, so ``qkepler
 wavefunction`` (a list) and ``radial_t`` on an ndarray give the same
-floats.  The Gram matrix is a Gauss-Laguerre sum, exact for these
-profiles (``orthogonality_check``), and the one route that evaluates
-profiles on arrays.
+floats.  Orthonormality is exact: ``gram_identities`` integrates each
+pair of states of a channel term by term, in ints.
 
 Importing this module loads no numpy.  The array routes (``RadialGrid``,
-``laguerre``, the float residuals, both eigensolvers and the Gram matrix)
-import it when they run.
+the float residuals and both eigensolvers) import it when they run.
 
 Each radial operator is written once, on the Laguerre polynomial P
 alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
@@ -62,11 +60,11 @@ __all__ = [
     "RadialGrid",
     "exponents",
     "twist_exponents",
-    "laguerre",
     "radial_t",
     "radial_rho",
     "radial_norm2_t",
     "radial_norm2_rho",
+    "gram_identities",
     "kepler_ode",
     "oscillator_ode",
     "kepler_residual",
@@ -74,11 +72,7 @@ __all__ = [
     "laguerre_eigenvalues",
     "LAGUERRE_BUDGET",
     "default_t_max",
-    "oscillator_profile",
-    "twist_profile",
     "oscillator_residual",
-    "orthogonality_check",
-    "GRAM_BUDGET",
 ]
 
 ArrayLike = Union[float, list, "np.ndarray"]
@@ -209,21 +203,6 @@ def _laguerre_int(a: int, m: int, p: int, q: int) -> int:
     return cur
 
 
-def laguerre(a: float, m: int, x: ArrayLike) -> ArrayLike:
-    """Generalized Laguerre polynomial L^a_m(x) by the three-term recurrence.
-
-    The recurrence in the degree is numerically stable for the m and a
-    used here.  The derivative is available through the identity
-    d/dx L^a_m = -L^{a+1}_{m-1}.
-    """
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    import numpy as np
-    x_arr = np.asarray(x, dtype=float)
-    out = _laguerre(a, m, np.atleast_1d(x_arr))
-    return float(out[0]) if x_arr.ndim == 0 else out
-
-
 def _sampled(x: ArrayLike, name: str,
              fun: Callable[[float], tuple[float, float]]) -> ArrayLike:
     """sign * exp(log-magnitude), ``fun``'s pair at one float, at each of
@@ -280,31 +259,25 @@ def _shape(s: RadialState, coordinate: str) -> tuple:
     """What :func:`_profile` reads of ``s`` in ``coordinate``, formed once
     per state: (squared, a, m, power, 1/scale, 1/rate), squared when u =
     x^2, with the Laguerre index a and degree m, and the
-    :func:`exponents` as floats.  1/scale and 1/rate are nu/2, nu, 1 or
-    2, exact: each product with them rounds once."""
+    :func:`exponents` as floats.  1/scale and 1/rate are nu/2 and nu,
+    exact: each product with them rounds once."""
     power, scale, rate = exponents(s, coordinate)
     return (coordinate != "t", s.laguerre_index, s.laguerre_degree,
             float(power), float(1 / scale), float(1 / rate))
 
 
-def _profile(shape: tuple, x, log_factor=0.0):
+def _profile(shape: tuple, x: float,
+             log_factor: float = 0.0) -> tuple[float, float]:
     """(sign, log-magnitude) of the profile ``shape`` (see :func:`_shape`)
-    at the positive point x, times exp(``log_factor``): -log(N)/2
-    normalizes it, and the twist's power of r is a log factor too.  The
-    arithmetic follows x: math at a float, numpy at a float array."""
+    at the positive float x, times exp(``log_factor``): -log(N)/2
+    normalizes it."""
     squared, a, m, power, inv_scale, inv_rate = shape
     u = x * x if squared else x
     lag = _laguerre(a, m, u / inv_scale)
-    if isinstance(x, float):
-        if lag == 0.0:  # a Laguerre node, where math.log raises
-            return 0.0, -math.inf
-        return math.copysign(1.0, lag), power * math.log(x) \
-            + math.log(abs(lag)) - u / inv_rate + log_factor
-    import numpy as np
-    with np.errstate(divide="ignore"):  # log 0 at a Laguerre node
-        logmag = power * np.log(x) + np.log(np.abs(lag)) \
-            - u / inv_rate + log_factor
-    return np.sign(lag), logmag
+    if lag == 0.0:  # a Laguerre node, where math.log raises
+        return 0.0, -math.inf
+    return math.copysign(1.0, lag), power * math.log(x) \
+        + math.log(abs(lag)) - u / inv_rate + log_factor
 
 
 def radial_norm2_t(s: RadialState) -> Fraction:
@@ -347,6 +320,52 @@ def radial_rho(s: RadialState, rho: ArrayLike, normalized: bool = False) -> Arra
     log_factor = -0.5 * _log(radial_norm2_rho(s)) if normalized else 0.0
     shape = _shape(s, "rho")
     return _sampled(rho, "rho", lambda x: _profile(shape, x, log_factor))
+
+
+def gram_identities(p: ModelParams, l: int, k_max: int = 6) -> list[bool]:
+    """Whether <R_i, R_j> = delta_ij ``radial_norm2_t``(R_i) holds exactly
+    in L^2(t^{2n} dt), for the bare t-profiles R_k, k = 1 .. k_max, of the
+    channel (p, l): one outcome per pair i <= j, in row order.
+
+    R = t^power L^a_m(scale t) e^{-rate t} from :func:`exponents`.  With
+    scale = sn/sd, m! sd^m L^a_m(scale t) has the int coefficients
+    (-1)^i C(m+a, m-i) (m!/i!) sn^i sd^(m-i), as in :func:`_laguerre_int`,
+    and a pair integrates term by term to Σ_e conv_e (b+e)!/c^(b+e+1):
+    conv the product of the two lists, b = power_i + power_j + 2n (= a+1)
+    and c = rate_i + rate_j = cn/cd.  Times cn^(b+K+1), K the top degree,
+    each entry is one comparison of ints.  Where b is not a whole number
+    (no polynomial times t^ell) the identity fails.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    profiles = []  # power, rate and norm2 as int pairs, D, coefficients
+    for k in range(1, k_max + 1):
+        s = RadialState(p, k, l)
+        power, scale, rate = exponents(s, "t")
+        a, m = s.laguerre_index, s.laguerre_degree
+        sn, sd = scale.as_integer_ratio()
+        profiles.append((
+            power.as_integer_ratio(), rate.as_integer_ratio(),
+            radial_norm2_t(s).as_integer_ratio(), math.factorial(m) * sd ** m,
+            [(-1) ** i * math.comb(m + a, m - i) * math.perm(m, m - i)
+             * sn ** i * sd ** (m - i) for i in range(m + 1)]))
+    outcomes = []
+    for i, ((pn, pd), (rn, rd), norm2, D_i, coef_i) in enumerate(profiles):
+        for j, ((qn, qd), (un, ud), _, D_j, coef_j) in \
+                enumerate(profiles[i:], i):
+            b, rest = divmod(pn * qd + qn * pd + 2 * p.n * pd * qd, pd * qd)
+            cn, cd = rn * ud + un * rd, rd * ud
+            conv = [0] * (len(coef_i) + len(coef_j) - 1)
+            for x, u in enumerate(coef_i):
+                for y, v in enumerate(coef_j):
+                    conv[x + y] += u * v
+            top = len(conv) - 1
+            lhs = sum(c * math.factorial(b + e) * cd ** (b + e + 1)
+                      * cn ** (top - e) for e, c in enumerate(conv))
+            num, den = norm2 if i == j else (0, 1)
+            outcomes.append(not rest and den * lhs
+                            == num * D_i * D_j * cn ** (b + top + 1))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -459,26 +478,6 @@ def oscillator_residual(s: RadialState, grid: RadialGrid) -> float:
     P, HP = _oscillator_reduced(x, s.params.n, s.two_ell, s.laguerre_degree)
     return _residual(P, HP / (2 * x), s.oscillator_level,
                      s.two_ell * np.log(r) - x / 2, 1.0)
-
-
-def oscillator_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
-    """Oscillator radial profile r^L Lag(a, m, r^2) exp(-r^2/2), L = 2l + sigma_bar,
-    in log space like the others."""
-    shape = _shape(s, "oscillator")
-    return _sampled(r, "r", lambda rr: _profile(shape, rr))
-
-
-def twist_profile(s: RadialState, r: ArrayLike) -> ArrayLike:
-    """The rho profile pushed through the twist: r^{-5/2} R_rho(c r), c^2 = nu/2.
-
-    Proportional to ``oscillator_profile`` with one r-independent constant
-    per state; ``checks.twist`` composes the exponents exactly.
-    """
-    power, c2 = twist_exponents(s)
-    c, power = math.sqrt(c2), float(power)
-    shape = _shape(s, "rho")
-    return _sampled(r, "r", lambda rr: (
-        _profile(shape, c * rr, power * math.log(rr))))
 
 
 # ---------------------------------------------------------------------------
@@ -698,48 +697,3 @@ def laguerre_eigenvalues(p: ModelParams, l: int,
         raise UnderResolved(f"two-size estimate {estimate:.1e} exceeds "
                             f"the budget {LAGUERRE_BUDGET:.0e}")
     return vals, estimate
-
-
-# ---------------------------------------------------------------------------
-# orthonormality
-
-GRAM_BUDGET = 1e-12  # largest two-rule difference the Gram route accepts
-
-
-def orthogonality_check(p: ModelParams, l: int, k_max: int = 6) -> np.ndarray:
-    """Gram matrix of the normalized t-profiles for k = 1 .. k_max.
-
-    In L^2(t^{2n} dt) the (i, j) integrand is t^α e^{-c t}, α = a + 1 and
-    c = 1/nu_i + 1/nu_j, times a polynomial of degree <= 2(k_max - 1).
-    With t = y/c the Gauss rule for y^α e^{-y} on k_max nodes is exact,
-    so only rounding separates the closed-form norms from the sampled
-    profiles, taken in log space with the weight divided out before any
-    exp.  The rule on k_max + 2 nodes, whose matrix is returned, agrees
-    to rounding on a polynomial times the weight and on nothing else: a
-    difference over GRAM_BUDGET raises UnderResolved.
-    """
-    if not 1 <= k_max <= 8:
-        raise ValueError("k_max must be between 1 and 8")
-    import numpy as np
-    states = [RadialState(p, k, l) for k in range(1, k_max + 1)]
-    alpha = states[0].laguerre_index + 1
-    y, christoffel = (np.concatenate(v) for v in zip(
-        *(_laguerre_rule(alpha, size) for size in (k_max, k_max + 2))))
-    inv_nu = np.array([1.0 / float(s.nu) for s in states])
-    c = (inv_nu[:, None] + inv_nu)[:, :, None]
-    t = y / c
-    # log of the weight w_k / (c y^α e^{-y}) of t^{2n} R_i R_j at t[i, j]
-    log_w = math.lgamma(alpha + 1) - np.log(christoffel) - alpha * np.log(y) \
-        + y - np.log(c) + 2 * p.n * np.log(t)
-    # row i holds R_i at the nodes of every pair (i, j); t is symmetric
-    sign, log_r = (np.array(v) for v in zip(*(
-        _profile(_shape(s, "t"), t[i], -0.5 * _log(radial_norm2_t(s)))
-        for i, s in enumerate(states))))
-    terms = sign * sign.transpose(1, 0, 2) \
-        * np.exp(log_r + log_r.transpose(1, 0, 2) + log_w)
-    G = terms[:, :, k_max:].sum(axis=2)
-    estimate = float(np.max(np.abs(terms[:, :, :k_max].sum(axis=2) - G)))
-    if not estimate <= GRAM_BUDGET:
-        raise UnderResolved(f"two-rule estimate {estimate:.1e} exceeds "
-                            f"the budget {GRAM_BUDGET:.0e}")
-    return G

@@ -585,6 +585,18 @@ def rho_power_three_halves(monkeypatch):
     monkeypatch.setattr(radial, "exponents", exponents)
 
 
+def t_exponents_shifted(shift):
+    """A control that passes the t-exponents (power, scale, rate) through
+    ``shift``; the rho and oscillator exponents, which the twist reads,
+    stay as they are."""
+    def control(monkeypatch):
+        original = radial.exponents
+        monkeypatch.setattr(radial, "exponents", lambda s, coordinate: (
+            shift(*original(s, coordinate)) if coordinate == "t"
+            else original(s, coordinate)))
+    return control
+
+
 def norm_off_by_a_billionth(monkeypatch):
     """Every closed-form t-norm scaled by 1 + 1e-9."""
     original = radial.radial_norm2_t
@@ -615,13 +627,23 @@ MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
     (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
     # the twisted power is then 2 ell - 1, not the oscillator's 2 ell
     (rho_power_three_halves, ["twist[n=2]", "twist[n=3]"]),
-    # the Gram diagonal reads 1 - 1e-9, past the bound of 1e-12
+    # every diagonal Gram identity fails, exactly
     (norm_off_by_a_billionth, ["orthogonality[n=2]"]),
+    # t^(ell + 1/4) is no polynomial times t^ell: no identity holds
+    (t_exponents_shifted(lambda power, scale, rate: (
+        power + Fraction(1, 4), scale, rate)), ["orthogonality[n=2]"]),
+    # each pair then integrates against the wrong exponential
+    (t_exponents_shifted(lambda power, scale, rate: (
+        power, scale, rate * Fraction(101, 100))), ["orthogonality[n=2]"]),
+    # L^a_0 = 1 reads no scale: only the nine k = 1 norms still hold
+    (t_exponents_shifted(lambda power, scale, rate: (
+        power, scale * Fraction(101, 100), rate)), ["orthogonality[n=2]"]),
     # the row counts k = 0..12, so a missing coefficient is a fault row
     (genfunc_one_short, ["genfunc"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
         "schur-density", "eigensolve-channel", "twist-rho-power",
-        "orthogonality-norm", "genfunc-one-short"])
+        "orthogonality-norm", "orthogonality-t-power", "orthogonality-t-rate",
+        "orthogonality-t-scale", "genfunc-one-short"])
 def test_exact_checks_fail_their_negative_controls(control, failed,
                                                    monkeypatch, capsys):
     control(monkeypatch)

@@ -31,7 +31,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 
 EXACT_CHECKS = ("collapse", "dim-equality", "genfunc", "dims", "ktype-dims",
-                "casimir", "residuals", "twist")
+                "casimir", "residuals", "twist", "orthogonality")
 
 # what a command that needs no numpy leaves unloaded
 NO_NUMPY = {"numpy", "scipy", "dataclasses", "inspect"}

@@ -3,15 +3,17 @@
 Oracles used here and nowhere else:
 
 * explicit Laguerre sum L^a_m(x) = sum_i (-1)^i C(m+a, m-i) x^i / i!
-  and scipy's eval_genlaguerre, both independent of the recurrence;
+  and scipy's eval_genlaguerre, both independent of the recurrence
+  ``radial._laguerre`` that the profiles run;
 * composite Gauss-Legendre quadrature of the sampled profiles on a
   domain sized from the state, against the library's closed-form norms;
-* the bare profiles as plain float products t^ell L e^(-t/nu), and the
-  log of the closed-form norm through math.lgamma, against the library's
-  log-space evaluation;
+* the bare profiles as plain float products t^ell L e^(-t/nu), L from
+  eval_genlaguerre, and the log of the closed-form norm through
+  math.lgamma, against the library's log-space evaluation;
 * a second-order central-difference application of the Kepler and the
   oscillator operators, independent of the reduced operators inside the
-  library, which the exact identities and the float residuals share.
+  library, which the exact identities and the float residuals share; the
+  oscillator profile r^L L e^(-r^2/2) is a plain float product here too.
 """
 
 import math
@@ -33,19 +35,16 @@ from qkepler.radial import (
     UnderResolved,
     default_t_max,
     eigensolve,
+    gram_identities,
     kepler_ode,
     kepler_residual,
-    laguerre,
     laguerre_eigenvalues,
-    orthogonality_check,
     oscillator_ode,
-    oscillator_profile,
     oscillator_residual,
     radial_norm2_rho,
     radial_norm2_t,
     radial_rho,
     radial_t,
-    twist_profile,
 )
 from qkepler.spectral import ModelParams, energy
 
@@ -128,6 +127,8 @@ def test_radial_grid_validation():
 # ---------------------------------------------------------------------------
 # Laguerre recurrence against two oracles
 
+laguerre = radial._laguerre
+
 
 @pytest.mark.parametrize("a", [0, 1, 3, 7])
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
@@ -152,8 +153,9 @@ def test_laguerre_against_scipy():
 def test_laguerre_scalar_and_validation():
     assert laguerre(2, 0, 1.5) == 1.0
     assert laguerre(1, 1, 0.5) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        laguerre(1, -1, 0.5)
+    # degree -1 reads 0, the value the derivative identity needs at m = 0
+    assert laguerre(1, -1, 0.5) == 0.0
+    assert np.all(laguerre(1, -1, np.array([0.5, 2.0])) == 0.0)
 
 
 def test_laguerre_derivative_identity():
@@ -197,7 +199,7 @@ def test_normalized_profiles_differ_by_sqrt2():
 
 def test_profile_input_validation():
     s = RadialState(ModelParams(2, 0), 1, 0)
-    for fun in (radial_t, radial_rho, oscillator_profile, twist_profile):
+    for fun in (radial_t, radial_rho):
         with pytest.raises(ValueError):
             fun(s, 0.0)
         with pytest.raises(ValueError):
@@ -245,8 +247,8 @@ def test_log_space_profiles_match_direct_products(n, sigma_bar, k, l):
     nu, ell = float(s.nu), float(s.ell)
     a, m = s.laguerre_index, s.laguerre_degree
     x = CLI_GRID
-    t_bare = x ** ell * laguerre(a, m, 2 * x / nu) * np.exp(-x / nu)
-    rho_bare = (x ** (2 * ell + 2.5) * laguerre(a, m, 2 * x * x / nu)
+    t_bare = x ** ell * eval_genlaguerre(m, a, 2 * x / nu) * np.exp(-x / nu)
+    rho_bare = (x ** (2 * ell + 2.5) * eval_genlaguerre(m, a, 2 * x * x / nu)
                 * np.exp(-x * x / nu))
     log_n = log_norm2_t(s)
     for got, bare, log_norm2 in (
@@ -574,6 +576,14 @@ def test_oscillator_eigenvalue_readbacks():
             assert (held == points) == (lam == level)
 
 
+def oscillator_profile(s, r):
+    """The bare oscillator profile r^L L^a_m(r^2) e^(-r^2/2), L = 2 ell, as
+    a plain float product."""
+    return (r ** s.two_ell * eval_genlaguerre(s.laguerre_degree,
+                                              s.laguerre_index, r * r)
+            * np.exp(-r * r / 2))
+
+
 def oscillator_fd_residual(s, L):
     """Relative residual of (-Lap/2 + r^2/2) f = lambda f on the channel
     with angular number L, by central differences on the bare profile."""
@@ -611,12 +621,11 @@ def test_oscillator_exact_readback_at_chosen_points():
         assert HP == 2 * x * s.oscillator_level * P
 
 
-def test_oscillator_profile_past_the_double_range_of_its_power():
-    # r^L = 6^400 is about 1e311, past the largest double, but the profile
-    # 6^400 e^-18 (the Laguerre factor of degree 0 is 1) is finite
-    s = RadialState(ModelParams(2, 0), 1, 200)
-    assert oscillator_profile(s, 6.0) == pytest.approx(2.7745942326e303,
-                                                       rel=1e-10)
+def twist_profile(s, r):
+    """The library's rho profile pushed through the twist: r^power R_rho(c r),
+    (power, c^2) from ``twist_exponents``."""
+    power, c2 = radial.twist_exponents(s)
+    return r ** float(power) * radial_rho(s, math.sqrt(c2) * r)
 
 
 def worst_twist_spread():
@@ -630,6 +639,7 @@ def worst_twist_spread():
 
 
 def test_twist_ratio_is_constant():
+    # the sampled Kepler profile, twisted, against the oscillator product
     assert worst_twist_spread() < 1e-20
 
 
@@ -659,53 +669,39 @@ def test_twist_constant_agrees_between_windows():
 
 
 def test_gram_matrix_is_identity():
-    p = ModelParams(2, 0)
-    G = orthogonality_check(p, 0, k_max=6)
-    assert G.shape == (6, 6)
-    assert np.max(np.abs(G - np.eye(6))) < 1e-12
+    held = gram_identities(ModelParams(2, 0), 0, k_max=6)
+    assert len(held) == 21 and all(held)  # the pairs i <= j
+    assert all(type(ok) is bool for ok in held)
 
 
 @pytest.mark.parametrize("sigma_bar, l", [(1, 0), (2, 2), (0, 1)])
 def test_gram_matrix_other_channels(sigma_bar, l):
-    p = ModelParams(2, sigma_bar)
-    G = orthogonality_check(p, l, k_max=5)
-    assert np.max(np.abs(G - np.eye(5))) < 1e-12
+    held = gram_identities(ModelParams(2, sigma_bar), l, k_max=5)
+    assert len(held) == 15 and all(held)
 
 
 def test_gram_matrix_is_identity_over_the_channels():
-    # the Gauss-Laguerre sums are exact: only rounding is left
+    # one k <= 8 Gram per channel holds every smaller one as its leading
+    # block
     for n in (2, 3, 4):
         for sigma_bar in range(9):
             p = ModelParams(n, sigma_bar)
             for l in range(11):
-                for k_max in range(1, 9):
-                    G = orthogonality_check(p, l, k_max=k_max)
-                    assert np.max(np.abs(G - np.eye(k_max))) < 1e-12
+                held = gram_identities(p, l, k_max=8)
+                assert len(held) == 36 and all(held)
 
 
 def test_gram_matrix_past_the_double_range():
-    # the squared norm at l = 200 is far past 1e308; the Gram entries are
-    # sums of profiles normalized in log space
-    G = orthogonality_check(ModelParams(2, 0), 200, k_max=2)
-    assert np.max(np.abs(G - np.eye(2))) < 1e-12
-
-
-def test_gram_two_rule_guard_catches_a_non_polynomial_profile(monkeypatch):
-    # t^(ell + 1/4) is no polynomial times the weight t^ell: the rules on
-    # k_max and k_max + 2 nodes disagree
-    original = radial.exponents
-
-    def exponents(s, coordinate):
-        power, scale, rate = original(s, coordinate)
-        return power + Fraction(1, 4), scale, rate
-    monkeypatch.setattr(radial, "exponents", exponents)
-    with pytest.raises(UnderResolved, match="two-rule estimate"):
-        orthogonality_check(ModelParams(2, 0), 0, k_max=6)
+    # the squared norm at l = 200 is far past 1e308; the entries are ints
+    s = RadialState(ModelParams(2, 0), 2, 200)
+    assert radial_norm2_t(s) > Fraction(10) ** 308
+    assert gram_identities(ModelParams(2, 0), 200, k_max=2) == [True] * 3
 
 
 def test_orthogonality_validation():
     p = ModelParams(2, 0)
     with pytest.raises(ValueError):
-        orthogonality_check(p, 0, k_max=9)
+        gram_identities(p, 0, k_max=0)
     with pytest.raises(ValueError):
-        orthogonality_check(p, 0, k_max=0)
+        gram_identities(p, -1, k_max=2)
+    assert len(gram_identities(p, 0, k_max=12)) == 78

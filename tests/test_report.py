@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkepler import checks, radial
+from qkepler import checks, geom, radial
 from qkepler.report import (CheckResult, Report, emit, report_from_json, row,
                             worse)
 
@@ -120,15 +120,16 @@ def test_worst_accumulation_keeps_nan():
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
-    monkeypatch.setattr(radial, "orthogonality_check",
-                        lambda p, l, k_max: np.full((6, 6), np.nan))
-    (r,) = checks.orthogonality()
+    monkeypatch.setattr(geom, "metric_sweep",
+                        lambda n, samples, seed: math.nan)
+    rows = {r.name: r for r in checks.metric()}
+    r = rows["metric[n=2]"]
     assert math.isnan(r.residual) and r.passed is False
+    assert rows["quotient[n=2]"].passed is True
 
 
 @pytest.mark.parametrize("check, target, name", [
     ("eigensolve", "laguerre_eigenvalues", "eigensolve[n=2]"),
-    ("orthogonality", "orthogonality_check", "orthogonality[n=2]"),
 ])
 def test_under_resolution_fails_its_check(check, target, name, monkeypatch):
     def under_resolved(*args, **kwargs):
