@@ -142,20 +142,35 @@ def casimir() -> list[CheckResult]:
 
 def residuals() -> list[CheckResult]:
     """The Kepler and oscillator radial equations hold for the closed forms,
-    exactly, on ints at m + 3 points (``radial.kepler_ode``).  A state
-    reaches an identity only through its channel (n, 2 ell, m) and its
-    energy or level, so each distinct one is checked once."""
+    exactly, on ints at m + 3 points (``radial.kepler_ode``).  A state's
+    channel (n, 2 ell, m) is read from the table its profiles are sampled
+    from, ``radial.exponents``: 2 ell is twice the t power, or the
+    oscillator power, and the table's scale and rate must be those of the
+    envelope the reduced operator divides out (2/nu and 1/nu in t, nu =
+    ell + m + n; 1 and 1/2 in the oscillator).  A state reaches an
+    identity only through its channel and its energy or level, so each
+    distinct one is checked once."""
     from . import radial
+    def kepler(s):
+        power, scale, rate = radial.exponents(s, "t")
+        nu = power + (s.laguerre_degree + s.params.n)
+        return (2 * power, rate * nu == 1 and scale == 2 * rate,
+                spectral.energy(s.params, s.I))
+    def oscillator(s):
+        power, scale, rate = radial.exponents(s, "oscillator")
+        return power, scale == 2 * rate == 1, s.oscillator_level
+    def holds(once, n: int, s, read) -> bool:
+        two_ell, envelope, eigen = read(s)
+        if not envelope or two_ell.denominator != 1:
+            return False
+        held, points = once(n, two_ell.numerator, s.laguerre_degree, eigen)
+        return held == points
     identities = (
-        ("kepler-ode", functools.cache(radial.kepler_ode),
-         lambda s: spectral.energy(s.params, s.I)),
-        ("oscillator-ode", functools.cache(radial.oscillator_ode),
-         lambda s: s.oscillator_level))
-    return [_tally(f"{name}[n={n}]", (
-        held == points for s in states for held, points in [
-            once(n, s.two_ell, s.laguerre_degree, eigen(s))]))
-        for n in (2, 3) for states in [_states(n)]
-        for name, once, eigen in identities]
+        ("kepler-ode", functools.cache(radial.kepler_ode), kepler),
+        ("oscillator-ode", functools.cache(radial.oscillator_ode), oscillator))
+    return [_tally(f"{name}[n={n}]", (holds(once, n, s, read) for s in states))
+            for n in (2, 3) for states in [_states(n)]
+            for name, once, read in identities]
 
 
 def twist() -> list[CheckResult]:

@@ -35,9 +35,9 @@ from the library.  ``kepler_residual`` and ``oscillator_residual`` run
 the same lines on a caller's ``RadialGrid`` of floats and divide at the
 end; only the benchmark calls them.
 
-``laguerre_eigenvalues`` computes the levels of one channel by a
-Laguerre-Galerkin route in numpy alone with a two-size error estimate;
-``qkepler eigensolve`` and the acceptance gate both use it.
+``laguerre_eigenvalues`` computes the levels of one channel from a
+closed-form tridiagonal Galerkin pencil, in numpy alone, with a two-size
+error estimate; ``qkepler eigensolve`` and the acceptance gate use it.
 ``eigensolve``, a finite-difference route and the only code here that
 imports scipy, is kept only for the benchmark's ``radial`` workload.
 """
@@ -568,63 +568,24 @@ LAGUERRE_BUDGET = 1e-11  # largest two-size estimate the route accepts
 LAGUERRE_STEP = 16  # the estimate compares bases of N and N + 16 functions
 
 
-def _orthonormal_laguerre(a: float, size: int, x: np.ndarray) -> np.ndarray:
-    """Rows j < ``size``: sqrt(Gamma(a+1)) p_j(x), with p_j orthonormal for
-    x^a e^{-x} and positive leading coefficient.
-
-    The three-term recurrence of the Jacobi matrix (diagonal 2k + a + 1,
-    off-diagonal sqrt(k(k+a))), started from 1 instead of
-    1/sqrt(Gamma(a+1)), so no Gamma function is ever formed.
-    """
-    import numpy as np
-    k = np.arange(size)
-    b = np.sqrt(k * (k + a))
-    out = np.empty((size, x.size))
-    out[0] = 1.0
-    prev = np.zeros_like(x)
-    for j in range(size - 1):
-        out[j + 1] = ((x - (2 * j + a + 1)) * out[j] - b[j] * prev) / b[j + 1]
-        prev = out[j]
-    return out
-
-
-def _laguerre_rule(a: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_k of the ``size``-point Gauss rule for x^a e^{-x}, the
-    eigenvalues of its Jacobi matrix, and Σ_j q_j(x_k)^2 = Gamma(a+1)/w_k,
-    q_j from :func:`_orthonormal_laguerre`: Christoffel weights w_k keep
-    their relative accuracy at the large nodes where the Golub-Welsch
-    form Gamma(a+1) Q_0k^2 loses it."""
-    import numpy as np
-    k = np.arange(1, size)
-    off = np.sqrt(k * (k + a))
-    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(size) + a + 1)
-                           + np.diag(off, 1) + np.diag(off, -1))
-    q = _orthonormal_laguerre(a, size, x)
-    return x, np.sum(q * q, axis=0)
-
-
 def _laguerre_size(two_lam: int, count: int) -> int:
     """The smaller basis size N for the lowest ``count`` levels of channel 2λ.
 
-    Level k has u ~ t^{λ+1} e^{-t/(λ+k)} times a polynomial, so its
-    coefficients on the basis of :func:`_galerkin` fall like
-    τ^j sqrt(C(j+a, j)), with τ = (k-1)/(2λ+k+1) and a = 2λ+2.  N is the
-    least size where that coefficient of the top level is below 1e-14.
-    Over 2λ <= 106 and count <= 5 both bases then sit at the rounding
-    floor: every eigenvalue within 4e-13 of the exact one, and the
-    two-size estimate under 4e-13, which guards the sizes beyond.
+    Level k has u ~ t^{λ+1} e^{-t/(λ+k)} times a polynomial in x = 2t/(λ+1)
+    whose coefficients on the polynomials orthonormal for x^{2λ+2} e^{-x},
+    a basis of the space of :func:`_galerkin`, fall like τ^j sqrt(C(j+a, j)),
+    with τ = (k-1)/(2λ+k+1) and a = 2λ+2.  N is the least size where that
+    coefficient of the top level is below 1e-14.  Over 2λ <= 106 and count
+    <= 5 both bases then sit at the rounding floor: every eigenvalue within
+    1e-14 of the exact one (relative), and the two-size estimate under
+    2e-14, which guards the sizes beyond.
     """
-    tau = (count - 1) / (two_lam + count + 1)
-    if tau == 0.0:  # the ground state is the first basis function
-        return count
-    a = two_lam + 2
-
-    def log_coefficient(j: int) -> float:
-        return j * math.log(tau) + 0.5 * (math.lgamma(j + a + 1)
-                                          - math.lgamma(j + 1)
-                                          - math.lgamma(a + 1))
+    if count == 1:  # the ground state is the first basis function
+        return 1
+    log_tau = math.log((count - 1) / (two_lam + count + 1))
     size = count
-    while log_coefficient(size) > -14 * math.log(10):
+    while size * log_tau + math.log(math.comb(size + two_lam + 2, size)) / 2 \
+            > -14 * math.log(10):
         size += 1
     return size
 
@@ -634,33 +595,31 @@ def _galerkin(two_lam: int, size: int,
     """Lowest ``count`` eigenvalues of -u''/2 + [λ(λ+1)/(2t^2) - 1/t] u on
     the bases of ``size`` and ``size`` + LAGUERRE_STEP functions.
 
-    The basis is x^{λ+1} e^{-x/2} P_j(x), t = h x with h = (λ+1)/2, which
-    holds the ground state exactly; the P_j are orthonormal for
-    x^{2λ+2} e^{-x}, so the overlap is h·I.  With Q_j = (λ+1-x/2) P_j +
-    x P_j' = (λ+1+j-x/2) P_j + sqrt(j(j+2λ+2)) P_{j-1}, the matrix is
-
-        H_ij = ∫ x^{2λ} e^{-x} [Q_i Q_j / (2h) + (λ(λ+1)/(2h) - x) P_i P_j] dx,
-
-    a polynomial of degree <= 2(N-1) + 2 against x^{2λ} e^{-x}: Gauss
-    quadrature on N + 1 nodes (:func:`_laguerre_rule`) is exact.  The
-    smaller basis is the leading block of the larger one, so one
-    quadrature serves both.  The Gamma factors of the two unnormalized
-    families leave the constant (2λ+1)(2λ+2) on H, divided out below.
+    The basis is the Coulomb Sturmians S_j = x^{λ+1} e^{-x/2} L^α_j(x),
+    j < N, with x = 2κt, κ = 1/(λ+1) and α = 2λ+1, normalized so that
+    ∫ x^α e^{-x} L_i L_j dx = δ_ij.  S_0 is the ground state, and the
+    Sturmian equation gives H S_j = (jκ/t) S_j - (κ^2/2) S_j.  The 1/t
+    Gram matrix is then the identity and the overlap is J/(2κ), J the
+    Jacobi matrix of x^α e^{-x} (diagonal 2j+α+1, off-diagonal
+    sqrt((j+1)(j+α+1)) up to sign), so the levels solve diag(j) y = ν J y
+    with E = κ^2 (2ν - 1/2) (Rotenberg, Ann. Phys. 19, 1962).  Its root ν =
+    0 is the ground state; the Schur complement of the j = 0 row takes
+    J_11 to α + 2 and leaves 1/ν as the eigenvalues of the symmetric
+    tridiagonal diag(j)^{-1/2} J' diag(j)^{-1/2}, j = 1 .. N-1.  The
+    smaller basis is the leading block of the larger one.
     """
     import numpy as np
-    lam = two_lam / 2
-    h = (lam + 1) / 2
-    big = size + LAGUERRE_STEP
-    x, christoffel = _laguerre_rule(two_lam, big + 1)
-    root_w = 1.0 / np.sqrt(christoffel)
-    P = _orthonormal_laguerre(two_lam + 2, big, x) * root_w
-    j = np.arange(big)[:, None]
-    Q = (lam + 1 + j - x / 2) * P
-    Q[1:] += np.sqrt(j[1:] * (j[1:] + two_lam + 2)) * P[:-1]
-    H = (Q @ Q.T / (2 * h) + (P * (lam * (lam + 1) / (2 * h) - x)) @ P.T) \
-        / ((two_lam + 1) * (two_lam + 2) * h)
-    return (np.linalg.eigvalsh(H[:size, :size])[:count],
-            np.linalg.eigvalsh(H)[:count])
+    j = np.arange(1.0, size + LAGUERRE_STEP)
+    diag = (2 * j + two_lam + 2) / j
+    diag[0] = two_lam + 3
+    off = np.sqrt((j[:-1] + two_lam + 2) / j[:-1])
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    kappa2 = 4.0 / (two_lam + 2) ** 2
+
+    def levels(block: np.ndarray) -> np.ndarray:
+        mu = np.linalg.eigvalsh(block)[::-1][:count - 1]  # largest first
+        return kappa2 * np.concatenate(([-0.5], 2 / mu - 0.5))
+    return levels(A[:size - 1, :size - 1]), levels(A)
 
 
 def laguerre_eigenvalues(p: ModelParams, l: int,

@@ -585,10 +585,20 @@ def rho_power_three_halves(monkeypatch):
     monkeypatch.setattr(radial, "exponents", exponents)
 
 
+def rho_and_oscillator_powers_plus_one(monkeypatch):
+    """One more power of x in both the rho and the oscillator tables: the
+    twist still composes, and the rho profile is off by a factor rho."""
+    original = radial.exponents
+
+    def exponents(s, coordinate):
+        power, scale, rate = original(s, coordinate)
+        return (power if coordinate == "t" else power + 1), scale, rate
+    monkeypatch.setattr(radial, "exponents", exponents)
+
+
 def t_exponents_shifted(shift):
     """A control that passes the t-exponents (power, scale, rate) through
-    ``shift``; the rho and oscillator exponents, which the twist reads,
-    stay as they are."""
+    ``shift``; the rho and oscillator exponents stay as they are."""
     def control(monkeypatch):
         original = radial.exponents
         monkeypatch.setattr(radial, "exponents", lambda s, coordinate: (
@@ -612,6 +622,8 @@ def genfunc_one_short(monkeypatch):
 
 
 MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
+# a t-table mutant fails the Kepler equation as well as the Gram identities
+T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
 
 
 @pytest.mark.parametrize("control, failed", [
@@ -627,23 +639,27 @@ MICZ_ROWS = [f"micz[{sb}]" for sb in range(7)]
     (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
     # the twisted power is then 2 ell - 1, not the oscillator's 2 ell
     (rho_power_three_halves, ["twist[n=2]", "twist[n=3]"]),
+    # the oscillator equation reads its channel from the oscillator table
+    (rho_and_oscillator_powers_plus_one,
+     ["oscillator-ode[n=2]", "oscillator-ode[n=3]"]),
     # every diagonal Gram identity fails, exactly
     (norm_off_by_a_billionth, ["orthogonality[n=2]"]),
-    # t^(ell + 1/4) is no polynomial times t^ell: no identity holds
+    # t^(ell + 1/4) is no polynomial times t^ell: no identity holds, and
+    # the Kepler equation reads its channel from the t table
     (t_exponents_shifted(lambda power, scale, rate: (
-        power + Fraction(1, 4), scale, rate)), ["orthogonality[n=2]"]),
+        power + Fraction(1, 4), scale, rate)), T_ROWS),
     # each pair then integrates against the wrong exponential
     (t_exponents_shifted(lambda power, scale, rate: (
-        power, scale, rate * Fraction(101, 100))), ["orthogonality[n=2]"]),
+        power, scale, rate * Fraction(101, 100))), T_ROWS),
     # L^a_0 = 1 reads no scale: only the nine k = 1 norms still hold
     (t_exponents_shifted(lambda power, scale, rate: (
-        power, scale * Fraction(101, 100), rate)), ["orthogonality[n=2]"]),
+        power, scale * Fraction(101, 100), rate)), T_ROWS),
     # the row counts k = 0..12, so a missing coefficient is a fault row
     (genfunc_one_short, ["genfunc"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
         "schur-density", "eigensolve-channel", "twist-rho-power",
-        "orthogonality-norm", "orthogonality-t-power", "orthogonality-t-rate",
-        "orthogonality-t-scale", "genfunc-one-short"])
+        "rho-oscillator-power", "orthogonality-norm", "orthogonality-t-power",
+        "orthogonality-t-rate", "orthogonality-t-scale", "genfunc-one-short"])
 def test_exact_checks_fail_their_negative_controls(control, failed,
                                                    monkeypatch, capsys):
     control(monkeypatch)

@@ -535,6 +535,26 @@ def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
     assert estimate <= LAGUERRE_BUDGET
 
 
+def test_laguerre_route_sits_at_the_rounding_floor():
+    # every distinct channel 2 lambda = 2 .. 106 (n = 2, l = 0, sigma_bar =
+    # 2 lambda - 2) and count <= 5
+    for two_lam in range(2, 107):
+        p = ModelParams(2, two_lam - 2)
+        for count in range(1, 6):
+            vals, estimate = laguerre_eigenvalues(p, 0, count)
+            exact = np.array([float(energy(p, i)) for i in range(count)])
+            assert np.max(np.abs(vals - exact) / np.abs(exact)) <= 1e-13
+            assert estimate <= 1e-13
+            # Rayleigh-Ritz: the smaller basis lies above, up to rounding
+            small, big = radial._galerkin(
+                two_lam, radial._laguerre_size(two_lam, count), count)
+            assert np.all(small - big >= -1e-13 * np.abs(big))
+        # one basis function, the ground state: an empty reduced matrix
+        assert radial._laguerre_size(two_lam, 1) == 1
+        vals, estimate = laguerre_eigenvalues(p, 0, 1)
+        assert vals.tolist() == [float(energy(p, 0))] and estimate == 0.0
+
+
 def test_laguerre_eigenvalues_validation():
     p = ModelParams(2, 0)
     with pytest.raises(ValueError):
