@@ -18,12 +18,22 @@ numpy: the table commands, `wavefunction` (sampled on Python floats, at
 the points ``numpy.linspace`` would give) and `residual` (exact, on
 ints) do not.  The records are NamedTuples, not data classes, so no
 command imports ``dataclasses``, nor ``inspect`` unless numpy does.
+The parser adds the arguments of the named command alone, and only
+`degeneracy`, `ktype`, `eigensolve` and `verify` load ``qkepler.rep``.
+
+``main()`` flushes stdout and stderr once ``run()`` returns, then ends
+the process with ``os._exit`` and its status, skipping the interpreter's
+teardown.  ``atexit`` handlers, those of other libraries too (a coverage
+tool's subprocess hook, say), therefore do not run: code that needs them
+calls ``run()`` in process.  If ``run()`` or a flush raises, the
+exception propagates and the interpreter exits as it always does.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -194,77 +204,105 @@ class _FromChecks:
         return str(self._value())
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text", help="output format")
-    common.add_argument("--timestamp", action="store_true",
-                        help="stamp the report with the current UTC time "
-                             "(off by default to keep output reproducible)")
+def _common(cmd) -> None:
+    cmd.add_argument("--format", choices=("text", "csv", "json"),
+                     default="text", help="output format")
+    cmd.add_argument("--timestamp", action="store_true",
+                     help="stamp the report with the current UTC time "
+                          "(off by default to keep output reproducible)")
 
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--n", type=_integer(2), required=True,
-                       help="quaternionic dimension parameter, n >= 2")
-    model.add_argument("--sigma", type=_integer(0), required=True,
-                       metavar="SBAR",
-                       help="twist highest weight (a non-negative integer)")
 
+def _model(cmd) -> None:
+    cmd.add_argument("--n", type=_integer(2), required=True,
+                     help="quaternionic dimension parameter, n >= 2")
+    cmd.add_argument("--sigma", type=_integer(0), required=True,
+                     metavar="SBAR",
+                     help="twist highest weight (a non-negative integer)")
+
+
+def _table(cmd) -> None:
+    _model(cmd)
+    cmd.add_argument("--imax", type=_integer(0), default=3)
+
+
+def _wavefunction(cmd) -> None:
+    _model(cmd)
+    cmd.add_argument("--k", type=_integer(1), required=True)
+    cmd.add_argument("--l", type=_integer(0), required=True)
+    cmd.add_argument("--coordinate", choices=("t", "rho"), default="t")
+    cmd.add_argument("--lo", type=_positive, default=0.2)
+    cmd.add_argument("--hi", type=_positive, default=10.0)
+    cmd.add_argument("--points", type=_integer(1), default=9)
+    cmd.add_argument("--normalized", action="store_true")
+
+
+def _residual(cmd) -> None:
+    _model(cmd)
+    cmd.add_argument("which", choices=("kepler", "oscillator"))
+    cmd.add_argument("--k", type=_integer(1), required=True)
+    cmd.add_argument("--l", type=_integer(0), required=True)
+
+
+def _eigensolve(cmd) -> None:
+    _model(cmd)
+    cmd.add_argument("--l", type=_integer(0), required=True)
+    cmd.add_argument("--count", type=_integer(1, 5), default=3)
+
+
+def _micz(cmd) -> None:
+    cmd.add_argument("--sigma", type=_integer(0), required=True,
+                     metavar="SBAR")
+    cmd.add_argument("--imax", type=_integer(0), default=20)
+
+
+def _verify(cmd) -> None:
+    # a metavar, so that add_argument does not iterate the choices
+    cmd.add_argument("check", metavar="check", help="%(choices)s",
+                     choices=_FromChecks(lambda c: (*c.REGISTRY, "all")))
+    cmd.add_argument("--seed", type=_integer(0),
+                     help="seed for the randomized checks, %(seeded)s"
+                     ).seeded = _FromChecks(lambda c: (
+                         f"{' and '.join(sorted(c.SEEDED))} "
+                         f"(default {c.SEED})"))
+
+
+# name: (command, help, the arguments it adds after --format and --timestamp)
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "exact energy table", _table),
+    "degeneracy": (_cmd_degeneracy, "eigenspace dimension table", _table),
+    "ktype": (_cmd_ktype, "compact-group weight and dimension table", _table),
+    "wavefunction": (_cmd_wavefunction,
+                     "sample a closed-form radial profile", _wavefunction),
+    "residual": (_cmd_residual, "operator residual of a closed-form state",
+                 _residual),
+    "eigensolve": (_cmd_eigensolve,
+                   "Laguerre-Galerkin radial eigenvalues vs exact",
+                   _eigensolve),
+    "micz": (_cmd_micz, "n = 2 equivalence with the dimension-five model",
+             _micz),
+    "verify": (_cmd_verify, "acceptance checks; 'all' is the CI gate",
+               _verify),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of every command, or, when ``argv`` starts with a command
+    name, one whose other commands have no arguments.  They stay choices
+    with their help, and only the named command's parser ever reads
+    ``argv``, so usage, help and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="qkepler",
         description="Spectra, degeneracies, radial wavefunctions and "
                     "identity checks for the twisted quaternionic Kepler "
                     "models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, text, *parents):
-        cmd = sub.add_parser(name, parents=[common, *parents], help=text)
-        cmd.set_defaults(func=func)
-        return cmd
-
-    for name, func, text in (
-            ("spectrum", _cmd_spectrum, "exact energy table"),
-            ("degeneracy", _cmd_degeneracy, "eigenspace dimension table"),
-            ("ktype", _cmd_ktype, "compact-group weight and dimension table")):
-        command(name, func, text, model).add_argument(
-            "--imax", type=_integer(0), default=3)
-
-    wf = command("wavefunction", _cmd_wavefunction,
-                 "sample a closed-form radial profile", model)
-    wf.add_argument("--k", type=_integer(1), required=True)
-    wf.add_argument("--l", type=_integer(0), required=True)
-    wf.add_argument("--coordinate", choices=("t", "rho"), default="t")
-    wf.add_argument("--lo", type=_positive, default=0.2)
-    wf.add_argument("--hi", type=_positive, default=10.0)
-    wf.add_argument("--points", type=_integer(1), default=9)
-    wf.add_argument("--normalized", action="store_true")
-
-    rs = command("residual", _cmd_residual,
-                 "operator residual of a closed-form state", model)
-    rs.add_argument("which", choices=("kepler", "oscillator"))
-    rs.add_argument("--k", type=_integer(1), required=True)
-    rs.add_argument("--l", type=_integer(0), required=True)
-
-    ei = command("eigensolve", _cmd_eigensolve,
-                 "Laguerre-Galerkin radial eigenvalues vs exact", model)
-    ei.add_argument("--l", type=_integer(0), required=True)
-    ei.add_argument("--count", type=_integer(1, 5), default=3)
-
-    mz = command("micz", _cmd_micz,
-                 "n = 2 equivalence with the dimension-five model")
-    mz.add_argument("--sigma", type=_integer(0), required=True,
-                    metavar="SBAR")
-    mz.add_argument("--imax", type=_integer(0), default=20)
-
-    vf = command("verify", _cmd_verify,
-                 "acceptance checks; 'all' is the CI gate")
-    # a metavar, so that add_argument does not iterate the choices
-    vf.add_argument("check", metavar="check", help="%(choices)s",
-                    choices=_FromChecks(lambda c: (*c.REGISTRY, "all")))
-    vf.add_argument("--seed", type=_integer(0),
-                    help="seed for the randomized checks, %(seeded)s"
-                    ).seeded = _FromChecks(lambda c: (
-                        f"{' and '.join(sorted(c.SEEDED))} "
-                        f"(default {c.SEED})"))
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (func, text, arguments) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        if named in (None, name):
+            cmd.set_defaults(func=func)
+            _common(cmd)
+            arguments(cmd)
     return parser
 
 
@@ -274,7 +312,8 @@ _NOT_PARAMETERS = {"command", "which", "func", "format", "timestamp"}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":  # a seed iff the check reads one
@@ -302,7 +341,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

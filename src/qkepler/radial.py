@@ -86,6 +86,10 @@ class UnderResolved(ValueError):
     """
 
 
+# the oscillator table's scale and rate, the same for every state
+_OSCILLATOR_ENVELOPE = (Fraction(1), Fraction(1, 2))
+
+
 class _RadialState(NamedTuple):
     params: ModelParams
     k: int
@@ -95,8 +99,8 @@ class _RadialState(NamedTuple):
 class RadialState(_RadialState):
     """One bound state (k, l) of the model ``params``.
 
-    No ``__slots__``: the instance dict holds the cached ``ell`` and
-    ``nu``, which the exponents, the norms and the profiles read.
+    No ``__slots__``: the instance dict holds the cached ``ell``, ``nu``
+    and exponent tables, which the norms and the profiles read.
     """
 
     def __new__(cls, params: ModelParams, k: int, l: int) -> RadialState:
@@ -122,7 +126,21 @@ class RadialState(_RadialState):
     @cached_property
     def nu(self) -> Fraction:
         """The effective principal number k + ell + n - 1 = I + n + sigma_bar/2."""
-        return self.k + self.ell + self.params.n - 1
+        return Fraction(self._twice_nu, 2)
+
+    @property
+    def _twice_nu(self) -> int:
+        return 2 * self.k + self.two_ell + 2 * self.params.n - 2
+
+    @cached_property
+    def _exponents(self) -> dict[str, tuple[Fraction, ...]]:
+        """The tables of :func:`exponents`, built once.  The t and rho
+        tables share the scale 2/nu and the rate 1/nu; the rho form is
+        rho^{5/2} R(rho^2)."""
+        scale, rate = Fraction(4, self._twice_nu), Fraction(2, self._twice_nu)
+        return {"t": (self.ell, scale, rate),
+                "rho": (Fraction(2 * self.two_ell + 5, 2), scale, rate),
+                "oscillator": (Fraction(self.two_ell), *_OSCILLATOR_ENVELOPE)}
 
     @property
     def laguerre_index(self) -> int:
@@ -243,11 +261,7 @@ def _log(q: Fraction) -> float:
 def exponents(s: RadialState, coordinate: str) -> tuple[Fraction, ...]:
     """(power, scale, rate) of the bare profile x^power L^a_m(scale u)
     e^{-rate u}, u = t in "t" and u = x^2 in "rho" and "oscillator"."""
-    if coordinate == "oscillator":
-        return Fraction(s.two_ell), Fraction(1), Fraction(1, 2)
-    # the rho form is rho^{5/2} R(rho^2)
-    power = s.ell if coordinate == "t" else 2 * s.ell + Fraction(5, 2)
-    return power, 2 / s.nu, 1 / s.nu
+    return s._exponents[coordinate]
 
 
 def twist_exponents(s: RadialState) -> tuple[Fraction, Fraction]:

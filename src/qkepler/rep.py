@@ -15,17 +15,18 @@ familiar sigma(sigma + 2).
 
 The character of an Sp(1) irrep is its weight multiset, a Laurent
 polynomial in the torus coordinate z, and class integration is the
-constant term against the Weyl density.  Everything here is exact, and
-nothing imports numpy.
+constant term against the Weyl density; ``laurent`` loads only where a
+character is built.  Everything here is exact, and nothing imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .laurent import Laurent
+if TYPE_CHECKING:
+    from .laurent import Laurent
 
 __all__ = [
     "RootSystem",
@@ -235,13 +236,15 @@ def sp1_character(sigma_bar: int) -> Laurent:
     """Character of the (s+1)-dimensional irrep at diag(z, 1/z): its
     weights, sum over j <= s of z^(s-2j).  At z = e^(i theta) this is
     sin((s+1) theta)/sin(theta)."""
+    from .laurent import Laurent
     if sigma_bar < 0:
         raise ValueError("sigma_bar must be >= 0")
     return Laurent({sigma_bar - 2 * j: 1 for j in range(sigma_bar + 1)})
 
 
-# |z - 1/z|^2 on |z| = 1: twice the Weyl density of Sp(1) on its torus
-_WEYL_DENSITY = Laurent({0: 2, 2: -1, -2: -1})
+# |z - 1/z|^2 on |z| = 1: twice the Weyl density of Sp(1) on its torus, as
+# the terms of a Laurent polynomial
+_WEYL_DENSITY = {0: 2, 2: -1, -2: -1}
 
 
 def character_inner(sigma_bar_1: int, sigma_bar_2: int) -> int:
@@ -251,8 +254,9 @@ def character_inner(sigma_bar_1: int, sigma_bar_2: int) -> int:
     z^-2)] / 2, with CT the constant term.  Equals 1 when the labels
     agree and 0 otherwise (Schur orthogonality).
     """
+    from .laurent import Laurent
     ct = (sp1_character(sigma_bar_1) * sp1_character(sigma_bar_2)
-          * _WEYL_DENSITY).coefficient(0)
+          * Laurent(_WEYL_DENSITY)).coefficient(0)
     out, rem = divmod(ct, 2)
     if rem:
         raise ArithmeticError(f"class integral is not an integer: {ct}/2")

@@ -12,6 +12,9 @@ isotropic oscillator: the levelwise dimension equality and its
 generating-function form.  At n = 2 the spectrum and the radial operator
 are those of the generalized MICZ-Kepler problem in dimension five,
 checked in exact Laurent-polynomial arithmetic.
+
+``rep`` loads where weights and dimensions are built, and ``laurent``
+where the MICZ operators are, so an energy table loads neither.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .laurent import Laurent
-from .rep import HighestWeight, RootSystem, dim_R_l, weyl_dim
+if TYPE_CHECKING:
+    from .laurent import Laurent
+    from .rep import HighestWeight
 
 __all__ = [
     "ModelParams",
@@ -86,6 +90,7 @@ def energy_kl(p: ModelParams, k: int, l: int) -> Fraction:
 
 def _degeneracies(p: ModelParams, count: int) -> list[int]:
     """degeneracy(p, I) for I < ``count``: running sums over l of dim_R_l."""
+    from .rep import dim_R_l
     return list(itertools.accumulate(
         dim_R_l(p.n, p.sigma_bar, l) for l in range(count)))
 
@@ -182,6 +187,7 @@ def ktype_weight(p: ModelParams, I: int) -> HighestWeight:
     matched by the twist; that equality is what forces the half-integer
     twist parameter kappa to be 1.
     """
+    from .rep import HighestWeight
     if I < 0:
         raise ValueError("I must be >= 0")
     entries = [-1] * (2 * p.n - 2) + [-(1 + I), -(1 + I + p.sigma_bar)]
@@ -190,6 +196,7 @@ def ktype_weight(p: ModelParams, I: int) -> HighestWeight:
 
 def hspace_weight(p: ModelParams) -> HighestWeight:
     """Highest weight (-1, ..., -1, -(1+sigma_bar)) of the full bound sector."""
+    from .rep import HighestWeight
     return HighestWeight([-1] * (2 * p.n - 1) + [-(1 + p.sigma_bar)])
 
 
@@ -209,6 +216,7 @@ def ktype_dim_check(p: ModelParams, I: int) -> KtypeCheck:
     constant vector (1+I+sigma_bar)*(1, ..., 1); the shift leaves the
     dimension unchanged and makes the entries nonnegative.
     """
+    from .rep import RootSystem, weyl_dim
     shift = 1 + I + p.sigma_bar
     shifted = ktype_weight(p, I).shifted(shift)
     u2n = weyl_dim(RootSystem("A", 2 * p.n - 1), shifted)
@@ -226,6 +234,7 @@ def _micz_transformed(phi: Laurent, sigma_bar: int) -> Laurent:
         -(g'' + 4 g'/rho) / (8 rho^(7/2))
         + (sigma_bar(sigma_bar+2) + 27/4) Phi / (8 rho^4) - Phi / rho^2.
     """
+    from .laurent import Laurent
     rho = Laurent.monomial
     Phi = phi.at_power(2)
     g1 = (rho(Fraction(3, 2)) * Phi).derivative()
@@ -241,6 +250,7 @@ def _micz_radial(phi: Laurent, sigma_bar: int) -> Laurent:
 
         -(Phi'' + 4 Phi'/r)/2 + sigma_bar(sigma_bar+2) Phi/(8 r^2) - Phi/r.
     """
+    from .laurent import Laurent
     r = Laurent.monomial
     d1 = phi.derivative()
     return (Fraction(-1, 2) * (d1.derivative() + 4 * r(-1) * d1)
@@ -281,6 +291,7 @@ def micz_check(sigma_bar: int, i_max: int = 20) -> MiczReport:
     The report also reads back twice the r^-2 coefficient of the
     transformed operator on Phi = 1, which is mu^2 + mu.
     """
+    from .laurent import Laurent
     if sigma_bar < 0:
         raise ValueError("sigma_bar must be >= 0")
     p = ModelParams(2, sigma_bar)

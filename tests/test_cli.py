@@ -18,6 +18,8 @@ from qkepler.cli import _build_parser, run
 from qkepler.laurent import Laurent
 from qkepler.rep import HighestWeight
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(checks.__file__)))
+
 
 def out_of(capsys):
     captured = capsys.readouterr()
@@ -633,7 +635,7 @@ T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
     # chi_1 without z^-1 is z, whose class integral is -1/2: a fault row
     (character_without_lowest_weight, ["schur"]),
     # the density cut to its constant term gives |chi_s|^2 = s + 1
-    (lambda mp: mp.setattr(rep, "_WEYL_DENSITY", Laurent({0: 2})),
+    (lambda mp: mp.setattr(rep, "_WEYL_DENSITY", {0: 2}),
      [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
     # the Laguerre route converges, but to the neighbouring channel
     (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
@@ -736,8 +738,7 @@ def test_metric_rows_read_the_quaternion_product(product, monkeypatch,
 def test_gate_survives_optimize_flag():
     # python -O strips asserts: every guard of the gate is an explicit
     # raise, so the report is the same bytes
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(os.path.abspath(checks.__file__))))
+    env = dict(os.environ, PYTHONPATH=SRC)
     outs = [subprocess.run(
         [sys.executable, *flags, "-m", "qkepler.cli", "verify", "all",
          "--format", "json"], env=env, capture_output=True, check=True).stdout
@@ -772,7 +773,110 @@ def readme_commands():
     return commands
 
 
+def main_in_subprocess(argv):
+    """Exit status and stdout of ``python -m qkepler.cli *argv``.
+
+    stdout is a pipe and PYTHONUNBUFFERED is unset, so the report sits in
+    a buffer until ``main`` flushes it before its hard exit."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "qkepler.cli", *argv],
+                          env=env, stdout=subprocess.PIPE)
+    return proc.returncode, proc.stdout.decode()
+
+
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_commands_run(argv, capsys):
+    # in process, and in a process that ends in os._exit: the same bytes
     assert run(argv) == 0
-    out_of(capsys)
+    assert main_in_subprocess(argv) == (0, out_of(capsys))
+
+
+# the text form, `qkepler verify all`, is a README command
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gate_prints_the_same_through_main(fmt, capsys):
+    argv = ["verify", "all", "--seed", "0", "--format", fmt]
+    code = run(argv)
+    assert main_in_subprocess(argv) == (code, out_of(capsys))
+
+
+ATEXIT_PROBE = """
+import atexit, sys
+atexit.register(print, "atexit ran", file=sys.stderr)
+from qkepler.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *MODEL],
+    # a sample past the double range fails its row
+    ["wavefunction", *MODEL, "--k", "1", "--l", "200", "--hi", "1000"],
+    ["spectrum", "--n", "1", "--sigma", "0"],
+], ids=["pass", "fail", "argument-error"])
+def test_main_ends_the_process_without_teardown(argv, capsys):
+    # run()'s status, and the interpreter's exit handlers do not run
+    code = run(argv)
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "atexit ran" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered, code", [("", 120), ("1", 1)],
+                         ids=["flush", "write"])
+def test_report_that_cannot_be_written_is_no_pass(unbuffered, code):
+    # a flush or write that raises takes the interpreter's own path: a
+    # traceback and its status (120: stdout failed to flush at exit)
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkepler.cli", "spectrum", *MODEL],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == code
+    assert "No space left on device" in proc.stderr
+
+
+def parsed(parser, argv):
+    """Exit status, stdout and stderr of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["spectrum", "degeneracy", "ktype", "wavefunction", "residual",
+            "eigensolve", "micz", "verify"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([name, "--help"] for name in COMMANDS),
+    ["spectrum", "--n", "1", "--sigma", "0"],
+    ["degeneracy", *MODEL, "--imax", "-1"],
+    ["ktype", "--n", "2"],
+    ["wavefunction", *MODEL, "--k", "1", "--l", "0", "--lo", "nan"],
+    ["residual", "bogus", *MODEL, "--k", "1", "--l", "0"],
+    ["eigensolve", *MODEL, "--l", "0", "--count", "6"],
+    ["micz", "--sigma", "-1"],
+    ["verify", "nope"],
+], ids=" ".join)
+def test_parser_of_one_command_reads_as_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(_build_parser(argv), argv) == parsed(_build_parser(), argv)
+
+
+def test_parser_adds_only_the_named_commands_arguments():
+    [verbs] = [a for a in _build_parser(["spectrum"])._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    assert list(verbs.choices) == COMMANDS
+    populated = {name for name, cmd in verbs.choices.items()
+                 if len(cmd._actions) > 1}  # more than -h
+    assert populated == {"spectrum"}

@@ -5,7 +5,9 @@ imported numpy and scipy.  No command loads scipy, and one that loads no
 numpy loads neither ``dataclasses`` nor ``inspect`` (numpy imports
 ``inspect`` itself).  Only `eigensolve` and the numeric checks of
 `verify` load numpy, and only `verify` and `eigensolve` load
-``qkepler.checks``.
+``qkepler.checks``.  ``qkepler.rep`` loads only where weights and
+dimensions are built, and ``qkepler.laurent`` only where Laurent
+polynomials are.
 """
 
 import importlib
@@ -36,8 +38,12 @@ EXACT_CHECKS = ("collapse", "dim-equality", "genfunc", "dims", "ktype-dims",
 # what a command that needs no numpy leaves unloaded
 NO_NUMPY = {"numpy", "scipy", "dataclasses", "inspect"}
 
-# what a table command leaves unloaded: it runs no check
-TABLE = NO_NUMPY | {"qkepler.checks"}
+# what a table command leaves unloaded: it runs no check and builds no
+# Laurent polynomial
+TABLE = NO_NUMPY | {"qkepler.checks", "qkepler.laurent"}
+
+# what a command that builds no weight or dimension leaves unloaded
+NO_WEIGHTS = TABLE | {"qkepler.rep"}
 
 
 def fresh_run(argv):
@@ -50,23 +56,24 @@ def fresh_run(argv):
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["spectrum", "--n", "3", "--sigma", "2"], TABLE),
+    (["spectrum", "--n", "3", "--sigma", "2"], NO_WEIGHTS),
     (["degeneracy", "--n", "8", "--sigma", "12", "--imax", "20"], TABLE),
     (["ktype", "--n", "8", "--sigma", "12", "--imax", "20"], TABLE),
     # profiles are sampled on Python floats, the equations on ints
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2",
-      "--normalized"], TABLE),
+      "--normalized"], NO_WEIGHTS),
     (["wavefunction", "--n", "2", "--sigma", "1", "--k", "3", "--l", "2"],
-     TABLE),
+     NO_WEIGHTS),
     (["wavefunction", "--n", "3", "--sigma", "0", "--k", "4", "--l", "1",
-      "--coordinate", "rho"], TABLE),
+      "--coordinate", "rho"], NO_WEIGHTS),
     (["residual", "kepler", "--n", "2", "--sigma", "1", "--k", "3", "--l",
-      "1"], TABLE),
+      "1"], NO_WEIGHTS),
     (["residual", "oscillator", "--n", "2", "--sigma", "0", "--k", "2",
-      "--l", "0"], TABLE),
+      "--l", "0"], NO_WEIGHTS),
     # the command and the gate share the numpy-only Laguerre route
     (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], {"scipy"}),
-    (["micz", "--sigma", "2"], TABLE),
+    # Laurent polynomials, but no weight
+    (["micz", "--sigma", "2"], NO_NUMPY | {"qkepler.checks", "qkepler.rep"}),
     (["verify", "micz"], NO_NUMPY),
     (["verify", "schur"], NO_NUMPY),
     # the exact checks, counted in integers and Fractions
@@ -115,13 +122,13 @@ def test_import_radial_loads_no_numpy():
     # numpy is imported inside the array routes that use it
     modules = loaded_after("import sys, qkepler.radial")
     assert "qkepler.radial" in modules
-    assert not modules & TABLE
+    assert not modules & NO_WEIGHTS
 
 
 def test_import_cli_loads_no_dataclasses_and_no_inspect():
     modules = loaded_after("import sys, qkepler.cli")
     assert "qkepler.cli" in modules
-    assert not modules & TABLE
+    assert not modules & NO_WEIGHTS
 
 
 @pytest.mark.parametrize("fmt, absent", [

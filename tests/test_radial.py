@@ -5,8 +5,10 @@ Oracles used here and nowhere else:
 * explicit Laguerre sum L^a_m(x) = sum_i (-1)^i C(m+a, m-i) x^i / i!
   and scipy's eval_genlaguerre, both independent of the recurrence
   ``radial._laguerre`` that the profiles run;
-* composite Gauss-Legendre quadrature of the sampled profiles on a
-  domain sized from the state, against the library's closed-form norms;
+* composite Gauss-Legendre quadrature, on a domain sized from the state,
+  of the bare profiles as one numpy expression each, which first match
+  the library's profiles at six points per state, against the library's
+  closed-form norms;
 * the bare profiles as plain float products t^ell L e^(-t/nu), L from
   eval_genlaguerre, and the log of the closed-form norm through
   math.lgamma, against the library's log-space evaluation;
@@ -54,8 +56,28 @@ def lag_sum(a, m, x):
                for i in range(m + 1))
 
 
+def profile(s, coordinate, hi):
+    """The bare profile of ``s`` as one numpy expression, x^power
+    L^a_m(2u/nu) e^(-u/nu) with L from eval_genlaguerre: u = x and
+    power = ell in t, u = x^2 and power = 2 ell + 5/2 in rho.  It must
+    first match the library's profile to 1e-10 at six points of (0, hi]."""
+    nu, ell = float(s.nu), float(s.ell)
+    a, m = s.laguerre_index, s.laguerre_degree
+    rho = coordinate == "rho"
+    power = 2 * ell + 2.5 if rho else ell
+
+    def bare(x):
+        u = x * x if rho else x
+        return x ** power * eval_genlaguerre(m, a, 2 * u / nu) * np.exp(-u / nu)
+    probe = np.linspace(0.0, hi, 7)[1:]
+    library = radial_rho if rho else radial_t
+    np.testing.assert_allclose(bare(probe), library(s, probe), rtol=1e-10,
+                               atol=0.0)
+    return bare
+
+
 def norm2_by_quadrature(s, coordinate):
-    """Squared norm of the sampled bare profile, integrated here.
+    """Squared norm of the bare profile, integrated here.
 
     The cutoff sits well past the turning point of x = 2t/nu, at
     2.5 (a + 2m + 1) + 30, with one 16-point panel per 1.5 in x.
@@ -66,11 +88,13 @@ def norm2_by_quadrature(s, coordinate):
     t_max = float(s.nu) * x_max / 2.0
     panels = max(24, math.ceil(x_max / 1.5))
     if coordinate == "t":
+        bare = profile(s, "t", t_max)
         return composite_gauss_legendre(
-            lambda t: radial_t(s, t) ** 2 * t ** (2 * n),
+            lambda t: bare(t) ** 2 * t ** (2 * n),
             0.0, t_max, order=16, panels=panels)
+    bare = profile(s, "rho", math.sqrt(t_max))
     return composite_gauss_legendre(
-        lambda rho: radial_rho(s, rho) ** 2 * rho ** (4 * n - 4),
+        lambda rho: bare(rho) ** 2 * rho ** (4 * n - 4),
         0.0, math.sqrt(t_max), order=16, panels=panels)
 
 
@@ -294,8 +318,7 @@ def test_node_count_matches_radial_number():
         x_hi = 4 * s.laguerre_degree + 2 * s.laguerre_index + 4
         t_hi = float(s.nu) * x_hi / 2
         t = np.linspace(1e-3, t_hi, 4000)
-        vals = radial_t(s, t)
-        signs = np.sign(vals)
+        signs = np.sign(profile(s, "t", t_hi)(t))
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
         assert changes == s.k - 1
 
