@@ -9,8 +9,8 @@ that the randomized checks named in ``SEEDED`` take ``seed``.  A row is
 a counted identity (``_tally``) or a worst residual against its bound
 (``_resolved``); only ``schur-norm`` and ``ostar`` are built by hand.
 A check imports numpy, ``radial`` or ``geom`` when it runs, so loading
-this module loads neither; ``_resolved`` imports ``radial``, so
-``verify metric`` loads it too.
+this module loads none of them.  Only ``metric`` and ``ostar`` load
+numpy: ``eigensolve`` certifies its levels by exact integer counts.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import functools
 from typing import Callable, Iterable
 
 from . import rep, spectral
-from .report import CheckResult, row, worse
+from .report import CheckResult, row
 
 __all__ = ["REGISTRY", "SEEDED", "SEED", "EIGENSOLVE_TOL"]
 
 SEED = 0  # the gate's seed for the randomized sweeps
-EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin eigenvalues, here and in `eigensolve`
+EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin levels, here and in `eigensolve`
 
 
 def _tally(name: str, outcomes: Iterable[bool]) -> CheckResult:
@@ -39,17 +39,8 @@ def _tally(name: str, outcomes: Iterable[bool]) -> CheckResult:
                passed=held == len(outcomes) > 0)
 
 
-def _resolved(name: str, sweep: Callable[[], float],
-              tol: float) -> CheckResult:
-    """The row of a sweep that returns its worst residual.
-
-    An under-resolved sweep fails its row, with the reason as lhs.
-    """
-    from .radial import UnderResolved
-    try:
-        worst = sweep()
-    except UnderResolved as exc:
-        return row(name, lhs=str(exc), tolerance=tol, passed=False)
+def _resolved(name: str, worst: float, tol: float) -> CheckResult:
+    """The row of a sweep's worst residual against its bound."""
     return row(name, residual=worst, tolerance=tol, passed=worst < tol)
 
 
@@ -58,33 +49,30 @@ def _r_l_weight(n: int, sb: int, l: int) -> rep.HighestWeight:
     return rep.HighestWeight([l + sb, l] + [0] * (n - 2))
 
 
-def _states(n: int) -> list:
-    """The states sbar <= 3, k <= 5, l <= 3 that residuals and twist sweep."""
+@functools.cache
+def _states(n: int) -> tuple:
+    """The states sbar <= 3, k <= 5, l <= 3 that residuals and twist sweep,
+    built once: each caches its nu and exponent tables."""
     from . import radial
-    return [radial.RadialState(spectral.ModelParams(n, sb), k, l)
-            for sb in range(4) for k in range(1, 6) for l in range(4)]
+    return tuple(radial.RadialState(spectral.ModelParams(n, sb), k, l)
+                 for sb in range(4) for k in range(1, 6) for l in range(4))
 
 
 def eigensolve() -> list[CheckResult]:
-    """Laguerre-Galerkin radial eigenvalues against the exact energies, to
-    EIGENSOLVE_TOL.  The levels depend on (sigma_bar, l) only through the
-    Laguerre index, so each index is solved once."""
+    """The three lowest exact energies of each channel sbar <= 3, l <= 2,
+    each certified by the Laguerre-Galerkin levels to EIGENSOLVE_TOL in
+    exact Sturm counts (``radial.laguerre_certified``).  The levels depend
+    on (sigma_bar, l) only through 2 lambda, the Laguerre index less one,
+    so each 2 lambda and its energies are certified once."""
     from . import radial
-    solved = {}
-    def sweep(n: int) -> float:
-        worst = 0.0
-        for sb in range(4):
-            p = spectral.ModelParams(n, sb)
-            for l in range(3):
-                index = radial.RadialState(p, 1, l).laguerre_index
-                if index not in solved:
-                    solved[index], _ = radial.laguerre_eigenvalues(p, l, 3)
-                for i, num in enumerate(solved[index]):
-                    exact = float(spectral.energy(p, i + l))
-                    worst = worse(worst, abs(num - exact) / abs(exact))
-        return worst
-    return [_resolved(f"eigensolve[n={n}]", lambda: sweep(n), EIGENSOLVE_TOL)
-            for n in (2, 3)]
+    certified = functools.cache(radial.laguerre_certified)
+    def levels(p: spectral.ModelParams, l: int) -> list[bool]:
+        two_lam = radial.RadialState(p, 1, l).laguerre_index - 1
+        energies = tuple(spectral.energy(p, l + i) for i in range(3))
+        return certified(two_lam, energies, EIGENSOLVE_TOL)
+    return [_tally(f"eigensolve[n={n}]", (
+        ok for sb in range(4) for p in [spectral.ModelParams(n, sb)]
+        for l in range(3) for ok in levels(p, l))) for n in (2, 3)]
 
 
 def collapse() -> list[CheckResult]:
@@ -200,7 +188,7 @@ def metric(seed: int = SEED) -> list[CheckResult]:
     with W_perp the part of W orthogonal to the line Z H, formed by
     quaternion products; and the Sp(n) trace form is twice it."""
     from . import geom
-    return [_resolved(f"{name}[n={n}]", lambda: sweep(n, 1000, seed), tol)
+    return [_resolved(f"{name}[n={n}]", sweep(n, 1000, seed), tol)
             for n in (2, 3, 4) for name, sweep, tol in (
                 ("metric", geom.metric_sweep, 1e-12),
                 ("quotient", geom.quotient_sweep, 1e-13))]

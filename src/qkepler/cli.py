@@ -7,17 +7,18 @@ positive), a size that would leave a table empty, or ``--seed`` on a
 `verify` check that draws no random samples.
 `verify` has no other setting: each check sweeps the gate's ranges and
 holds its own bounds.  A command exits 1 when a row fails: an identity
-that does not hold, a sample past the double range, an under-resolved
-grid, or a fault.  A command, or one check of `verify`, that raises
-becomes one failed row named after it, with the exception as lhs and the
-traceback on stderr.  `verify all` runs every check of
+that does not hold, a level that is not certified, a sample past the
+double range, or a fault.  A command, or one check of `verify`, that
+raises becomes one failed row named after it, with the exception as lhs
+and the traceback on stderr.  `verify all` runs every check of
 ``qkepler.checks`` and is the CI gate; only `verify` and `eigensolve`
-import ``qkepler.checks``.  Reports are deterministic, and no command imports
-scipy.  Only `eigensolve` and the numeric checks of `verify` import
-numpy: the table commands, `wavefunction` (sampled on Python floats, at
-the points ``numpy.linspace`` would give) and `residual` (exact, on
-ints) do not.  The records are NamedTuples, not data classes, so no
-command imports ``dataclasses``, nor ``inspect`` unless numpy does.
+import ``qkepler.checks``.  Reports are deterministic, and no command
+imports scipy.  Only the geometry checks of `verify` (`metric` and
+`ostar`) import numpy: the table commands, `wavefunction` (sampled on
+Python floats, at the points ``numpy.linspace`` would give), `residual`
+and `eigensolve` (exact, on ints) do not.  The records are NamedTuples,
+not data classes, so no command imports ``dataclasses``, nor
+``inspect`` unless numpy does.
 The parser adds the arguments of the named command alone, and only
 `degeneracy`, `ktype`, `eigensolve` and `verify` load ``qkepler.rep``.
 
@@ -35,6 +36,7 @@ import argparse
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import spectral
@@ -113,18 +115,13 @@ def _cmd_eigensolve(args, params) -> list[CheckResult]:
     from . import checks, radial
     p = spectral.ModelParams(args.n, args.sigma)
     tol = checks.EIGENSOLVE_TOL
-    try:
-        vals, params["estimate"] = radial.laguerre_eigenvalues(
-            p, args.l, args.count)
-    except radial.UnderResolved as exc:
-        return [row("resolution", lhs=str(exc), passed=False)]
-    rows = []
-    for i, num in enumerate(vals):
-        exact = float(spectral.energy(p, i + args.l))
-        rel = abs(num - exact) / abs(exact)
-        rows.append(row(f"E[{i}]", lhs=float(num), rhs=exact, residual=rel,
-                        tolerance=tol, passed=rel < tol))
-    return rows
+    two_lam = radial.RadialState(p, 1, args.l).laguerre_index - 1
+    energies = [spectral.energy(p, args.l + i) for i in range(args.count)]
+    certified = radial.laguerre_certified(two_lam, energies, tol)
+    # the exact level and the far end of its enclosure [E, E (1 - tol)]
+    return [row(f"E[{i}]", lhs=e, rhs=float(e * (1 - Fraction(tol))),
+                tolerance=tol, passed=ok)
+            for i, (e, ok) in enumerate(zip(energies, certified))]
 
 
 def _cmd_micz(args, params) -> list[CheckResult]:

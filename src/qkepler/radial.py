@@ -22,7 +22,8 @@ floats.  Orthonormality is exact: ``gram_identities`` integrates each
 pair of states of a channel term by term, in ints.
 
 Importing this module loads no numpy.  The array routes (``RadialGrid``,
-the float residuals and both eigensolvers) import it when they run.
+the float residuals and the finite-difference ``eigensolve``) import it
+when they run.
 
 Each radial operator is written once, on the Laguerre polynomial P
 alone: the envelope w (t^ell e^{-t/nu} on the Kepler side, r^L e^{-r^2/2}
@@ -35,11 +36,12 @@ from the library.  ``kepler_residual`` and ``oscillator_residual`` run
 the same lines on a caller's ``RadialGrid`` of floats and divide at the
 end; only the benchmark calls them.
 
-``laguerre_eigenvalues`` computes the levels of one channel from a
-closed-form tridiagonal Galerkin pencil, in numpy alone, with a two-size
-error estimate; ``qkepler eigensolve`` and the acceptance gate use it.
-``eigensolve``, a finite-difference route and the only code here that
-imports scipy, is kept only for the benchmark's ``radial`` workload.
+``laguerre_certified`` certifies the exact levels of one channel against
+a closed-form tridiagonal Galerkin pencil, in Python ints: exact Sturm
+counts place each Ritz level within a relative tolerance above the exact
+one, with nothing rounded; ``qkepler eigensolve`` and the acceptance gate
+use it.  ``eigensolve``, a finite-difference route and the only code here
+that imports scipy, is kept only for the benchmark's ``radial`` workload.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 from .spectral import ModelParams, energy
 
@@ -69,8 +71,7 @@ __all__ = [
     "oscillator_ode",
     "kepler_residual",
     "eigensolve",
-    "laguerre_eigenvalues",
-    "LAGUERRE_BUDGET",
+    "laguerre_certified",
     "default_t_max",
     "oscillator_residual",
 ]
@@ -88,6 +89,7 @@ class UnderResolved(ValueError):
 
 # the oscillator table's scale and rate, the same for every state
 _OSCILLATOR_ENVELOPE = (Fraction(1), Fraction(1, 2))
+_TWIST_POWER = Fraction(-5, 2)  # the twist's power of r, for every state
 
 
 class _RadialState(NamedTuple):
@@ -266,7 +268,7 @@ def exponents(s: RadialState, coordinate: str) -> tuple[Fraction, ...]:
 
 def twist_exponents(s: RadialState) -> tuple[Fraction, Fraction]:
     """(power, c^2) of the twist r^power R_rho(c r): (-5/2, nu/2)."""
-    return Fraction(-5, 2), s.nu / 2
+    return _TWIST_POWER, s.nu / 2
 
 
 def _shape(s: RadialState, coordinate: str) -> tuple:
@@ -515,7 +517,7 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     finite differences on [0, :func:`default_t_max`].
 
     Kept only for the benchmark's ``radial`` workload, which times it;
-    the command line and the gate use :func:`laguerre_eigenvalues`.
+    the command line and the gate use :func:`laguerre_certified`.
 
     Parameters
     ----------
@@ -576,23 +578,19 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
 
 
 # ---------------------------------------------------------------------------
-# Laguerre-Galerkin eigensolver
-
-LAGUERRE_BUDGET = 1e-11  # largest two-size estimate the route accepts
-LAGUERRE_STEP = 16  # the estimate compares bases of N and N + 16 functions
+# Laguerre-Galerkin levels, certified by exact Sturm counts
 
 
 def _laguerre_size(two_lam: int, count: int) -> int:
-    """The smaller basis size N for the lowest ``count`` levels of channel 2λ.
+    """The basis size N for the lowest ``count`` levels of channel 2λ.
 
     Level k has u ~ t^{λ+1} e^{-t/(λ+k)} times a polynomial in x = 2t/(λ+1)
     whose coefficients on the polynomials orthonormal for x^{2λ+2} e^{-x},
-    a basis of the space of :func:`_galerkin`, fall like τ^j sqrt(C(j+a, j)),
-    with τ = (k-1)/(2λ+k+1) and a = 2λ+2.  N is the least size where that
-    coefficient of the top level is below 1e-14.  Over 2λ <= 106 and count
-    <= 5 both bases then sit at the rounding floor: every eigenvalue within
-    1e-14 of the exact one (relative), and the two-size estimate under
-    2e-14, which guards the sizes beyond.
+    a basis of the space of :func:`laguerre_certified`, fall like τ^j
+    sqrt(C(j+a, j)), with τ = (k-1)/(2λ+k+1) and a = 2λ+2.  N is the least
+    size where that coefficient of the top level is below 1e-14.  Over
+    2λ <= 106 and count <= 5 every level then certifies at a relative
+    1e-13.
     """
     if count == 1:  # the ground state is the first basis function
         return 1
@@ -604,69 +602,81 @@ def _laguerre_size(two_lam: int, count: int) -> int:
     return size
 
 
-def _galerkin(two_lam: int, size: int,
-              count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``count`` eigenvalues of -u''/2 + [λ(λ+1)/(2t^2) - 1/t] u on
-    the bases of ``size`` and ``size`` + LAGUERRE_STEP functions.
+def _pencil(two_lam: int, size: int) -> list[tuple[int, int]]:
+    """The rows j = 1 .. size - 1 of J' in :func:`laguerre_certified`: each
+    its diagonal and its squared off-diagonal to row j - 1 (which
+    multiplies a zero at j = 1)."""
+    return [(2 * j + two_lam + 2 - (j == 1), j * (j + two_lam + 1))
+            for j in range(1, size)]
 
-    The basis is the Coulomb Sturmians S_j = x^{λ+1} e^{-x/2} L^α_j(x),
-    j < N, with x = 2κt, κ = 1/(λ+1) and α = 2λ+1, normalized so that
-    ∫ x^α e^{-x} L_i L_j dx = δ_ij.  S_0 is the ground state, and the
-    Sturmian equation gives H S_j = (jκ/t) S_j - (κ^2/2) S_j.  The 1/t
-    Gram matrix is then the identity and the overlap is J/(2κ), J the
-    Jacobi matrix of x^α e^{-x} (diagonal 2j+α+1, off-diagonal
-    sqrt((j+1)(j+α+1)) up to sign), so the levels solve diag(j) y = ν J y
-    with E = κ^2 (2ν - 1/2) (Rotenberg, Ann. Phys. 19, 1962).  Its root ν =
-    0 is the ground state; the Schur complement of the j = 0 row takes
-    J_11 to α + 2 and leaves 1/ν as the eigenvalues of the symmetric
-    tridiagonal diag(j)^{-1/2} J' diag(j)^{-1/2}, j = 1 .. N-1.  The
-    smaller basis is the leading block of the larger one.
+
+def _ritz_above(pencil: list[tuple[int, int]], mu: Fraction) -> int:
+    """How many Ritz values of J' y = μ diag(j) y, J' the rows ``pencil``
+    (:func:`_pencil`), lie strictly above ``mu`` = u/v.
+
+    They are the positive eigenvalues of v J' - u diag(j), which are its
+    positive pivots: the sign agreements of its leading minors, ints by
+    the three-term recurrence (Barth, Martin and Wilkinson, Numer. Math.
+    9, 1967).  A zero minor reads as a negative pivot, as the pivots do
+    just above ``mu``, where each falls, so a Ritz value equal to ``mu``
+    is not counted.  No division is made.
     """
-    import numpy as np
-    j = np.arange(1.0, size + LAGUERRE_STEP)
-    diag = (2 * j + two_lam + 2) / j
-    diag[0] = two_lam + 3
-    off = np.sqrt((j[:-1] + two_lam + 2) / j[:-1])
-    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    kappa2 = 4.0 / (two_lam + 2) ** 2
-
-    def levels(block: np.ndarray) -> np.ndarray:
-        mu = np.linalg.eigvalsh(block)[::-1][:count - 1]  # largest first
-        return kappa2 * np.concatenate(([-0.5], 2 / mu - 0.5))
-    return levels(A[:size - 1, :size - 1]), levels(A)
+    u, v = mu.numerator, mu.denominator
+    vv = v * v
+    above, prev, cur, sign = 0, 0, 1, 1  # minors k - 2 and k - 1, the sign
+    for j, (diag, off2) in enumerate(pencil, 1):
+        prev, cur = cur, (v * diag - u * j) * cur - vv * off2 * prev
+        new = (cur > 0) - (cur < 0) or -sign
+        above += new == sign
+        sign = new
+    return above
 
 
-def laguerre_eigenvalues(p: ModelParams, l: int,
-                         count: int = 3) -> tuple[np.ndarray, float]:
-    """Lowest ``count`` eigenvalues of the t-coordinate radial equation and
-    their two-size error estimate, by a Laguerre-Galerkin method.
+def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
+                       tol: float) -> list[bool]:
+    """Whether the Laguerre-Galerkin levels of channel 2λ certify each of
+    the exact energies ``energies`` = E_0, E_1, ..., to the relative
+    ``tol``, in exact arithmetic.
 
-    With u = t^n R the equation is -u''/2 + [λ(λ+1)/(2t^2) - 1/t] u = E u,
-    λ = ell + n - 1, so the levels depend on (p, l) only through 2λ = a - 1,
-    a the Laguerre index of the closed-form states.  The bases are nested
-    polynomial spaces, so each eigenvalue falls monotonically toward the
-    exact one as the basis grows (Rayleigh-Ritz).  The values returned are
-    those of the larger basis; the estimate is the largest relative
-    difference from the smaller one, which bounds their truncation error
-    once the convergence is geometric.  See :func:`_galerkin` for the basis and
-    :func:`_laguerre_size` for its size.  numpy only.
+    With u = t^n R the radial equation is -u''/2 + [λ(λ+1)/(2t^2) - 1/t] u
+    = E u, λ = ell + n - 1, so the levels depend on (p, l) only through
+    2λ = a - 1, a the Laguerre index of the closed-form states.  The basis
+    is the Coulomb Sturmians S_j = x^{λ+1} e^{-x/2} L^α_j(x), j < N
+    (:func:`_laguerre_size`), with x = 2κt, κ = 1/(λ+1) and α = 2λ+1,
+    normalized so that ∫ x^α e^{-x} L_i L_j dx = δ_ij.  S_0 is the ground
+    state, and the Sturmian equation gives H S_j = (jκ/t) S_j - (κ^2/2)
+    S_j.  The 1/t Gram matrix is then the identity and the overlap is
+    J/(2κ), J the Jacobi matrix of x^α e^{-x}, so the levels solve diag(j)
+    y = ν J y with E = κ^2 (2ν - 1/2) (Rotenberg, Ann. Phys. 19, 1962).
+    Its root ν = 0 is the ground state, and the Schur complement of the
+    j = 0 row leaves J' y = μ diag(j) y, μ = 1/ν and j = 1 .. N-1: J' has
+    the diagonal 2λ+3 at j = 1 and 2j+2λ+2 after, and the squared
+    off-diagonal j(j+2λ+1) between j-1 and j.  A level E is μ = 2κ^2/(E +
+    κ^2/2); the exact level i is μ_i = (2λ+2+2i)^2/(i(2λ+2+i)).
+
+    Ritz levels are upper bounds on the true ones (Hylleraas and Undheim,
+    Z. Phys. 65, 1930), so Ritz value i, counted from the largest μ, lies
+    at or below μ_i.  Level 0 is certified when E_0 = -κ^2/2; level i >= 1
+    when exactly i - 1 Ritz values lie above the μ of E_i, and exactly i
+    above the μ of E_i (1 - tol): Ritz level i then lies in [E_i, E_i (1
+    - tol)].  The counts are exact (:func:`_ritz_above`), and an energy
+    at or below the ground state is not certified.
 
     Raises
     ------
     ValueError
-        If l is negative or count is outside 1..5.
-    UnderResolved
-        If the estimate exceeds LAGUERRE_BUDGET.
+        If 2λ is negative or there are not 1 to 5 energies.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if not 1 <= count <= 5:
+    if two_lam < 0:
+        raise ValueError("two_lam must be >= 0")
+    if not 1 <= len(energies) <= 5:
         raise ValueError("count must be between 1 and 5")
-    import numpy as np
-    two_lam = RadialState(p, 1, l).laguerre_index - 1
-    small, vals = _galerkin(two_lam, _laguerre_size(two_lam, count), count)
-    estimate = float(np.max(np.abs(small - vals) / np.abs(vals)))
-    if not estimate <= LAGUERRE_BUDGET:
-        raise UnderResolved(f"two-size estimate {estimate:.1e} exceeds "
-                            f"the budget {LAGUERRE_BUDGET:.0e}")
-    return vals, estimate
+    pencil = _pencil(two_lam, _laguerre_size(two_lam, len(energies)))
+    kappa2 = Fraction(4, (two_lam + 2) ** 2)
+    slack = 1 - Fraction(tol)
+
+    def above(E: Fraction) -> int:
+        return _ritz_above(pencil, 2 * kappa2 / (E + kappa2 / 2))
+    return [energies[0] == -kappa2 / 2] + [
+        E > -kappa2 / 2 and above(E) == i - 1 and above(E * slack) == i
+        for i, E in enumerate(energies[1:], 1)]

@@ -100,30 +100,34 @@ def test_eigensolve_command(capsys):
         assert code == 0
         assert out.count("  pass  ") == count
         assert f"E[{count - 1}]" in out
+    # each row: the exact level, and the far end of its enclosure
+    assert run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
+                "--count", "2", "--format", "json"]) == 0
+    rows = json.loads(out_of(capsys))["results"]
+    assert [(r["lhs"], r["rhs"]) for r in rows] == [
+        ("-1/8", float(Fraction(-1, 8) * (1 - Fraction(1e-10)))),
+        ("-1/18", float(Fraction(-1, 18) * (1 - Fraction(1e-10))))]
 
 
 def test_eigensolve_failing_tolerance(monkeypatch, capsys):
-    # an exact energy off by 1e-6 is past the gate's bound of 1e-10
+    # an exact energy off by 1e-6 of itself, either way, is past the gate's
+    # bound of 1e-10: every level fails, in the command and in the check
     energy = spectral.energy
-    monkeypatch.setattr(spectral, "energy",
-                        lambda p, I: energy(p, I) * (1 + Fraction(1, 10**6)))
-    code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
-                "--count", "1"])
-    out = out_of(capsys)
-    assert code == 1
-    assert "E[0]  FAIL  " in out
-
-
-def test_eigensolve_under_resolution_is_a_failed_row(monkeypatch, capsys):
-    # a basis too small for its guard fails a row (exit 1), not the arguments
-    monkeypatch.setattr(radial, "_laguerre_size", lambda two_lam, count: count)
-    code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    assert "resolution  FAIL  lhs=two-size estimate " in captured.out
-    assert "exceeds the budget 1e-11" in captured.out
-    assert "result: FAIL" in captured.out
+    for factor in (1 + Fraction(1, 10 ** 6), 1 - Fraction(1, 10 ** 6)):
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "energy",
+                       lambda p, I: energy(p, I) * factor)
+            code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", "0",
+                        "--count", "3"])
+            out = out_of(capsys)
+            assert code == 1
+            assert [line.split()[:2] for line in out.splitlines()
+                    if line.startswith("E[")] \
+                == [[f"E[{i}]", "FAIL"] for i in range(3)]
+            assert run(["verify", "eigensolve"]) == 1
+            out = out_of(capsys)
+            for n in (2, 3):
+                assert f"eigensolve[n={n}]  FAIL  lhs=0 rhs=36" in out
 
 
 def wavefunction_rows(argv):
@@ -413,9 +417,9 @@ def test_fault_inside_a_check_is_a_failed_row(monkeypatch, capsys):
     (raise_in(radial, "kepler_ode"),
      ["residual", "kepler", *MODEL, "--k", "1", "--l", "0"],
      "residual kepler", "RuntimeError: kepler_ode is broken"),
-    (raise_in(radial, "laguerre_eigenvalues"),
+    (raise_in(radial, "laguerre_certified"),
      ["eigensolve", *MODEL, "--l", "0"],
-     "eigensolve", "RuntimeError: laguerre_eigenvalues is broken"),
+     "eigensolve", "RuntimeError: laguerre_certified is broken"),
 ], ids=["ktype", "spectrum", "residual-kepler", "eigensolve"])
 def test_fault_inside_a_command_is_a_failed_row(fault, argv, name, lhs,
                                                 monkeypatch, capsys):
@@ -438,23 +442,20 @@ def json_report(argv):
     return json.loads(buf.getvalue())
 
 
-def test_eigensolve_reports_its_estimate():
-    for l, count in ((0, 1), (0, 5), (200, 3)):
-        report = json_report(["eigensolve", *MODEL, "--l", str(l),
-                              "--count", str(count)])
-        assert 0.0 <= report["parameters"]["estimate"] \
-            <= radial.LAGUERRE_BUDGET
-
-
-def test_eigensolve_tolerance_is_the_gates():
-    # one bound for the route: the command's rows and the check's
+def test_eigensolve_tolerance_is_the_gates(monkeypatch):
+    # one bound for the route: the command's rows show it, and the check
+    # certifies to it
     assert checks.EIGENSOLVE_TOL == 1e-10
     report = json_report(["eigensolve", *MODEL, "--l", "0"])
     assert [r["tolerance"] for r in report["results"]] \
         == [checks.EIGENSOLVE_TOL] * 3
+    # at a bound of 0 no level above the ground state can be certified
+    monkeypatch.setattr(checks, "EIGENSOLVE_TOL", 0.0)
+    report = json_report(["eigensolve", *MODEL, "--l", "0"])
+    assert [r["passed"] for r in report["results"]] == [True, False, False]
     report = json_report(["verify", "eigensolve"])
-    assert [r["tolerance"] for r in report["results"]] \
-        == [checks.EIGENSOLVE_TOL] * 2
+    assert [(r["lhs"], r["rhs"]) for r in report["results"]] \
+        == [(12, 36), (12, 36)]
 
 
 STATE = [*MODEL, "--k", "1", "--l", "0"]
@@ -469,7 +470,7 @@ STATE = [*MODEL, "--k", "1", "--l", "0"]
     (["residual", "kepler", *STATE], {"n", "sigma", "k", "l"}),
     (["residual", "oscillator", *STATE], {"n", "sigma", "k", "l"}),
     (["eigensolve", *MODEL, "--l", "0", "--count", "1"],
-     {"n", "sigma", "l", "count", "estimate"}),
+     {"n", "sigma", "l", "count"}),
     (["micz", "--sigma", "1", "--imax", "2"], {"sigma", "imax"}),
     (["verify", "metric", "--seed", "5"], {"check"}),
     (["verify", "collapse"], {"check"}),
@@ -571,10 +572,43 @@ def character_without_lowest_weight(monkeypatch):
 
 
 def galerkin_off_channel(monkeypatch):
-    """Solve the radial channel lambda + 1/2 in place of lambda."""
-    original = radial._galerkin
-    monkeypatch.setattr(radial, "_galerkin", lambda two_lam, size, count:
-                        original(two_lam + 1, size, count))
+    """Certify on the radial channel lambda + 1/2 in place of lambda."""
+    original = radial.laguerre_certified
+    monkeypatch.setattr(radial, "laguerre_certified", lambda two_lam, *rest:
+                        original(two_lam + 1, *rest))
+
+
+def galerkin_pencil_perturbed(monkeypatch):
+    """The diagonal of J' one more at j = 5."""
+    original = radial._pencil
+
+    def pencil(two_lam, size):
+        rows = original(two_lam, size)
+        diag, off2 = rows[4]
+        return rows[:4] + [(diag + 1, off2)] + rows[5:]
+    monkeypatch.setattr(radial, "_pencil", pencil)
+
+
+def galerkin_basis_tiny(monkeypatch):
+    """As many basis functions as levels."""
+    monkeypatch.setattr(radial, "_laguerre_size", lambda two_lam, count: count)
+
+
+@pytest.mark.parametrize("control, failed", [
+    # off channel, the ground-state identity fails too
+    (galerkin_off_channel, ["E[0]", "E[1]", "E[2]"]),
+    (galerkin_pencil_perturbed, ["E[1]", "E[2]"]),
+    (galerkin_basis_tiny, ["E[1]", "E[2]"]),
+], ids=["channel", "pencil", "basis"])
+def test_eigensolve_command_fails_the_galerkin_controls(control, failed,
+                                                        monkeypatch, capsys):
+    # failed rows (exit 1), not an argument error or a fault
+    control(monkeypatch)
+    assert run(["eigensolve", *MODEL, "--l", "0", "--count", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split()[0] for line in captured.out.splitlines()
+            if "  FAIL  " in line] == failed
 
 
 def rho_power_three_halves(monkeypatch):
@@ -639,6 +673,10 @@ T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
      [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
     # the Laguerre route converges, but to the neighbouring channel
     (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
+    # the Ritz levels move off the exact ones, past the enclosure
+    (galerkin_pencil_perturbed, ["eigensolve[n=2]", "eigensolve[n=3]"]),
+    # the Ritz levels are still upper bounds, but far from converged
+    (galerkin_basis_tiny, ["eigensolve[n=2]", "eigensolve[n=3]"]),
     # the twisted power is then 2 ell - 1, not the oscillator's 2 ell
     (rho_power_three_halves, ["twist[n=2]", "twist[n=3]"]),
     # the oscillator equation reads its channel from the oscillator table
@@ -659,7 +697,8 @@ T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
     # the row counts k = 0..12, so a missing coefficient is a fault row
     (genfunc_one_short, ["genfunc"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
-        "schur-density", "eigensolve-channel", "twist-rho-power",
+        "schur-density", "eigensolve-channel", "eigensolve-pencil",
+        "eigensolve-basis", "twist-rho-power",
         "rho-oscillator-power", "orthogonality-norm", "orthogonality-t-power",
         "orthogonality-t-rate", "orthogonality-t-scale", "genfunc-one-short"])
 def test_exact_checks_fail_their_negative_controls(control, failed,

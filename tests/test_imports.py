@@ -3,8 +3,8 @@
 Every case runs in a fresh interpreter, since this one has long since
 imported numpy and scipy.  No command loads scipy, and one that loads no
 numpy loads neither ``dataclasses`` nor ``inspect`` (numpy imports
-``inspect`` itself).  Only `eigensolve` and the numeric checks of
-`verify` load numpy, and only `verify` and `eigensolve` load
+``inspect`` itself).  Only the geometry checks of `verify` (`metric`
+and `ostar`) load numpy, and only `verify` and `eigensolve` load
 ``qkepler.checks``.  ``qkepler.rep`` loads only where weights and
 dimensions are built, and ``qkepler.laurent`` only where Laurent
 polynomials are.
@@ -70,22 +70,26 @@ def fresh_run(argv):
       "1"], NO_WEIGHTS),
     (["residual", "oscillator", "--n", "2", "--sigma", "0", "--k", "2",
       "--l", "0"], NO_WEIGHTS),
-    # the command and the gate share the numpy-only Laguerre route
-    (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], {"scipy"}),
+    # the command and the gate share the Laguerre route, counted in ints
+    (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], NO_NUMPY),
+    (["eigensolve", "--n", "2", "--sigma", "0", "--l", "200", "--count",
+      "5"], NO_NUMPY),
     # Laurent polynomials, but no weight
     (["micz", "--sigma", "2"], NO_NUMPY | {"qkepler.checks", "qkepler.rep"}),
     (["verify", "micz"], NO_NUMPY),
     (["verify", "schur"], NO_NUMPY),
     # the exact checks, counted in integers and Fractions
     *((["verify", check], NO_NUMPY) for check in EXACT_CHECKS),
-    (["verify", "eigensolve"], {"scipy"}),
+    (["verify", "eigensolve"], NO_NUMPY),
+    # the geometry sweeps are numpy, and read no radial state
+    (["verify", "metric"], {"scipy", "qkepler.radial"}),
     (["verify", "all"], {"scipy"}),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction",
         "wavefunction-t", "wavefunction-rho", "residual-kepler",
-        "residual-oscillator", "eigensolve", "micz",
+        "residual-oscillator", "eigensolve", "eigensolve-l200", "micz",
         "verify-micz", "verify-schur",
         *(f"verify-{check}" for check in EXACT_CHECKS),
-        "verify-eigensolve", "verify-all"])
+        "verify-eigensolve", "verify-metric", "verify-all"])
 def test_commands_load_only_what_they_use(argv, absent):
     code, modules = fresh_run(argv)
     assert code == 0

@@ -15,7 +15,9 @@ Oracles used here and nowhere else:
 * a second-order central-difference application of the Kepler and the
   oscillator operators, independent of the reduced operators inside the
   library, which the exact identities and the float residuals share; the
-  oscillator profile r^L L e^(-r^2/2) is a plain float product here too.
+  oscillator profile r^L L e^(-r^2/2) is a plain float product here too;
+* the Laguerre-Galerkin pencil as a dense float matrix, solved by
+  numpy's eigvalsh, against the library's exact integer Sturm counts.
 """
 
 import math
@@ -31,7 +33,6 @@ from qkepler import checks, radial
 from qkepler.cli import run
 from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
-    LAGUERRE_BUDGET,
     RadialGrid,
     RadialState,
     UnderResolved,
@@ -40,7 +41,7 @@ from qkepler.radial import (
     gram_identities,
     kepler_ode,
     kepler_residual,
-    laguerre_eigenvalues,
+    laguerre_certified,
     oscillator_ode,
     oscillator_residual,
     radial_norm2_rho,
@@ -541,62 +542,131 @@ def test_default_t_max_floor():
 
 
 # ---------------------------------------------------------------------------
-# Laguerre-Galerkin eigensolver
+# Laguerre-Galerkin levels
+
+
+def pencil_levels(two_lam, size):
+    """The Ritz values mu of J' y = mu diag(j) y, j = 1 .. size - 1, in
+    floats, largest first: the eigenvalues of the dense symmetric
+    diag(j)^(-1/2) J' diag(j)^(-1/2), built here from the closed form."""
+    j = np.arange(1.0, size)
+    diag = (2 * j + two_lam + 2) / j
+    diag[:1] = two_lam + 3
+    off = np.sqrt((j[:-1] + two_lam + 2) / j[:-1])
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(A)[::-1]
+
+
+def count_above(two_lam, size, mu):
+    """The library's exact count of the Ritz values above mu."""
+    return radial._ritz_above(radial._pencil(two_lam, size), mu)
+
+
+@given(two_lam=st.integers(0, 106), size=st.integers(2, 60),
+       mu=st.fractions(Fraction(1, 10 ** 6), 250, max_denominator=10 ** 9))
+@settings(max_examples=300, deadline=None)
+def test_ritz_count_matches_the_float_oracle(two_lam, size, mu):
+    # the Ritz values lie in (0, 2 lambda + 6)
+    levels = pencil_levels(two_lam, size)
+    # away from every Ritz value, the float count is sure
+    if np.min(np.abs(levels - float(mu))) > 1e-8 * float(mu):
+        assert count_above(two_lam, size, mu) \
+            == np.count_nonzero(levels > float(mu))
+
+
+@pytest.mark.parametrize("two_lam", [0, 1, 2, 7, 106])
+def test_ritz_count_between_and_at_the_ritz_values(two_lam):
+    for size in (2, 3, 8, 30):
+        levels = pencil_levels(two_lam, size)
+        # every count 0 .. size - 1, at points between the Ritz values
+        cuts = [levels[0] * 2, *(levels[:-1] + levels[1:]) / 2,
+                levels[-1] / 2]
+        assert [count_above(two_lam, size, Fraction(c))
+                for c in cuts] == list(range(size))
+    # at size 2 the one Ritz value is 2 lambda + 3: the last minor is 0,
+    # and a value equal to mu is not above it
+    mu = Fraction(two_lam + 3)
+    assert count_above(two_lam, 2, mu) == 0
+    assert count_above(two_lam, 2, mu - Fraction(1, 10 ** 30)) == 1
+    # at a larger size the first minor is 0 there, and the rest read on
+    for size in (3, 5, 20):
+        assert count_above(two_lam, size, mu) \
+            == np.count_nonzero(pencil_levels(two_lam, size) > float(mu))
+
+
+def level_energies(p, l, count):
+    return [energy(p, l + i) for i in range(count)]
+
+
+def two_lam_of(p, l):
+    return RadialState(p, 1, l).laguerre_index - 1
 
 
 @given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
        l=st.integers(0, 40), count=st.integers(1, 5))
-@example(n=2, sigma_bar=0, l=0, count=5)  # the largest basis, 56 + 16
+@example(n=2, sigma_bar=0, l=0, count=5)  # the largest basis, 56
 @example(n=2, sigma_bar=1, l=0, count=5)  # half-integer lambda
 @example(n=8, sigma_bar=12, l=40, count=5)
 @settings(max_examples=150, deadline=None)
 def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
     p = ModelParams(n, sigma_bar)
-    vals, estimate = laguerre_eigenvalues(p, l, count)
-    exact = np.array([float(energy(p, i + l)) for i in range(count)])
-    assert np.max(np.abs(vals - exact) / np.abs(exact)) < 1e-10
-    assert estimate <= LAGUERRE_BUDGET
+    two_lam, energies = two_lam_of(p, l), level_energies(p, l, count)
+    assert laguerre_certified(two_lam, energies, checks.EIGENSOLVE_TOL) \
+        == [True] * count
+    # the float oracle reads the same levels
+    kappa2 = 4 / (two_lam + 2) ** 2
+    mu = pencil_levels(two_lam, radial._laguerre_size(two_lam, count))
+    vals = kappa2 * (2 / mu[:count - 1] - 0.5)
+    exact = np.array([float(e) for e in energies[1:]])
+    assert np.all(np.abs(vals - exact) <= 1e-10 * np.abs(exact))
 
 
 def test_laguerre_route_sits_at_the_rounding_floor():
     # every distinct channel 2 lambda = 2 .. 106 (n = 2, l = 0, sigma_bar =
-    # 2 lambda - 2) and count <= 5
+    # 2 lambda - 2) and count <= 5: each level certifies at 1e-13, and at
+    # the gate's bound
     for two_lam in range(2, 107):
         p = ModelParams(2, two_lam - 2)
         for count in range(1, 6):
-            vals, estimate = laguerre_eigenvalues(p, 0, count)
-            exact = np.array([float(energy(p, i)) for i in range(count)])
-            assert np.max(np.abs(vals - exact) / np.abs(exact)) <= 1e-13
-            assert estimate <= 1e-13
-            # Rayleigh-Ritz: the smaller basis lies above, up to rounding
-            small, big = radial._galerkin(
-                two_lam, radial._laguerre_size(two_lam, count), count)
-            assert np.all(small - big >= -1e-13 * np.abs(big))
-        # one basis function, the ground state: an empty reduced matrix
+            energies = level_energies(p, 0, count)
+            for tol in (1e-13, checks.EIGENSOLVE_TOL):
+                assert laguerre_certified(two_lam, energies, tol) \
+                    == [True] * count
+        # one basis function, the ground state: an empty reduced pencil
         assert radial._laguerre_size(two_lam, 1) == 1
-        vals, estimate = laguerre_eigenvalues(p, 0, 1)
-        assert vals.tolist() == [float(energy(p, 0))] and estimate == 0.0
+
+
+@pytest.mark.parametrize("two_lam", [2, 9, 106])
+@pytest.mark.parametrize("factor", [
+    1 + Fraction(1, 10 ** 12), 1 - Fraction(1, 10 ** 12),
+    Fraction(-1), Fraction(0)])
+def test_laguerre_levels_fail_off_the_exact_energy(two_lam, factor):
+    # a level 1e-12 of itself below the exact one, or above it, is outside
+    # the enclosure at 1e-13; so is one at or above zero.  Level 0 is an
+    # identity
+    energies = level_energies(ModelParams(2, two_lam - 2), 0, 5)
+    for i in range(5):
+        off = [e * factor if k == i else e for k, e in enumerate(energies)]
+        certified = laguerre_certified(two_lam, off, 1e-13)
+        assert certified == [k != i for k in range(5)]
+
+
+def test_laguerre_levels_at_or_below_the_ground_state_fail():
+    # E_1 at or below -kappa^2/2 has no mu > 0: a failed level, no raise
+    energies = level_energies(ModelParams(2, 0), 0, 3)
+    for e1 in (energies[0], 2 * energies[0]):
+        assert laguerre_certified(2, [energies[0], e1, energies[2]],
+                                  1e-10) == [True, False, True]
 
 
 def test_laguerre_eigenvalues_validation():
-    p = ModelParams(2, 0)
+    energies = level_energies(ModelParams(2, 0), 0, 6)
     with pytest.raises(ValueError):
-        laguerre_eigenvalues(p, -1)
+        laguerre_certified(2, [], 1e-10)
     with pytest.raises(ValueError):
-        laguerre_eigenvalues(p, 0, count=0)
+        laguerre_certified(2, energies, 1e-10)
     with pytest.raises(ValueError):
-        laguerre_eigenvalues(p, 0, count=6)
-
-
-def test_laguerre_basis_too_small_is_under_resolved(monkeypatch, capsys):
-    # at N = count the top level is off by about 1e-1, far over budget
-    monkeypatch.setattr(radial, "_laguerre_size", lambda two_lam, count: count)
-    with pytest.raises(UnderResolved, match="two-size estimate"):
-        laguerre_eigenvalues(ModelParams(2, 0), 0, count=3)
-    assert run(["verify", "eigensolve"]) == 1
-    out = capsys.readouterr().out
-    assert "eigensolve[n=2]  FAIL  lhs=two-size estimate" in out
-    assert "eigensolve[n=3]  FAIL  lhs=two-size estimate" in out
+        laguerre_certified(-1, energies[:3], 1e-10)
 
 
 # ---------------------------------------------------------------------------

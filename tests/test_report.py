@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkepler import checks, geom, radial
+from qkepler import checks, geom
 from qkepler.report import (CheckResult, Report, emit, report_from_json, row,
                             worse)
 
@@ -126,14 +126,3 @@ def test_nan_residual_fails_its_check(monkeypatch):
     r = rows["metric[n=2]"]
     assert math.isnan(r.residual) and r.passed is False
     assert rows["quotient[n=2]"].passed is True
-
-
-@pytest.mark.parametrize("check, target, name", [
-    ("eigensolve", "laguerre_eigenvalues", "eigensolve[n=2]"),
-])
-def test_under_resolution_fails_its_check(check, target, name, monkeypatch):
-    def under_resolved(*args, **kwargs):
-        raise radial.UnderResolved("grid too small")
-    monkeypatch.setattr(radial, target, under_resolved)
-    r = checks.REGISTRY[check]()[0]
-    assert (r.name, r.lhs, r.passed) == (name, "grid too small", False)
