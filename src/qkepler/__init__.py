@@ -4,9 +4,11 @@ identities.
 
 The package holds no names of its own: import a submodule by name
 (``from qkepler import radial``).  ``import qkepler`` loads no submodule
-and no numpy.  numpy loads only when an array route runs: the
-eigensolvers, and ``geom`` and ``qlinalg``, which work on float arrays;
-``import qkepler.radial`` does not load it.
+and no numpy, and no command loads numpy: every check and command is
+exact or samples on Python floats.  The array routes that remain (the
+float forms of ``geom`` and ``qlinalg``, the finite-difference routes
+of ``radial``, and ``quadrature``) serve the tests and the benchmark
+and load numpy themselves.
 """
 
 __version__ = "0.1.0"

@@ -5,17 +5,20 @@ criterion k is the k-th entry.  ``qkepler verify`` runs them (``all``
 runs every entry in order and is the CI gate) and the acceptance tests
 gate on them.  A check returns its ``CheckResult`` rows; it sweeps the
 gate's ranges and holds its own bounds, so it takes no arguments, except
-that the randomized checks named in ``SEEDED`` take ``seed``.  A row is
-a counted identity (``_tally``) or a worst residual against its bound
-(``_resolved``); only ``schur-norm`` and ``ostar`` are built by hand.
-A check imports numpy, ``radial`` or ``geom`` when it runs, so loading
-this module loads none of them.  Only ``metric`` and ``ostar`` load
-numpy: ``eigensolve`` certifies its levels by exact integer counts.
+that the randomized check named in ``SEEDED``, ``metric``, takes
+``seed``.  A row is a counted identity (``_tally``); only
+``schur-norm`` is built by hand.  Every row is exact, in ints,
+``Fraction``s or Gaussian integers, so no check loads numpy, and a check
+imports ``radial``, ``qlinalg`` or ``geom`` only when it runs.  The
+geometry rows (``metric`` and ``ostar``) form every quaternion product
+from the integer table ``qlinalg.MUL`` that the float ``qmul`` also
+contracts.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import rep, spectral
@@ -23,8 +26,12 @@ from .report import CheckResult, row
 
 __all__ = ["REGISTRY", "SEEDED", "SEED", "EIGENSOLVE_TOL"]
 
-SEED = 0  # the gate's seed for the randomized sweeps
-EIGENSOLVE_TOL = 1e-10  # Laguerre-Galerkin levels, here and in `eigensolve`
+SEED = 0  # the gate's seed for the randomized points of `metric`
+# Laguerre-Galerkin levels, here and in `eigensolve`: a decimal rational,
+# so the Sturm minors stay small; float(EIGENSOLVE_TOL) == 1e-10
+EIGENSOLVE_TOL = Fraction(1, 10 ** 10)
+METRIC_POINTS = 16  # seeded points per `metric` and `quotient` row
+_BITS = 20  # their coordinates are drawn from [-2^_BITS, 2^_BITS)
 
 
 def _tally(name: str, outcomes: Iterable[bool]) -> CheckResult:
@@ -37,11 +44,6 @@ def _tally(name: str, outcomes: Iterable[bool]) -> CheckResult:
     held = sum(outcomes)
     return row(name, lhs=held, rhs=len(outcomes),
                passed=held == len(outcomes) > 0)
-
-
-def _resolved(name: str, worst: float, tol: float) -> CheckResult:
-    """The row of a sweep's worst residual against its bound."""
-    return row(name, residual=worst, tolerance=tol, passed=worst < tol)
 
 
 def _r_l_weight(n: int, sb: int, l: int) -> rep.HighestWeight:
@@ -118,14 +120,29 @@ def ktype_dims() -> list[CheckResult]:
 
 def casimir() -> list[CheckResult]:
     """Angular eigenvalue is twice the Casimir difference, n <= 5 and
-    l, sbar <= 8."""
+    l, sbar <= 8.  And the infinitesimal character of the bound sector,
+    for n <= 5 and sbar <= 6: lambda + rho(D_2n), with lambda the highest
+    weight ``spectral.hspace_weight`` and rho = (2n - 1, ..., 1, 0), has
+    a 0 entry and is (sbar + 1, 2n - 2, ..., 1, 0) up to order and signs,
+    that is, up to W(D_2n), which may change any signs once one entry is
+    0: the Sp(1) character sbar + 1 padded by the rho tail (Przebinda,
+    Colloq. Math. 70, 1996)."""
     sp1 = [rep.casimir(rep.RootSystem("C", 1), rep.HighestWeight([sb]))
            for sb in range(9)]
-    return [_tally(f"casimir[n={n}]", (
+    def character(n: int, sb: int) -> bool:
+        # on doubled entries, as HighestWeight stores them
+        twice = spectral.hspace_weight(spectral.ModelParams(n, sb)).twice
+        shifted = [e + 2 * (2 * n - 1 - i) for i, e in enumerate(twice)]
+        return 0 in shifted and (sorted(map(abs, shifted)) == sorted(
+            [2 * (sb + 1), *range(0, 2 * (2 * n - 1), 2)]))
+    rows = [_tally(f"casimir[n={n}]", (
         rep.angular_eigenvalue(n, sb, l)
         == 2 * (rep.casimir(cn, _r_l_weight(n, sb, l)) - sp1[sb])
         for l in range(9) for sb in range(9)))
         for n in range(2, 6) for cn in [rep.RootSystem("C", n)]]
+    rows.append(_tally("inf-character[n<=5]", (
+        character(n, sb) for n in range(2, 6) for sb in range(7))))
+    return rows
 
 
 def residuals() -> list[CheckResult]:
@@ -183,45 +200,139 @@ def micz() -> list[CheckResult]:
             for sb in range(7)]
 
 
+def _conj(q: tuple) -> tuple:
+    return (q[0], -q[1], -q[2], -q[3])
+
+
+def _norm2(vector) -> int:
+    """|V|^2 of a vector of quaternions, as a plain sum of squares."""
+    return sum(x * x for q in vector for x in q)
+
+
 def metric(seed: int = SEED) -> list[CheckResult]:
-    """At 1000 random points each: the Fubini-Study form is |W_perp|^2/|Z|^2,
-    with W_perp the part of W orthogonal to the line Z H, formed by
-    quaternion products; and the Sp(n) trace form is twice it."""
-    from . import geom
-    return [_resolved(f"{name}[n={n}]", sweep(n, 1000, seed), tol)
-            for n in (2, 3, 4) for name, sweep, tol in (
-                ("metric", geom.metric_sweep, 1e-12),
-                ("quotient", geom.quotient_sweep, 1e-13))]
+    """Two polynomial identities in ints, each at METRIC_POINTS seeded
+    points whose coordinates are drawn from [-2^20, 2^20), with every
+    quaternion product formed from ``qlinalg.MUL``.
+
+    ``metric[n]``: the Fubini-Study form is |W_perp|^2/|Z|^2, with
+    W_perp = W - Z q, q = conj(Z).W/|Z|^2, the part of W orthogonal to
+    the line Z H; cleared of denominators, |(|Z|^2 W - Z (conj(Z).W))|^2
+    = |Z|^2 (|Z|^2 |W|^2 - |conj(Z).W|^2).  ``quotient[n]``: the Sp(n)
+    trace form Re tr(X_a^dag X_b) of X_a = [[0, -a^dag], [a, 0]] is
+    twice the plain dot product of a and b in R^{4(n-1)}.  A false
+    identity of degree d holds at one such point with probability at most
+    d/2^21 (Schwartz, J. ACM 27, 1980), so a row of degree 6 passes a
+    wrong product with probability at most (6/2^21)^16.
+    """
+    import random
+    from .qlinalg import qmul_exact as mul
+    rng = random.Random(seed)
+    def draw(length: int) -> list[tuple]:
+        return [tuple(rng.getrandbits(_BITS + 1) - 2 ** _BITS
+                      for _ in range(4)) for _ in range(length)]
+    def fubini_study(n: int) -> bool:
+        Z, W = draw(n), draw(n)
+        z2, w2 = _norm2(Z), _norm2(W)
+        q = tuple(map(sum, zip(*(mul(_conj(z), w) for z, w in zip(Z, W)))))
+        perp = [[z2 * x - y for x, y in zip(w, mul(z, q))]
+                for z, w in zip(Z, W)]
+        return _norm2(perp) == z2 * (z2 * w2 - _norm2([q]))
+    def trace_form(n: int) -> bool:
+        a, b = draw(n - 1), draw(n - 1)
+        # the nonzero entries of X: the first row -a^dag, the first column a
+        def bordered(v):
+            return [tuple(-x for x in _conj(q)) for q in v] + v
+        trace = sum(mul(_conj(x), y)[0]
+                    for x, y in zip(bordered(a), bordered(b)))
+        return trace == 2 * sum(x * y for p, q in zip(a, b)
+                                for x, y in zip(p, q))
+    return [_tally(f"{name}[n={n}]", [holds(n) for _ in range(METRIC_POINTS)])
+            for n in (2, 3, 4) for name, holds in (
+                ("metric", fubini_study), ("quotient", trace_form))]
 
 
-def ostar(seed: int = SEED) -> list[CheckResult]:
-    """200 random U(2n) images lie in O*(4n), to 1e-10 (Sp(n) lands there
-    as part of U(2n)); the weight-doubling map, exhaustively for n <= 6,
-    to 1e-14."""
-    import numpy as np
-    from . import geom
-    rows = []
-    for n in (2, 3):
-        passes, total = geom.ostar_sweep(n, 200, seed)
-        rows.append(row(f"ostar[n={n}]", lhs=passes, rhs=total,
-                        tolerance=geom.MEMBERSHIP_TOL, passed=passes == total))
-    # a phase planted at slot i (stack entry i) must land at the doubled
-    # index, conjugated on the u-side embedding and plain on the uv-side
-    phase = np.exp(0.7j)
-    def planted(n: int):
-        i = np.arange(2 * n)
-        A = np.tile(np.eye(2 * n, dtype=complex), (2 * n, 1, 1))
-        A[i, i, i] = phase
-        ibar = np.array([geom.weight_double(j, n) - 1
-                         for j in range(1, 2 * n + 1)])
-        d = np.diagonal(geom.embed_u2n(A), axis1=1, axis2=2).copy()
-        du = np.diagonal(geom.embed_u2n_uv(A), axis1=1, axis2=2)
-        good = ((np.abs(d[i, ibar] - np.conj(phase)) < 1e-14)
-                & (np.abs(du[i, ibar] - phase) < 1e-14))
-        d[i, i] = d[i, ibar] = 1.0
-        return good & np.all(np.abs(d - 1.0) < 1e-14, axis=1)
-    rows.append(_tally("weight-double[n<=6]",
-                       (ok for n in range(1, 7) for ok in planted(n))))
+def _product(A: dict, B: dict) -> dict:
+    """The product of two sparse matrices {(row, column): entry}, with
+    its zero entries dropped."""
+    rows: dict = {}
+    for (k, j), b in B.items():
+        rows.setdefault(k, []).append((j, b))
+    out: dict = {}
+    for (i, k), a in A.items():
+        for j, b in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + a * b
+    return {key: v for key, v in out.items() if v}
+
+
+def _sum(A: dict, B: dict) -> dict:
+    out = dict(A)
+    for key, b in B.items():
+        out[key] = out.get(key, 0) + b
+    return {key: v for key, v in out.items() if v}
+
+
+def _jmat(n: int) -> dict:
+    """J = [[0, -I_n], [I_n, 0]], sparse."""
+    return {**{(a, a + n): -1 for a in range(n)},
+            **{(a + n, a): 1 for a in range(n)}}
+
+
+def _lower_block(X: dict, n: int) -> dict:
+    """-J conj(X) J: the lower block of the image diag(X, -J conj(X) J)
+    of X in gl(2n, C) under the embedding of U(2n) into O*(4n), sparse."""
+    J = _jmat(n)
+    return {key: -v for key, v in
+            _product(_product(J, {k: x.conjugate() for k, x in X.items()}),
+                     J).items()}
+
+
+def _image(X: dict, n: int) -> dict:
+    """diag(X, -J conj(X) J), sparse, of order 4n."""
+    m = 2 * n
+    return {**X, **{(i + m, j + m): v
+                    for (i, j), v in _lower_block(X, n).items()}}
+
+
+def ostar() -> list[CheckResult]:
+    """The image diag(X, -J conj(X) J) of each of the 4n^2 basis elements
+    X of u(2n) (i E_aa, E_ab - E_ba and i (E_ab + E_ba); entries 0, +-1,
+    +-i) satisfies both linearized O*(4n) relations, Y^dag eta + eta Y = 0
+    and Y^T Omega + Omega Y = 0, for n = 2, 3.  The entries are Gaussian
+    integers, held as ints and complex numbers with integer parts, small
+    enough that every operation on them is exact.  By linearity that covers all of u(2n), and U(2n) is connected, so
+    its image lies in O*(4n) (Sp(n) lands there as part of U(2n)).  The
+    weight-doubling map, exhaustively for n <= 6: the unit i planted at
+    slot a of the identity lands, conjugated, at the doubled slot, and
+    the image is diagonal with 1 elsewhere."""
+    from .geom import weight_double
+    def in_ostar(n: int) -> Callable[[dict], bool]:
+        m = 2 * n
+        eta = {(a, a): 1 if a < m else -1 for a in range(2 * m)}
+        J = _jmat(n)
+        omega = {**{(i, j + m): v for (i, j), v in J.items()},
+                 **{(i + m, j): -v for (i, j), v in J.items()}}
+        def holds(Y: dict) -> bool:
+            adjoint = {(j, i): v.conjugate() for (i, j), v in Y.items()}
+            transpose = {(j, i): v for (i, j), v in Y.items()}
+            return not (_sum(_product(adjoint, eta), _product(eta, Y)) or
+                        _sum(_product(transpose, omega), _product(omega, Y)))
+        return holds
+    def basis(n: int):
+        m = 2 * n
+        for a in range(m):
+            yield {(a, a): 1j}
+            for b in range(a + 1, m):
+                yield {(a, b): 1, (b, a): -1}
+                yield {(a, b): 1j, (b, a): 1j}
+    def planted(n: int, a: int) -> bool:
+        A = {(b, b): 1j if b == a else 1 for b in range(2 * n)}
+        ibar = weight_double(a + 1, n) - 1
+        return _image(A, n) == {(b, b): 1j if b == a else -1j if b == ibar
+                                else 1 for b in range(4 * n)}
+    rows = [_tally(f"ostar[n={n}]", (holds(_image(X, n)) for X in basis(n)))
+            for n in (2, 3) for holds in [in_ostar(n)]]
+    rows.append(_tally("weight-double[n<=6]", (
+        planted(n, a) for n in range(1, 7) for a in range(2 * n))))
     return rows
 
 
@@ -253,4 +364,4 @@ REGISTRY: dict[str, Callable[..., list[CheckResult]]] = {
         orthogonality)}
 
 SEEDED = frozenset(name for name, check in REGISTRY.items()
-                   if check.__code__.co_argcount)  # they take ``seed``
+                   if check.__code__.co_argcount)  # it takes ``seed``

@@ -13,12 +13,11 @@ raises becomes one failed row named after it, with the exception as lhs
 and the traceback on stderr.  `verify all` runs every check of
 ``qkepler.checks`` and is the CI gate; only `verify` and `eigensolve`
 import ``qkepler.checks``.  Reports are deterministic, and no command
-imports scipy.  Only the geometry checks of `verify` (`metric` and
-`ostar`) import numpy: the table commands, `wavefunction` (sampled on
-Python floats, at the points ``numpy.linspace`` would give), `residual`
-and `eigensolve` (exact, on ints) do not.  The records are NamedTuples,
-not data classes, so no command imports ``dataclasses``, nor
-``inspect`` unless numpy does.
+imports numpy or scipy: `wavefunction` samples on Python floats, at the
+points ``numpy.linspace`` would give, and `residual`, `eigensolve` and
+every check of `verify`, the geometry rows too, are exact, on ints,
+``Fraction``s and Gaussian integers.  The records are NamedTuples, not
+data classes, so no command imports ``dataclasses`` or ``inspect``.
 The parser adds the arguments of the named command alone, and only
 `degeneracy`, `ktype`, `eigensolve` and `verify` load ``qkepler.rep``.
 
@@ -120,7 +119,7 @@ def _cmd_eigensolve(args, params) -> list[CheckResult]:
     certified = radial.laguerre_certified(two_lam, energies, tol)
     # the exact level and the far end of its enclosure [E, E (1 - tol)]
     return [row(f"E[{i}]", lhs=e, rhs=float(e * (1 - Fraction(tol))),
-                tolerance=tol, passed=ok)
+                tolerance=float(tol), passed=ok)
             for i, (e, ok) in enumerate(zip(energies, certified))]
 
 

@@ -1,18 +1,22 @@
-"""Geometric identity checks on quaternionic space.
+"""Geometric identities on quaternionic space, on float arrays.
 
-Two families of checks live here.  The metric family verifies, on random
-tangent samples, that the Fubini-Study form of H^n is the squared length
-of the part of a tangent vector orthogonal to the quaternionic line of
-its base point, and that the bi-invariant metric on Sp(n) descends to
-twice the Fubini-Study metric on the quaternionic projective space.  The
-matrix family verifies the defining relations of the group
-O*(4n) = U(2n,2n) n O(4n,C), the embedding of U(2n) into it, and the
-index-doubling rule for diagonal weights.
+Two families of identities live here.  The metric family: the
+Fubini-Study form of H^n is the squared length of the part of a tangent
+vector orthogonal to the quaternionic line of its base point, and the
+bi-invariant metric on Sp(n) descends to twice the Fubini-Study metric
+on the quaternionic projective space.  The matrix family: the defining
+relations of the group O*(4n) = U(2n,2n) n O(4n,C), the embedding of
+U(2n) into it, and the index-doubling rule for diagonal weights.
+
+The gate checks both families exactly, in integers, in
+``qkepler.checks``; the float forms here are what the tests compare
+those rows with.  The array routes import numpy when they run, so
+``import qkepler.geom`` loads no numpy, and ``weight_double``, which the
+gate reads, never does.
 
 Data layout: quaternion vectors are float arrays (..., n, 4) as in
 ``qkepler.qlinalg``, and a tangent sample is a base point array Z with a
-tangent array W of the same shape.  Leading axes batch samples, so each
-sweep draws its samples in one array and evaluates them together.
+tangent array W of the same shape.  Leading axes batch samples.
 
 Conventions: J denotes the 2n x 2n block matrix [[0, -I_n], [I_n, 0]].
 O*(4n) is cut out of GL(4n,C) by
@@ -20,13 +24,11 @@ O*(4n) is cut out of GL(4n,C) by
     g^dag diag(I, -I) g = diag(I, -I)   and
     g^T  [[0, J], [-J, 0]] g = [[0, J], [-J, 0]].
 
-Sp(n) needs no sweep of its own: its complex image is a unitary of order
-2n, so its embedding is a case of the U(2n) one.
+Sp(n) needs no check of its own: its complex image is a unitary of
+order 2n, so its embedding is a case of the U(2n) one.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .qlinalg import qconj, qdot, qmul, qnorm2
 
@@ -39,10 +41,6 @@ __all__ = [
     "embed_u2n",
     "embed_u2n_uv",
     "weight_double",
-    "random_unitary",
-    "metric_sweep",
-    "quotient_sweep",
-    "ostar_sweep",
 ]
 
 MEMBERSHIP_TOL = 1e-10  # max entry deviation from either O*(4n) relation
@@ -51,6 +49,7 @@ UNITARITY_TOL = 1e-8  # max entry deviation of A^dag A from I in ``_embed``
 
 def _pairings(Z, W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|Z|^2, conj(Z).W and |W|^2 of tangent samples, one pairing each."""
+    import numpy as np
     if np.shape(Z) != np.shape(W):
         raise ValueError("base and vector must have equal length")
     z2 = qdot(Z, Z)[..., 0]
@@ -84,6 +83,7 @@ def metric_identity_residual(Z, W) -> np.ndarray:
     associative or not the quaternion one leaves a residual of order one.
     Samples (Z, W) are checked and batched as in :func:`fubini_study_form`.
     """
+    import numpy as np
     z2, zw, w2 = _pairings(Z, W)
     q = zw / z2[..., None]
     w_perp = np.asarray(W, dtype=float) - qmul(Z, q[..., None, :])
@@ -93,6 +93,7 @@ def metric_identity_residual(Z, W) -> np.ndarray:
 
 def _bordered(a: np.ndarray) -> np.ndarray:
     """The tangent matrices [[0, -a^dag], [a, 0]] of Sp(n) at the identity."""
+    import numpy as np
     n = a.shape[-2] + 1
     X = np.zeros(a.shape[:-2] + (n, n, 4))
     X[..., 0, 1:, :] = -qconj(a)
@@ -111,6 +112,7 @@ def quotient_factor_check(a, b) -> tuple[np.ndarray, np.ndarray]:
     the second, which is why the quotient metric on the projective space
     is twice the Fubini-Study metric.
     """
+    import numpy as np
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("length mismatch")
@@ -126,6 +128,7 @@ def quotient_factor_check(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def jmat(n: int) -> np.ndarray:
     """The 2n x 2n block matrix [[0, -I_n], [I_n, 0]]."""
+    import numpy as np
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
@@ -133,6 +136,7 @@ def jmat(n: int) -> np.ndarray:
 
 
 def _ostar_forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     eta = np.diag(np.concatenate([np.ones(2 * n), -np.ones(2 * n)]))
     J = jmat(n)
     omega = np.zeros((4 * n, 4 * n))
@@ -147,6 +151,7 @@ def ostar_membership(g: np.ndarray):
 
     A batch (..., 4n, 4n) gives one verdict per matrix.
     """
+    import numpy as np
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] % 4:
         raise ValueError(f"expected a square matrix of order 4n, got {g.shape}")
@@ -159,6 +164,7 @@ def ostar_membership(g: np.ndarray):
 
 def _embed(A: np.ndarray, lower) -> np.ndarray:
     """diag(A, lower(A, J)) for unitaries A of order 2n, batched."""
+    import numpy as np
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
         raise ValueError(f"expected a square matrix of order 2n, got {A.shape}")
@@ -193,8 +199,9 @@ def weight_double(i: int, n: int) -> int:
     """The unique index i-bar > 2n with |i-bar - i - 2n| = n (indices 1-based).
 
     Encodes where the embedding U(2n) into U(4n) duplicates the i-th
-    diagonal weight: the diagonal unit e_i of u(2n) maps to e_i + e_ibar
-    in u(4n).
+    diagonal weight: the diagonal unit e_i of u(2n) maps to e_i - e_ibar
+    in u(4n) under :func:`embed_u2n`, and to e_i + e_ibar in the
+    (U, conj(V)) frame.
     """
     if not 1 <= i <= 2 * n:
         raise ValueError(f"index {i} out of range 1..{2 * n}")
@@ -203,46 +210,3 @@ def weight_double(i: int, n: int) -> int:
         raise ArithmeticError(f"weight_double({i}, {n}) = {ibar} is off "
                               f"|i-bar - i - 2n| = n, i-bar > 2n")
     return ibar
-
-
-def random_unitary(dim: int, rng: np.random.Generator,
-                   samples: int) -> np.ndarray:
-    """``samples`` Haar unitaries of order ``dim``, as one (samples, dim, dim)
-    batch: the unitary polar factors W Vh of complex Ginibre matrices
-    G = W S Vh, each drawing its real part, then its imaginary part.
-
-    Haar on Ginibre input (Mezzadri, Notices AMS 54, 2007): a Ginibre batch
-    is invariant under left multiplication by a fixed unitary h, and the
-    factor of hG is h times that of G, so the factor's law is left
-    invariant, which on a compact group means Haar.
-    """
-    G = rng.normal(size=(samples, 2, dim, dim))
-    W, _, Vh = np.linalg.svd(G[:, 0] + 1j * G[:, 1])
-    return W @ Vh
-
-
-def metric_sweep(n: int, samples: int, seed: int) -> float:
-    """Max metric identity residual over seeded random tangent samples.
-
-    Each sample draws a base point Z, then its tangent vector W, from the
-    seeded normal stream.
-    """
-    rng = np.random.default_rng(seed)
-    zw = rng.normal(size=(samples, 2, n, 4))
-    return float(np.max(metric_identity_residual(zw[:, 0], zw[:, 1]),
-                        initial=0.0))
-
-
-def quotient_sweep(n: int, samples: int, seed: int) -> float:
-    """Max |s1 - 2 s2| over seeded random quotient-factor pairs."""
-    rng = np.random.default_rng(seed)
-    ab = rng.normal(size=(samples, 2, n - 1, 4))
-    s1, s2 = quotient_factor_check(ab[:, 0], ab[:, 1])
-    return float(np.max(np.abs(s1 - 2.0 * s2), initial=0.0))
-
-
-def ostar_sweep(n: int, samples: int, seed: int) -> tuple[int, int]:
-    """Count O* membership passes over ``samples`` seeded Haar unitaries of
-    order 2n, embedded by :func:`embed_u2n`; returns (passes, samples)."""
-    U = random_unitary(2 * n, np.random.default_rng(seed), samples)
-    return int(np.count_nonzero(ostar_membership(embed_u2n(U)))), samples

@@ -1,11 +1,20 @@
-"""Quaternion arithmetic on float arrays, and the complex image.
+"""Quaternion arithmetic: one integer product table, float arrays, and the
+complex image.
 
-A quaternion q = w + x i + y j + z k is stored as the float components
-(w, x, y, z) on the last axis of an array, so one quaternion has shape
-(4,), a vector of H^n has shape (n, 4) and an n x n matrix has shape
-(n, n, 4).  Leading axes are batch axes: the kernels ``qmul``, ``qconj``,
-``qnorm2`` and ``qdot`` broadcast over them, so a sweep over samples is a
-handful of array operations rather than a loop over quaternion objects.
+The product is written once, as the integer structure constants ``MUL``:
+the k-th component of e_r e_s, for the units e = (1, i, j, k), is
+``MUL[r][s][k]``.  The float kernel ``qmul`` contracts that table on
+arrays and ``qmul_exact`` contracts it on Python ints (or ``Fraction``s),
+so the exact checks of ``qkepler.checks`` and the float routes read the
+same product, and a fault in the table reaches both.
+
+A quaternion q = w + x i + y j + z k is stored as the components
+(w, x, y, z): 4 exact numbers for ``qmul_exact``, or the last axis of a
+float array, so one quaternion has shape (4,), a vector of H^n has shape
+(n, 4) and an n x n matrix has shape (n, n, 4).  Leading axes are batch
+axes: the array kernels ``qmul``, ``qconj``, ``qnorm2`` and ``qdot``
+broadcast over them, so a sweep over samples is a handful of array
+operations rather than a loop over quaternion objects.
 
 The sign convention for the imaginary units is fixed globally to
 
@@ -26,22 +35,22 @@ matrix [[A, -conj(B)], [B, conj(A)]], its complex image.  The image is
 multiplicative, and it carries Sp(n) onto the unitaries of that block
 form, so Sp(n) sits inside U(2n).
 
-Arrays are the only representation of quaternions; ``QMatrix`` is a
-thin wrapper over an (m, n, 4) array whose methods take and return
-arrays.  All components are 64-bit floats; the geometric checks built
-on top are residual based, so no exact quaternion arithmetic is
-provided.
+``QMatrix`` is a thin wrapper over an (m, n, 4) array whose methods take
+and return arrays.  The array routes import numpy when they run, so
+``import qkepler.qlinalg`` loads no numpy, and neither does
+``qmul_exact``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
-import numpy as np
-
 __all__ = [
+    "MUL",
     "QMatrix",
     "qmul",
+    "qmul_exact",
     "qconj",
     "qnorm2",
     "qdot",
@@ -49,31 +58,69 @@ __all__ = [
     "complexify_matrix",
 ]
 
+# MUL[r][s]: the components of e_r e_s for the units e = (1, i, j, k),
+# under i j = -k; one row of four per r, in the order e_s = 1, i, j, k
+MUL = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # 1, i, j, k
+    ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),  # i, -1, -k, j
+    ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)),  # j, k, -1, -i
+    ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0)),  # k, -j, i, -1
+)
+
+
+@functools.cache
+def _terms(table) -> tuple:
+    """Per component k, the terms (r, s, c) with c = table[r][s][k] nonzero:
+    those with a real factor first, then by r.  That is the order in which
+    the float product was first written out by hand, so its sums keep
+    their bits."""
+    return tuple(tuple(sorted(
+        ((r, s, row[k]) for r, rows in enumerate(table)
+         for s, row in enumerate(rows) if row[k]),
+        key=lambda t: (bool(t[0] and t[1]), t[0]))) for k in range(4))
+
+
+def _contract(terms, a, b):
+    """sum c a[r] b[s] over ``terms`` in order, on numbers or arrays.  The
+    first term starts the sum, and c = -1 negates exactly, so a float
+    component is the hand-written sum to the bit, signed zeros included."""
+    total = None
+    for r, s, c in terms:
+        term = c * a[r] * b[s]
+        total = term if total is None else total + term
+    return total
+
+
+def qmul_exact(a, b) -> tuple:
+    """The product a*b of two quaternions given as 4 exact numbers each
+    (ints or ``Fraction``s), contracted from ``MUL``."""
+    return tuple([_contract(terms, a, b) for terms in _terms(MUL)])
+
 
 def qmul(a, b) -> np.ndarray:
-    """Products a*b under the i j = -k convention, broadcast over batches.
+    """Products a*b under the i j = -k convention, broadcast over batches,
+    contracted from ``MUL``.
 
     Componentwise this is the Hamilton product with the factors swapped;
     |a*b| = |a| |b| holds either way.
     """
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw - ay * bz + az * by,
-        aw * by + ay * bw + ax * bz - az * bx,
-        aw * bz + az * bw - ax * by + ay * bx,
-    ], axis=-1)
+    import numpy as np
+    a = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    b = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack([_contract(terms, a, b) for terms in _terms(MUL)],
+                    axis=-1)
 
 
 def qconj(q) -> np.ndarray:
     """Quaternion conjugates: the imaginary components change sign."""
+    import numpy as np
     q = np.asarray(q, dtype=float)
     return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
 
 
 def qnorm2(q) -> np.ndarray:
     """Squared norms w^2 + x^2 + y^2 + z^2 over the last axis."""
+    import numpy as np
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     return w * w + x * x + y * y + z * z
 
@@ -84,6 +131,7 @@ def qdot(Z, W) -> np.ndarray:
     Z and W are (..., n, 4); the sum runs over the slot axis, the
     second-to-last, in slot order.  ``qdot(Z, Z)[..., 0]`` is |Z|^2.
     """
+    import numpy as np
     Z, W = np.asarray(Z, dtype=float), np.asarray(W, dtype=float)
     if Z.shape[-2] != W.shape[-2]:
         raise ValueError(f"length mismatch: {Z.shape[-2]} vs {W.shape[-2]}")
@@ -99,6 +147,7 @@ def complexify(Z) -> np.ndarray:
     Right multiplication by i becomes the scalar i; right multiplication
     by j becomes J conj(.) with J = [[0, -I_n], [I_n, 0]].
     """
+    import numpy as np
     Z = np.asarray(Z, dtype=float)
     return np.concatenate([Z[..., 0] + 1j * Z[..., 1],
                            Z[..., 2] + 1j * Z[..., 3]], axis=-1)
@@ -110,6 +159,7 @@ def complexify_matrix(M) -> np.ndarray:
     Writing M = A + j B with complex matrices A, B, the left action on
     z' + j z'' corresponds to the block matrix [[A, -conj(B)], [B, conj(A)]].
     """
+    import numpy as np
     M = np.asarray(M, dtype=float)
     if M.ndim < 3 or M.shape[-3] != M.shape[-2]:
         raise ValueError("matrix must be square")
@@ -131,6 +181,7 @@ class QMatrix:
     """
 
     def __init__(self, rows: Iterable[Iterable]):
+        import numpy as np
         rows = [[np.asarray(q, dtype=float) for q in r] for r in rows]
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
@@ -158,6 +209,7 @@ class QMatrix:
 
     def apply(self, v) -> np.ndarray:
         """The product M v for an (n, 4) vector v, as an (m, 4) array."""
+        import numpy as np
         v = np.asarray(v, dtype=float)
         if self.shape[1] != len(v):
             raise ValueError("shape mismatch")
@@ -170,11 +222,12 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix.diag(np.eye(4)[[0] * n])
+        return QMatrix.diag([(1.0, 0.0, 0.0, 0.0)] * n)
 
     @staticmethod
     def diag(entries) -> "QMatrix":
         """The diagonal matrix of an (n, 4) array of entries."""
+        import numpy as np
         es = np.asarray(entries, dtype=float).reshape(-1, 4)
         out = np.zeros((len(es), len(es), 4))
         out[range(len(es)), range(len(es))] = es

@@ -633,10 +633,12 @@ def _ritz_above(pencil: list[tuple[int, int]], mu: Fraction) -> int:
 
 
 def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
-                       tol: float) -> list[bool]:
+                       tol: Union[float, Fraction]) -> list[bool]:
     """Whether the Laguerre-Galerkin levels of channel 2λ certify each of
     the exact energies ``energies`` = E_0, E_1, ..., to the relative
-    ``tol``, in exact arithmetic.
+    ``tol``, in exact arithmetic.  A float ``tol`` is read as its exact
+    binary value, so a decimal one is best given as a ``Fraction``: 1e-10
+    is 7737125245533627/2^86, and the Sturm minors grow with it.
 
     With u = t^n R the radial equation is -u''/2 + [λ(λ+1)/(2t^2) - 1/t] u
     = E u, λ = ell + n - 1, so the levels depend on (p, l) only through

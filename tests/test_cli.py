@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkepler import checks, geom, qlinalg, radial, rep, spectral
+from qkepler import checks, qlinalg, radial, rep, spectral
 from qkepler.cli import _build_parser, run
 from qkepler.laurent import Laurent
 from qkepler.rep import HighestWeight
@@ -311,7 +311,7 @@ def test_argument_errors_exit_2(capsys):
 
 
 def test_json_schema_and_seed(capsys):
-    run(["verify", "ostar", "--seed", "3", "--format", "json"])
+    run(["verify", "metric", "--seed", "3", "--format", "json"])
     payload = json.loads(out_of(capsys))
     assert payload["schema"] == "qkepler-report-1"
     assert payload["seed"] == 3
@@ -326,6 +326,7 @@ MODEL = ["--n", "2", "--sigma", "0"]
     ["verify", "all", "--n", "2", "--samples", "1"],
     ["verify", "casimir", "--n", "2", "--samples", "3"],
     ["verify", "casimir", "--seed", "3"],
+    ["verify", "ostar", "--seed", "3"],
     ["verify", "metric", "--seed", "-1"],
     ["verify", "all", "--seed", "-3"],
     ["verify", "metric", "--tol", "1e-9"],
@@ -444,11 +445,10 @@ def json_report(argv):
 
 def test_eigensolve_tolerance_is_the_gates(monkeypatch):
     # one bound for the route: the command's rows show it, and the check
-    # certifies to it
-    assert checks.EIGENSOLVE_TOL == 1e-10
+    # certifies to it; it is the decimal 1/10^10, shown as the float 1e-10
+    assert checks.EIGENSOLVE_TOL == Fraction(1, 10 ** 10)
     report = json_report(["eigensolve", *MODEL, "--l", "0"])
-    assert [r["tolerance"] for r in report["results"]] \
-        == [checks.EIGENSOLVE_TOL] * 3
+    assert [r["tolerance"] for r in report["results"]] == [1e-10] * 3
     # at a bound of 0 no level above the ground state can be certified
     monkeypatch.setattr(checks, "EIGENSOLVE_TOL", 0.0)
     report = json_report(["eigensolve", *MODEL, "--l", "0"])
@@ -543,9 +543,8 @@ GATE_ROWS = os.path.join(os.path.dirname(__file__), "verify_all_rows.json")
 
 
 def test_gate_rows_match_the_golden(gate_and_check_reports):
-    # every row of `verify all` at seed 0 but its residual, whose last
-    # digits depend on libm and LAPACK: a changed count, row or bound
-    # shows here
+    # the name, lhs, rhs, bound and verdict of every row of `verify all`
+    # at seed 0: a changed count, row or bound shows here
     with open(GATE_ROWS, encoding="utf-8") as fh:
         golden = json.load(fh)
     gate = gate_and_check_reports[0]
@@ -710,6 +709,16 @@ def test_exact_checks_fail_their_negative_controls(control, failed,
             if "  FAIL" in line] == failed
 
 
+def assert_failed_rows(out, failed):
+    """The failed rows of a text report are ``failed``, in order, each
+    line showing its value there."""
+    rows = {line.split()[0]: line for line in out.splitlines()
+            if "  FAIL" in line}
+    assert list(rows) == list(failed)
+    for name, shown in failed.items():
+        assert shown in rows[name]
+
+
 def energy_off_by_a_millionth(monkeypatch):
     """Every Kepler energy the check reads scaled by 1 + 1e-6."""
     original = spectral.energy
@@ -741,37 +750,71 @@ def test_residual_checks_fail_their_negative_controls(control, failed,
                                                       monkeypatch, capsys):
     control(monkeypatch)
     assert run(["verify", "residuals"]) == 1
-    rows = {line.split()[0]: line for line in out_of(capsys).splitlines()
-            if "  FAIL" in line}
-    assert list(rows) == list(failed)
-    for name, shown in failed.items():
-        assert shown in rows[name]
+    assert_failed_rows(out_of(capsys), failed)
 
 
-QMUL = qlinalg.qmul
+def product_table(component):
+    """The table ``qlinalg.MUL`` with each entry MUL[r][s][k] replaced by
+    ``component(r, s, k, MUL[r][s][k])``."""
+    return tuple(tuple(tuple(component(r, s, k, c) for k, c in enumerate(row))
+                       for s, row in enumerate(rows))
+                 for r, rows in enumerate(qlinalg.MUL))
 
 
-def qmul_not_associative(a, b):
-    """The z-component cross terms flipped: (i j) k = -1 but i (j k) = +1."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    p = QMUL(a, b)
-    p[..., 3] += 2.0 * (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1])
-    return p
+# the z-component cross terms flipped: (i j) k = -1 but i (j k) = +1
+NOT_ASSOCIATIVE = product_table(
+    lambda r, s, k, c: -c if k == 3 and {r, s} == {1, 2} else c)
+# (a b)_k = a_k b_k
+COMPONENTWISE = product_table(lambda r, s, k, c: int(r == s == k))
 
 
-@pytest.mark.parametrize("product", [
-    qmul_not_associative,
-    lambda a, b: np.asarray(a, dtype=float) * np.asarray(b, dtype=float),
+@pytest.mark.parametrize("table, failed", [
+    (NOT_ASSOCIATIVE, {f"metric[n={n}]": "lhs=0 rhs=16" for n in (2, 3, 4)}),
+    # the trace form reads only real parts, which the mutant still breaks
+    (COMPONENTWISE, {f"{name}[n={n}]": "lhs=0 rhs=16" for n in (2, 3, 4)
+                     for name in ("metric", "quotient")}),
 ], ids=["qmul-not-associative", "qmul-componentwise"])
-def test_metric_rows_read_the_quaternion_product(product, monkeypatch,
+def test_metric_rows_read_the_quaternion_product(table, failed, monkeypatch,
                                                  capsys):
-    # geom imports qmul by name, so both bindings are replaced
-    monkeypatch.setattr(qlinalg, "qmul", product)
-    monkeypatch.setattr(geom, "qmul", product)
+    # one table: the float product and the exact rows both read it
+    monkeypatch.setattr(qlinalg, "MUL", table)
+    E = np.eye(4)
+    assert np.array_equal(qlinalg.qmul(E[:, None], E[None, :]),
+                          np.array(table))
     assert run(["verify", "all"]) == 1
-    out = out_of(capsys)
-    assert [line.split()[0] for line in out.splitlines()
-            if "  FAIL" in line] == [f"metric[n={n}]" for n in (2, 3, 4)]
+    assert_failed_rows(out_of(capsys), failed)
+
+
+def lower_block_in_the_uv_frame(monkeypatch):
+    """The lower block -J X J of the (U, conj V) frame, in place of
+    -J conj(X) J."""
+    J = checks._jmat
+    monkeypatch.setattr(checks, "_lower_block", lambda X, n: {
+        key: -v for key, v in
+        checks._product(checks._product(J(n), X), J(n)).items()})
+
+
+def hspace_weight_one_lower(monkeypatch):
+    """(-1, ..., -1, -(2 + sbar)): a highest weight one step off in its
+    last entry."""
+    monkeypatch.setattr(spectral, "hspace_weight", lambda p: HighestWeight(
+        [-1] * (2 * p.n - 1) + [-(2 + p.sigma_bar)]))
+
+
+@pytest.mark.parametrize("control, failed", [
+    # only the real basis elements E_ab - E_ba still hold, and the planted
+    # unit i lands unconjugated
+    (lower_block_in_the_uv_frame, {"ostar[n=2]": "lhs=6 rhs=16",
+                                   "ostar[n=3]": "lhs=15 rhs=36",
+                                   "weight-double[n<=6]": "lhs=0 rhs=42"}),
+    # the infinitesimal character is then sbar + 2, at every (n, sbar)
+    (hspace_weight_one_lower, {"inf-character[n<=5]": "lhs=0 rhs=28"}),
+], ids=["ostar-uv-frame", "hspace-weight"])
+def test_weight_rows_fail_their_negative_controls(control, failed,
+                                                  monkeypatch, capsys):
+    control(monkeypatch)
+    assert run(["verify", "all"]) == 1
+    assert_failed_rows(out_of(capsys), failed)
 
 
 def test_gate_survives_optimize_flag():

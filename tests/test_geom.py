@@ -1,23 +1,72 @@
+"""The float forms of the geometric identities in ``qkepler.geom``.
+
+The gate checks the same identities exactly (``qkepler.checks.metric``
+and ``ostar``).  The seeded float sweeps that the gate ran before are
+kept here as oracles: ``metric_sweep``, ``quotient_sweep`` and
+``ostar_sweep``, with the Haar sampler ``random_unitary``.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
+from qkepler import checks
 from qkepler.geom import (
     embed_u2n,
     embed_u2n_uv,
     fubini_study_form,
     jmat,
     metric_identity_residual,
-    metric_sweep,
     ostar_membership,
-    ostar_sweep,
     quotient_factor_check,
-    quotient_sweep,
-    random_unitary,
     weight_double,
 )
 from qkepler.qlinalg import QMatrix, complexify_matrix, qmul, qnorm2
+
+
+def random_unitary(dim: int, rng: np.random.Generator,
+                   samples: int) -> np.ndarray:
+    """``samples`` Haar unitaries of order ``dim``, as one (samples, dim, dim)
+    batch: the unitary polar factors W Vh of complex Ginibre matrices
+    G = W S Vh, each drawing its real part, then its imaginary part.
+
+    Haar on Ginibre input (Mezzadri, Notices AMS 54, 2007): a Ginibre batch
+    is invariant under left multiplication by a fixed unitary h, and the
+    factor of hG is h times that of G, so the factor's law is left
+    invariant, which on a compact group means Haar.
+    """
+    G = rng.normal(size=(samples, 2, dim, dim))
+    W, _, Vh = np.linalg.svd(G[:, 0] + 1j * G[:, 1])
+    return W @ Vh
+
+
+def metric_sweep(n: int, samples: int, seed: int) -> float:
+    """Max metric identity residual over seeded random tangent samples.
+
+    Each sample draws a base point Z, then its tangent vector W, from the
+    seeded normal stream.
+    """
+    rng = np.random.default_rng(seed)
+    zw = rng.normal(size=(samples, 2, n, 4))
+    return float(np.max(metric_identity_residual(zw[:, 0], zw[:, 1]),
+                        initial=0.0))
+
+
+def quotient_sweep(n: int, samples: int, seed: int) -> float:
+    """Max |s1 - 2 s2| over seeded random quotient-factor pairs."""
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=(samples, 2, n - 1, 4))
+    s1, s2 = quotient_factor_check(ab[:, 0], ab[:, 1])
+    return float(np.max(np.abs(s1 - 2.0 * s2), initial=0.0))
+
+
+def ostar_sweep(n: int, samples: int, seed: int) -> tuple[int, int]:
+    """Count O* membership passes over ``samples`` seeded Haar unitaries of
+    order 2n, embedded by :func:`embed_u2n`; returns (passes, samples)."""
+    U = random_unitary(2 * n, np.random.default_rng(seed), samples)
+    return int(np.count_nonzero(ostar_membership(embed_u2n(U)))), samples
+
 
 # the standard basis vectors e_0, e_1 of H^2, as (2, 4) arrays
 E0, E1 = np.eye(8)[[0, 4]].reshape(2, 2, 4)
@@ -278,3 +327,17 @@ def test_per_sample_residuals_match_scalar_golden_bits(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_ostar_sweep_matches_scalar_counts(n, seed):
     assert ostar_sweep(n, 200, seed) == (200, 200)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_embedding_reads_the_exact_lower_block_rule(n):
+    # the gate's sparse rule -J conj(X) J, on the entries of a random
+    # unitary: each entry of the lower block is +- one entry of conj(A),
+    # so the float embedding agrees to the bit
+    for A in random_unitary(2 * n, np.random.default_rng(50 + n), 5):
+        sparse = {(i, j): complex(A[i, j]) for i in range(2 * n)
+                  for j in range(2 * n)}
+        lower = np.zeros((2 * n, 2 * n), dtype=complex)
+        for (i, j), v in checks._lower_block(sparse, n).items():
+            lower[i, j] = v
+        assert np.array_equal(embed_u2n(A)[2 * n:, 2 * n:], lower)

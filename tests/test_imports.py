@@ -1,13 +1,12 @@
 """Cold start: each command loads only the layers it uses.
 
 Every case runs in a fresh interpreter, since this one has long since
-imported numpy and scipy.  No command loads scipy, and one that loads no
-numpy loads neither ``dataclasses`` nor ``inspect`` (numpy imports
-``inspect`` itself).  Only the geometry checks of `verify` (`metric`
-and `ostar`) load numpy, and only `verify` and `eigensolve` load
-``qkepler.checks``.  ``qkepler.rep`` loads only where weights and
-dimensions are built, and ``qkepler.laurent`` only where Laurent
-polynomials are.
+imported numpy and scipy.  No command loads numpy or scipy, nor
+``dataclasses`` or ``inspect`` (numpy imports ``inspect`` itself): every
+row of the gate is exact, the geometry rows too.  Only `verify` and
+`eigensolve` load ``qkepler.checks``.  ``qkepler.rep`` loads only where
+weights and dimensions are built, and ``qkepler.laurent`` only where
+Laurent polynomials are.
 """
 
 import importlib
@@ -81,15 +80,16 @@ def fresh_run(argv):
     # the exact checks, counted in integers and Fractions
     *((["verify", check], NO_NUMPY) for check in EXACT_CHECKS),
     (["verify", "eigensolve"], NO_NUMPY),
-    # the geometry sweeps are numpy, and read no radial state
-    (["verify", "metric"], {"scipy", "qkepler.radial"}),
-    (["verify", "all"], {"scipy"}),
+    # the geometry rows read the integer product table, and no radial state
+    (["verify", "metric"], NO_NUMPY | {"qkepler.radial"}),
+    (["verify", "ostar"], NO_NUMPY | {"qkepler.radial"}),
+    (["verify", "all"], NO_NUMPY),
 ], ids=["spectrum", "degeneracy", "ktype", "wavefunction",
         "wavefunction-t", "wavefunction-rho", "residual-kepler",
         "residual-oscillator", "eigensolve", "eigensolve-l200", "micz",
         "verify-micz", "verify-schur",
         *(f"verify-{check}" for check in EXACT_CHECKS),
-        "verify-eigensolve", "verify-metric", "verify-all"])
+        "verify-eigensolve", "verify-metric", "verify-ostar", "verify-all"])
 def test_commands_load_only_what_they_use(argv, absent):
     code, modules = fresh_run(argv)
     assert code == 0
@@ -120,6 +120,14 @@ def loaded_after(code):
 def test_import_qkepler_loads_no_submodule_and_no_numpy():
     modules = loaded_after("import sys, qkepler")
     assert not {m for m in modules if m.startswith(("qkepler.", "numpy"))}
+
+
+@pytest.mark.parametrize("module", ["qlinalg", "geom"])
+def test_import_of_the_array_layers_loads_no_numpy(module):
+    # numpy is imported inside the array routes that use it
+    modules = loaded_after(f"import sys, qkepler.{module}")
+    assert f"qkepler.{module}" in modules
+    assert not modules & NO_NUMPY
 
 
 def test_import_radial_loads_no_numpy():

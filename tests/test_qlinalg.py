@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qkepler.qlinalg import (
+    MUL,
     QMatrix,
     complexify,
     complexify_matrix,
     qconj,
     qdot,
     qmul,
+    qmul_exact,
     qnorm2,
 )
 
@@ -203,6 +205,32 @@ batch_settings = settings(max_examples=50)
 def test_qmul_batched_unit_table():
     E = np.eye(4)
     np.testing.assert_array_equal(qmul(E[:, None], E[None, :]), unit_table())
+    np.testing.assert_array_equal(np.array(MUL), unit_table())
+
+
+def hand_written(a, b):
+    """The float product written out term by term, in the order that the
+    table's contraction keeps."""
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw - ay * bz + az * by,
+        aw * by + ay * bw + ax * bz - az * bx,
+        aw * bz + az * bw - ax * by + ay * bx,
+    ], axis=-1)
+
+
+def test_qmul_is_the_table_contraction_to_the_bit():
+    rng = np.random.default_rng(17)
+    # on float arrays, signed zeros included: the hand-written sums
+    a, b = rng.normal(size=(2, 500, 4))
+    a[::7], b[::5] = 0.0, -0.0
+    assert qmul(a, b).tobytes() == hand_written(a, b).tobytes()
+    # on integer points the float product is exact: the int contraction
+    ints = rng.integers(-2 ** 20, 2 ** 20, size=(2, 200, 4))
+    exact = [qmul_exact(p.tolist(), q.tolist()) for p, q in zip(*ints)]
+    assert qmul(*ints).tobytes() == np.array(exact, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("shape", BATCH_SHAPES)

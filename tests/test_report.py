@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkepler import checks, geom
+from qkepler import checks
 from qkepler.report import (CheckResult, Report, emit, report_from_json, row,
                             worse)
 
@@ -117,12 +117,3 @@ def test_worst_accumulation_keeps_nan():
     for r in (1e-9, math.nan, 2e-9):
         worst = worse(worst, r)
     assert math.isnan(worst)
-
-
-def test_nan_residual_fails_its_check(monkeypatch):
-    monkeypatch.setattr(geom, "metric_sweep",
-                        lambda n, samples, seed: math.nan)
-    rows = {r.name: r for r in checks.metric()}
-    r = rows["metric[n=2]"]
-    assert math.isnan(r.residual) and r.passed is False
-    assert rows["quotient[n=2]"].passed is True
