@@ -6,13 +6,12 @@ runs every entry in order and is the CI gate) and the acceptance tests
 gate on them.  A check returns its ``CheckResult`` rows; it sweeps the
 gate's ranges and holds its own bounds, so it takes no arguments, except
 that the randomized check named in ``SEEDED``, ``metric``, takes
-``seed``.  A row is a counted identity (``_tally``); only
-``schur-norm`` is built by hand.  Every row is exact, in ints,
-``Fraction``s or Gaussian integers, so no check loads numpy, and a check
-imports ``radial``, ``qlinalg`` or ``geom`` only when it runs.  The
-geometry rows (``metric`` and ``ostar``) form every quaternion product
-from the integer table ``qlinalg.MUL`` that the float ``qmul`` also
-contracts.
+``seed``.  Every row is a counted identity, built by ``_tally``: exact,
+in ints, ``Fraction``s or Gaussian integers, with no residual.  So no
+check loads numpy, and a check imports ``radial``, ``qlinalg`` or
+``geom`` only when it runs.  The geometry rows (``metric`` and
+``ostar``) form every quaternion product from the integer table
+``qlinalg.MUL`` that the float ``qmul`` also contracts.
 """
 
 from __future__ import annotations
@@ -339,8 +338,8 @@ def ostar() -> list[CheckResult]:
 def schur() -> list[CheckResult]:
     """Schur orthonormality of the Sp(1) characters up to weight 10,
     exactly."""
-    rows = [row(f"schur-norm[{sb}]", lhs=norm, rhs=1, passed=norm == 1)
-            for sb in range(11) for norm in [rep.schur_norm(sb)]]
+    rows = [_tally(f"schur-norm[{sb}]", [rep.schur_norm(sb) == 1])
+            for sb in range(11)]
     rows.append(_tally("schur-cross", (
         rep.character_inner(s1, s2) == 0
         for s1 in range(11) for s2 in range(s1 + 1, 11))))

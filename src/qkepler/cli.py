@@ -256,7 +256,7 @@ def _verify(cmd) -> None:
     cmd.add_argument("check", metavar="check", help="%(choices)s",
                      choices=_FromChecks(lambda c: (*c.REGISTRY, "all")))
     cmd.add_argument("--seed", type=_integer(0),
-                     help="seed for the randomized checks, %(seeded)s"
+                     help="seed read by %(seeded)s"
                      ).seeded = _FromChecks(lambda c: (
                          f"{' and '.join(sorted(c.SEEDED))} "
                          f"(default {c.SEED})"))

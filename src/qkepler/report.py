@@ -1,21 +1,25 @@
 """Structured results for the command line tool.
 
 A Report is a command name, its parameters, and a list of named check
-rows.  Emission is deterministic: identical inputs and seed produce
-byte-identical output in every format.  Floats are printed with 17
-significant digits so the text survives a round trip through repr;
-exact rationals are printed as fractions and never coerced to float.
+rows.  A row is a name, its two sides (lhs and rhs), an optional
+tolerance and a verdict; every row of the gate is a counted identity,
+so no row carries a residual.  Emission is deterministic: identical
+inputs and seed produce byte-identical output in every format.  A csv
+row reads ``name,lhs,rhs,tolerance,pass``, and a json row has the keys
+name, lhs, rhs, tolerance and passed, under the schema ``SCHEMA``.
+Floats are printed with 17 significant digits so the text survives a
+round trip through repr; exact rationals are printed as fractions and
+never coerced to float.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Any, NamedTuple, Optional, Sequence
 
-__all__ = ["CheckResult", "Report", "row", "worse", "emit", "report_from_json"]
+__all__ = ["CheckResult", "Report", "row", "emit"]
 
-SCHEMA = "qkepler-report-1"
+SCHEMA = "qkepler-report-2"
 
 
 def _fmt(value: Any) -> str:
@@ -34,8 +38,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, float):
         # parse back to float to keep json numeric, but normalize the text
         return float(format(value, ".17g"))
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return value
@@ -47,30 +49,15 @@ class CheckResult(NamedTuple):
     name: str
     lhs: Any
     rhs: Any
-    residual: Optional[float]
     tolerance: Optional[float]
     passed: bool
 
 
-def row(name, lhs=None, rhs=None, residual=None, tolerance=None,
+def row(name, lhs=None, rhs=None, tolerance=None,
         passed=True) -> CheckResult:
-    """A CheckResult with empty defaults; numpy bools become bools.
-
-    A row whose residual is given but is nan or infinite fails, whatever
-    ``passed`` says: such a residual measured nothing.
-    """
-    finite = residual is None or math.isfinite(residual)
-    return CheckResult(name=name, lhs=lhs, rhs=rhs, residual=residual,
-                       tolerance=tolerance, passed=bool(passed) and finite)
-
-
-def worse(a: float, b: float) -> float:
-    """The larger of two residuals, nan if either is nan.
-
-    The builtin ``max(a, b)`` returns ``a`` when ``b`` is nan, so a running
-    ``worst = max(worst, r)`` would silently drop a nan residual.
-    """
-    return b if b != b or b > a else a
+    """A CheckResult with empty defaults; numpy bools become bools."""
+    return CheckResult(name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
+                       passed=bool(passed))
 
 
 class Report(NamedTuple):
@@ -79,7 +66,6 @@ class Report(NamedTuple):
     results: Sequence[CheckResult]
     seed: Optional[int] = None
     timestamp: Optional[str] = None
-    schema: str = SCHEMA
 
     @property
     def passed(self) -> bool:
@@ -100,8 +86,6 @@ def _emit_text(report: Report) -> str:
         parts = [f"{r.name:<{width}}  {status}"]
         if r.lhs is not None or r.rhs is not None:
             parts.append(f"lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)}")
-        if r.residual is not None:
-            parts.append(f"residual={_fmt(r.residual)}")
         if r.tolerance is not None:
             parts.append(f"tol={_fmt(r.tolerance)}")
         lines.append("  ".join(parts))
@@ -114,10 +98,9 @@ def _emit_csv(report: Report) -> str:
     import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "lhs", "rhs", "residual", "tolerance", "pass"])
+    writer.writerow(["name", "lhs", "rhs", "tolerance", "pass"])
     for r in report.results:
-        writer.writerow([r.name, _fmt(r.lhs), _fmt(r.rhs),
-                         _fmt(r.residual), _fmt(r.tolerance),
+        writer.writerow([r.name, _fmt(r.lhs), _fmt(r.rhs), _fmt(r.tolerance),
                          "true" if r.passed else "false"])
     return buf.getvalue()
 
@@ -125,7 +108,7 @@ def _emit_csv(report: Report) -> str:
 def _emit_json(report: Report) -> str:
     import json
     payload = {
-        "schema": report.schema,
+        "schema": SCHEMA,
         "command": report.command,
         "parameters": _jsonable(report.parameters),
         "seed": report.seed,
@@ -136,7 +119,6 @@ def _emit_json(report: Report) -> str:
                 "name": r.name,
                 "lhs": _jsonable(r.lhs),
                 "rhs": _jsonable(r.rhs),
-                "residual": _jsonable(r.residual),
                 "tolerance": _jsonable(r.tolerance),
                 # numpy bools slip in from comparisons; json rejects them
                 "passed": bool(r.passed),
@@ -156,20 +138,3 @@ def emit(report: Report, fmt: str = "text") -> str:
     if fmt == "json":
         return _emit_json(report)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def report_from_json(text: str) -> Report:
-    """Rebuild a Report from its json emission (floats and strings only)."""
-    import json
-    payload = json.loads(text)
-    results = tuple(
-        CheckResult(name=row["name"], lhs=row["lhs"], rhs=row["rhs"],
-                    residual=row["residual"], tolerance=row["tolerance"],
-                    passed=row["passed"])
-        for row in payload["results"])
-    return Report(command=payload["command"],
-                  parameters=payload["parameters"],
-                  results=results,
-                  seed=payload.get("seed"),
-                  timestamp=payload.get("timestamp"),
-                  schema=payload.get("schema", SCHEMA))

@@ -40,7 +40,7 @@ def test_degeneracy_table_csv(capsys):
     out = out_of(capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "name,lhs,rhs,residual,tolerance,pass"
+    assert lines[0] == "name,lhs,rhs,tolerance,pass"
     assert [ln.split(",")[1] for ln in lines[1:]] == ["1", "6", "20"]
 
 
@@ -179,7 +179,7 @@ def test_wavefunction_on_a_laguerre_node_reads_zero():
                                     "--points", "1"])
     assert code == 0
     assert rows == [{"name": "sample[0]", "lhs": 6.0, "rhs": 0.0,
-                     "residual": None, "tolerance": None, "passed": True}]
+                     "tolerance": None, "passed": True}]
 
 
 def test_wavefunction_sample_past_the_double_range_reads_inf():
@@ -313,7 +313,7 @@ def test_argument_errors_exit_2(capsys):
 def test_json_schema_and_seed(capsys):
     run(["verify", "metric", "--seed", "3", "--format", "json"])
     payload = json.loads(out_of(capsys))
-    assert payload["schema"] == "qkepler-report-1"
+    assert payload["schema"] == "qkepler-report-2"
     assert payload["seed"] == 3
     assert payload["timestamp"] is None
 
@@ -482,6 +482,26 @@ def test_report_parameters_are_the_flags(argv, keys):
     assert set(json_report(argv)["parameters"]) == keys
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *MODEL], ["degeneracy", *MODEL], ["ktype", *MODEL],
+    ["wavefunction", *STATE], ["residual", "kepler", *STATE],
+    ["eigensolve", *MODEL, "--l", "0"], ["micz", "--sigma", "1"],
+    ["verify", "schur"],
+], ids=["spectrum", "degeneracy", "ktype", "wavefunction", "residual-kepler",
+        "eigensolve", "micz", "verify-schur"])
+def test_rows_have_no_residual(argv):
+    # a row is its two sides, a bound and a verdict, under schema 2
+    report = json_report(argv)
+    assert report["schema"] == "qkepler-report-2"
+    assert report["results"]
+    for r in report["results"]:
+        assert set(r) == {"name", "lhs", "rhs", "tolerance", "passed"}
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        run([*argv, "--format", "csv"])
+    assert buf.getvalue().splitlines()[0] == "name,lhs,rhs,tolerance,pass"
+
+
 def test_verify_takes_only_the_seed():
     # a size or tolerance flag would let one run change what the gate checks
     [verbs] = [a for a in _build_parser()._actions
@@ -498,8 +518,7 @@ def test_verify_help_reads_the_registry(monkeypatch, capsys):
     assert run(["verify", "--help"]) == 0
     out = capsys.readouterr().out
     assert ", ".join([*checks.REGISTRY, "all"]) in out
-    assert (f"seed for the randomized checks, "
-            f"{' and '.join(sorted(checks.SEEDED))} "
+    assert (f"seed read by {' and '.join(sorted(checks.SEEDED))} "
             f"(default {checks.SEED})") in out
 
 
@@ -568,6 +587,12 @@ def character_without_lowest_weight(monkeypatch):
         del terms[-sb]
         return Laurent(terms)
     monkeypatch.setattr(rep, "sp1_character", chi)
+
+
+def weyl_density_constant_term(monkeypatch):
+    """The Weyl density cut to its constant term: |chi_s|^2 integrates to
+    s + 1."""
+    monkeypatch.setattr(rep, "_WEYL_DENSITY", {0: 2})
 
 
 def galerkin_off_channel(monkeypatch):
@@ -667,8 +692,7 @@ T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
      MICZ_ROWS),
     # chi_1 without z^-1 is z, whose class integral is -1/2: a fault row
     (character_without_lowest_weight, ["schur"]),
-    # the density cut to its constant term gives |chi_s|^2 = s + 1
-    (lambda mp: mp.setattr(rep, "_WEYL_DENSITY", {0: 2}),
+    (weyl_density_constant_term,
      [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
     # the Laguerre route converges, but to the neighbouring channel
     (galerkin_off_channel, ["eigensolve[n=2]", "eigensolve[n=3]"]),
@@ -717,6 +741,15 @@ def assert_failed_rows(out, failed):
     assert list(rows) == list(failed)
     for name, shown in failed.items():
         assert shown in rows[name]
+
+
+def test_schur_norm_rows_are_tallies(monkeypatch, capsys):
+    # a norm of s + 1 is one identity that fails, not a value beside 1
+    weyl_density_constant_term(monkeypatch)
+    assert run(["verify", "schur"]) == 1
+    assert_failed_rows(out_of(capsys), {
+        **{f"schur-norm[{sb}]": "  FAIL  lhs=0 rhs=1" for sb in range(1, 11)},
+        "schur-cross": "  FAIL  lhs=30 rhs=55"})
 
 
 def energy_off_by_a_millionth(monkeypatch):

@@ -60,8 +60,7 @@ def test_named_tuples_take_keywords_and_defaults():
     assert spectral.ModelParams(sigma_bar=2, n=3) == P
     assert rep.RootSystem(rank=2, family="C") == rep.RootSystem("C", 2)
     report = Report("demo", {}, ())
-    assert (report.seed, report.timestamp, report.schema) == (
-        None, None, "qkepler-report-1")
+    assert (report.seed, report.timestamp) == (None, None)
     stamped = report._replace(timestamp="t")
     assert (stamped.timestamp, stamped.command) == ("t", "demo")
     # the one change from frozen data classes: a plain tuple of the
