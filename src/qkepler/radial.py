@@ -37,19 +37,21 @@ the same lines on a caller's ``RadialGrid`` of floats and divide at the
 end; only the benchmark calls them.
 
 ``laguerre_certified`` certifies the exact levels of one channel against
-a closed-form tridiagonal Galerkin pencil, in Python ints: exact Sturm
-counts place each Ritz level within a relative tolerance above the exact
-one, with nothing rounded; ``qkepler eigensolve`` and the acceptance gate
-use it.  ``eigensolve``, a finite-difference route and the only code here
+a closed-form tridiagonal Galerkin pencil, grown a row at a time until
+exact Sturm counts in ints place each Ritz level within a relative
+tolerance above the exact one; ``qkepler eigensolve`` and the gate use
+it.  ``eigensolve``, a finite-difference route and the only code here
 that imports scipy, is kept only for the benchmark's ``radial`` workload.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
+                    Sequence, Union)
 
 from .spectral import ModelParams, energy
 
@@ -581,38 +583,21 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
 # Laguerre-Galerkin levels, certified by exact Sturm counts
 
 
-def _laguerre_size(two_lam: int, count: int) -> int:
-    """The basis size N for the lowest ``count`` levels of channel 2λ.
-
-    Level k has u ~ t^{λ+1} e^{-t/(λ+k)} times a polynomial in x = 2t/(λ+1)
-    whose coefficients on the polynomials orthonormal for x^{2λ+2} e^{-x},
-    a basis of the space of :func:`laguerre_certified`, fall like τ^j
-    sqrt(C(j+a, j)), with τ = (k-1)/(2λ+k+1) and a = 2λ+2.  N is the least
-    size where that coefficient of the top level is below 1e-14.  Over
-    2λ <= 106 and count <= 5 every level then certifies at a relative
-    1e-13.
-    """
-    if count == 1:  # the ground state is the first basis function
-        return 1
-    log_tau = math.log((count - 1) / (two_lam + count + 1))
-    size = count
-    while size * log_tau + math.log(math.comb(size + two_lam + 2, size)) / 2 \
-            > -14 * math.log(10):
-        size += 1
-    return size
+_ROWS = 1000  # the most rows of J' a level reads before it fails
 
 
-def _pencil(two_lam: int, size: int) -> list[tuple[int, int]]:
-    """The rows j = 1 .. size - 1 of J' in :func:`laguerre_certified`: each
+def _pencil(two_lam: int) -> Iterator[tuple[int, int]]:
+    """The rows j = 1, 2, ... of J' in :func:`laguerre_certified`: each
     its diagonal and its squared off-diagonal to row j - 1 (which
     multiplies a zero at j = 1)."""
-    return [(2 * j + two_lam + 2 - (j == 1), j * (j + two_lam + 1))
-            for j in range(1, size)]
+    for j in itertools.count(1):
+        yield 2 * j + two_lam + 2 - (j == 1), j * (j + two_lam + 1)
 
 
-def _ritz_above(pencil: list[tuple[int, int]], mu: Fraction) -> int:
-    """How many Ritz values of J' y = μ diag(j) y, J' the rows ``pencil``
-    (:func:`_pencil`), lie strictly above ``mu`` = u/v.
+def _ritz_above(rows: Iterable[tuple[int, int]],
+                mu: Fraction) -> Iterator[int]:
+    """After each of ``rows`` (:func:`_pencil`), how many Ritz values of
+    J' y = μ diag(j) y, J' the rows so far, lie strictly above ``mu`` = u/v.
 
     They are the positive eigenvalues of v J' - u diag(j), which are its
     positive pivots: the sign agreements of its leading minors, ints by
@@ -624,12 +609,12 @@ def _ritz_above(pencil: list[tuple[int, int]], mu: Fraction) -> int:
     u, v = mu.numerator, mu.denominator
     vv = v * v
     above, prev, cur, sign = 0, 0, 1, 1  # minors k - 2 and k - 1, the sign
-    for j, (diag, off2) in enumerate(pencil, 1):
+    for j, (diag, off2) in enumerate(rows, 1):
         prev, cur = cur, (v * diag - u * j) * cur - vv * off2 * prev
         new = (cur > 0) - (cur < 0) or -sign
         above += new == sign
         sign = new
-    return above
+        yield above
 
 
 def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
@@ -643,8 +628,8 @@ def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
     With u = t^n R the radial equation is -u''/2 + [λ(λ+1)/(2t^2) - 1/t] u
     = E u, λ = ell + n - 1, so the levels depend on (p, l) only through
     2λ = a - 1, a the Laguerre index of the closed-form states.  The basis
-    is the Coulomb Sturmians S_j = x^{λ+1} e^{-x/2} L^α_j(x), j < N
-    (:func:`_laguerre_size`), with x = 2κt, κ = 1/(λ+1) and α = 2λ+1,
+    is the Coulomb Sturmians S_j = x^{λ+1} e^{-x/2} L^α_j(x), j < N, with
+    N the basis size, x = 2κt, κ = 1/(λ+1) and α = 2λ+1,
     normalized so that ∫ x^α e^{-x} L_i L_j dx = δ_ij.  S_0 is the ground
     state, and the Sturmian equation gives H S_j = (jκ/t) S_j - (κ^2/2)
     S_j.  The 1/t Gram matrix is then the identity and the overlap is
@@ -664,21 +649,32 @@ def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
     - tol)].  The counts are exact (:func:`_ritz_above`), and an energy
     at or below the ground state is not certified.
 
+    The basis grows a row of J' at a time.  A row moves each count up by
+    at most one and never down (Cauchy interlacing), and at the exact E_i
+    neither passes i - 1 or i, so the first N that certifies a level
+    decides it for every larger N.  A count past its target, or ``_ROWS``
+    rows without both, fails the level.
+
     Raises
     ------
     ValueError
-        If 2λ is negative or there are not 1 to 5 energies.
+        If 2λ is negative.
     """
     if two_lam < 0:
         raise ValueError("two_lam must be >= 0")
-    if not 1 <= len(energies) <= 5:
-        raise ValueError("count must be between 1 and 5")
-    pencil = _pencil(two_lam, _laguerre_size(two_lam, len(energies)))
     kappa2 = Fraction(4, (two_lam + 2) ** 2)
     slack = 1 - Fraction(tol)
 
-    def above(E: Fraction) -> int:
-        return _ritz_above(pencil, 2 * kappa2 / (E + kappa2 / 2))
-    return [energies[0] == -kappa2 / 2] + [
-        E > -kappa2 / 2 and above(E) == i - 1 and above(E * slack) == i
-        for i, E in enumerate(energies[1:], 1)]
+    def above(E: Fraction) -> Iterator[int]:
+        return _ritz_above(_pencil(two_lam), 2 * kappa2 / (E + kappa2 / 2))
+
+    def certified(i: int, E: Fraction) -> bool:
+        counts = zip(above(E), above(E * slack))
+        for low, high in itertools.islice(counts, _ROWS):
+            if (low, high) == (i - 1, i):
+                return True
+            if low > i - 1 or high > i:  # past a target, for good
+                return False
+        return False
+    return [E == -kappa2 / 2 if i == 0 else E > -kappa2 / 2 and certified(i, E)
+            for i, E in enumerate(energies)]

@@ -247,22 +247,21 @@ def sp1_character(sigma_bar: int) -> Laurent:
 _WEYL_DENSITY = {0: 2, 2: -1, -2: -1}
 
 
-def character_inner(sigma_bar_1: int, sigma_bar_2: int) -> int:
+def character_inner(sigma_bar_1: int,
+                    sigma_bar_2: int) -> Union[int, Fraction]:
     """Class-measure inner product of two Sp(1) characters, exactly.
 
     By the Weyl integration formula it is CT[chi_1 chi_2 (2 - z^2 -
-    z^-2)] / 2, with CT the constant term.  Equals 1 when the labels
-    agree and 0 otherwise (Schur orthogonality).
+    z^-2)] / 2, CT the constant term, a Fraction where CT is odd.
+    Equals 1 when the labels agree and 0 otherwise (Schur orthogonality).
     """
     from .laurent import Laurent
     ct = (sp1_character(sigma_bar_1) * sp1_character(sigma_bar_2)
           * Laurent(_WEYL_DENSITY)).coefficient(0)
     out, rem = divmod(ct, 2)
-    if rem:
-        raise ArithmeticError(f"class integral is not an integer: {ct}/2")
-    return out
+    return Fraction(ct, 2) if rem else out
 
 
-def schur_norm(sigma_bar: int) -> int:
+def schur_norm(sigma_bar: int) -> Union[int, Fraction]:
     """Squared norm of an irreducible Sp(1) character: 1 for every irrep."""
     return character_inner(sigma_bar, sigma_bar)

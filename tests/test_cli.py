@@ -92,8 +92,9 @@ def test_residual_past_the_double_range(which, capsys):
 
 
 def test_eigensolve_command(capsys):
-    # at l = 200 a finite-difference domain would reach t ~ 8e4
-    for l, count in ((0, 5), (200, 3)):
+    # at l = 200 a finite-difference domain would reach t ~ 8e4; no
+    # count is capped
+    for l, count in ((0, 5), (200, 3), (0, 12)):
         code = run(["eigensolve", "--n", "2", "--sigma", "0", "--l", str(l),
                     "--count", str(count)])
         out = out_of(capsys)
@@ -355,7 +356,6 @@ MODEL = ["--n", "2", "--sigma", "0"]
     ["wavefunction", *MODEL, "--k", "0", "--l", "0"],
     ["residual", "kepler", *MODEL, "--k", "1", "--l", "-1"],
     ["eigensolve", *MODEL, "--l", "0", "--count", "0"],
-    ["eigensolve", *MODEL, "--l", "0", "--count", "6"],
     # eigensolve reads no finite-difference flag, whatever its value
     ["eigensolve", *MODEL, "--l", "0", "--grid", "4000"],
     *(["eigensolve", *MODEL, "--l", "0", "--tmax", v]
@@ -606,16 +606,15 @@ def galerkin_pencil_perturbed(monkeypatch):
     """The diagonal of J' one more at j = 5."""
     original = radial._pencil
 
-    def pencil(two_lam, size):
-        rows = original(two_lam, size)
-        diag, off2 = rows[4]
-        return rows[:4] + [(diag + 1, off2)] + rows[5:]
+    def pencil(two_lam):
+        for j, (diag, off2) in enumerate(original(two_lam), 1):
+            yield diag + (j == 5), off2
     monkeypatch.setattr(radial, "_pencil", pencil)
 
 
 def galerkin_basis_tiny(monkeypatch):
-    """As many basis functions as levels."""
-    monkeypatch.setattr(radial, "_laguerre_size", lambda two_lam, count: count)
+    """Two rows of J': as many basis functions as the three levels."""
+    monkeypatch.setattr(radial, "_ROWS", 2)
 
 
 @pytest.mark.parametrize("control, failed", [
@@ -690,8 +689,10 @@ T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
     (micz_at_wrong_charge, MICZ_ROWS),
     (lambda mp: mp.setattr(spectral, "_MICZ_SHIFT", Fraction(25, 4)),
      MICZ_ROWS),
-    # chi_1 without z^-1 is z, whose class integral is -1/2: a fault row
-    (character_without_lowest_weight, ["schur"]),
+    # chi_s without z^-s: no norm is 1 (chi_1 = z has the class integral
+    # -1/2), and the eight pairs s, s + 2 integrate to 1/2: failed counts
+    (character_without_lowest_weight,
+     [f"schur-norm[{sb}]" for sb in range(11)] + ["schur-cross"]),
     (weyl_density_constant_term,
      [f"schur-norm[{sb}]" for sb in range(1, 11)] + ["schur-cross"]),
     # the Laguerre route converges, but to the neighbouring channel
@@ -979,7 +980,7 @@ COMMANDS = ["spectrum", "degeneracy", "ktype", "wavefunction", "residual",
     ["ktype", "--n", "2"],
     ["wavefunction", *MODEL, "--k", "1", "--l", "0", "--lo", "nan"],
     ["residual", "bogus", *MODEL, "--k", "1", "--l", "0"],
-    ["eigensolve", *MODEL, "--l", "0", "--count", "6"],
+    ["eigensolve", *MODEL, "--l", "0", "--count", "0"],
     ["micz", "--sigma", "-1"],
     ["verify", "nope"],
 ], ids=" ".join)

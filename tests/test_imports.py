@@ -98,7 +98,7 @@ def test_commands_load_only_what_they_use(argv, absent):
 
 @pytest.mark.parametrize("argv", [
     ["residual", "kepler", "--n", "2", "--sigma", "0", "--k", "0", "--l", "0"],
-    ["eigensolve", "--n", "2", "--sigma", "0", "--l", "0", "--count", "6"],
+    ["eigensolve", "--n", "2", "--sigma", "0", "--l", "0", "--count", "0"],
 ], ids=["residual", "eigensolve"])
 def test_argument_errors_load_no_numpy(argv):
     # the parser rejects the value before the command imports anything

@@ -20,6 +20,7 @@ Oracles used here and nowhere else:
   numpy's eigvalsh, against the library's exact integer Sturm counts.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -558,8 +559,10 @@ def pencil_levels(two_lam, size):
 
 
 def count_above(two_lam, size, mu):
-    """The library's exact count of the Ritz values above mu."""
-    return radial._ritz_above(radial._pencil(two_lam, size), mu)
+    """The library's exact count of the Ritz values above mu for ``size``
+    basis functions: its count after size - 1 rows of J'."""
+    counts = radial._ritz_above(radial._pencil(two_lam), mu)
+    return next(itertools.islice(counts, size - 2, None))
 
 
 @given(two_lam=st.integers(0, 106), size=st.integers(2, 60),
@@ -598,15 +601,26 @@ def level_energies(p, l, count):
     return [energy(p, l + i) for i in range(count)]
 
 
+def channel_energies(two_lam, count):
+    """E_i = -1/(2 (lambda + 1 + i)^2), i < count: the exact levels of the
+    channel 2 lambda, which 2 lambda = 0 and 1 reach from no model."""
+    return [Fraction(-2, (two_lam + 2 + 2 * i) ** 2) for i in range(count)]
+
+
 def two_lam_of(p, l):
     return RadialState(p, 1, l).laguerre_index - 1
 
 
+# the rows of J' the Galerkin oracle solves: more than any level i <= 7
+# needs at 2 lambda >= 2 (93, at 2 lambda = 2)
+ORACLE_ROWS = 200
+
+
 @given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
-       l=st.integers(0, 40), count=st.integers(1, 5))
-@example(n=2, sigma_bar=0, l=0, count=5)  # the largest basis, 56
-@example(n=2, sigma_bar=1, l=0, count=5)  # half-integer lambda
-@example(n=8, sigma_bar=12, l=40, count=5)
+       l=st.integers(0, 40), count=st.integers(1, 8))
+@example(n=2, sigma_bar=0, l=0, count=8)  # the most rows, 93
+@example(n=2, sigma_bar=1, l=0, count=8)  # half-integer lambda
+@example(n=8, sigma_bar=12, l=40, count=8)
 @settings(max_examples=150, deadline=None)
 def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
     p = ModelParams(n, sigma_bar)
@@ -615,13 +629,52 @@ def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
         == [True] * count
     # the float oracle reads the same levels
     kappa2 = 4 / (two_lam + 2) ** 2
-    mu = pencil_levels(two_lam, radial._laguerre_size(two_lam, count))
+    mu = pencil_levels(two_lam, ORACLE_ROWS + 1)
     vals = kappa2 * (2 / mu[:count - 1] - 0.5)
     exact = np.array([float(e) for e in energies[1:]])
     assert np.all(np.abs(vals - exact) <= 1e-10 * np.abs(exact))
 
 
-def test_laguerre_route_sits_at_the_rounding_floor():
+def count_streams(two_lam, E, tol):
+    """The library's counts above the mu of E and of E (1 - tol), row by
+    row of J', as pairs."""
+    kappa2 = Fraction(4, (two_lam + 2) ** 2)
+    return zip(*(radial._ritz_above(radial._pencil(two_lam),
+                                    2 * kappa2 / (e + kappa2 / 2))
+                 for e in (E, E * (1 - Fraction(tol)))))
+
+
+@pytest.mark.parametrize("two_lam", [0, 1, 2, 7, 106])
+def test_counts_rise_to_their_targets_and_stay(two_lam):
+    # a row moves each count up by at most one (Cauchy interlacing), and
+    # at an exact level i neither passes its target (i - 1, i): once
+    # certified, a level stays certified at every larger basis
+    for i, E in enumerate(channel_energies(two_lam, 9)[1:], 1):
+        seen = [(0, 0), *itertools.islice(
+            count_streams(two_lam, E, checks.EIGENSOLVE_TOL), 400)]
+        for (low, high), (low1, high1) in zip(seen, seen[1:]):
+            assert low1 - low in (0, 1) and high1 - high in (0, 1)
+        assert all(low <= i - 1 and high <= i for low, high in seen)
+        first = seen.index((i - 1, i))
+        assert set(seen[first:]) == {(i - 1, i)}
+
+
+@pytest.mark.parametrize("two_lam", [0, 2, 106])
+def test_twelve_levels_certify(two_lam):
+    assert laguerre_certified(two_lam, channel_energies(two_lam, 12),
+                              checks.EIGENSOLVE_TOL) == [True] * 12
+
+
+def test_laguerre_levels_past_the_row_budget_fail():
+    # at 2 lambda = 0 level 25 certifies after 978 rows and level 26
+    # needs 1046: past the budget of 1000, a failed level, no raise
+    assert radial._ROWS == 1000
+    certified = laguerre_certified(0, channel_energies(0, 28),
+                                   checks.EIGENSOLVE_TOL)
+    assert certified == [True] * 26 + [False] * 2
+
+
+def test_laguerre_route_sits_at_the_rounding_floor(monkeypatch):
     # every distinct channel 2 lambda = 2 .. 106 (n = 2, l = 0, sigma_bar =
     # 2 lambda - 2) and count <= 5: each level certifies at 1e-13, and at
     # the gate's bound
@@ -632,8 +685,11 @@ def test_laguerre_route_sits_at_the_rounding_floor():
             for tol in (1e-13, checks.EIGENSOLVE_TOL):
                 assert laguerre_certified(two_lam, energies, tol) \
                     == [True] * count
-        # one basis function, the ground state: an empty reduced pencil
-        assert radial._laguerre_size(two_lam, 1) == 1
+    # one basis function, the ground state: it reads no row of J'
+    monkeypatch.setattr(radial, "_ROWS", 0)
+    for two_lam in (2, 106):
+        energies = level_energies(ModelParams(2, two_lam - 2), 0, 2)
+        assert laguerre_certified(two_lam, energies, 1e-13) == [True, False]
 
 
 @pytest.mark.parametrize("two_lam", [2, 9, 106])
@@ -660,13 +716,10 @@ def test_laguerre_levels_at_or_below_the_ground_state_fail():
 
 
 def test_laguerre_eigenvalues_validation():
-    energies = level_energies(ModelParams(2, 0), 0, 6)
+    # no energy, no verdict; any number of them is read
+    assert laguerre_certified(2, [], 1e-10) == []
     with pytest.raises(ValueError):
-        laguerre_certified(2, [], 1e-10)
-    with pytest.raises(ValueError):
-        laguerre_certified(2, energies, 1e-10)
-    with pytest.raises(ValueError):
-        laguerre_certified(-1, energies[:3], 1e-10)
+        laguerre_certified(-1, level_energies(ModelParams(2, 0), 0, 3), 1e-10)
 
 
 # ---------------------------------------------------------------------------
