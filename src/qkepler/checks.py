@@ -300,10 +300,10 @@ def ostar() -> list[CheckResult]:
     integers, held as ints and complex numbers with integer parts, small
     enough that every operation on them is exact.  By linearity that
     covers all of u(2n), and U(2n) is connected, so its image lies in
-    O*(4n) (Sp(n) lands there as part of U(2n)).  The
-    weight-doubling map, exhaustively for n <= 6: the unit i planted at
-    slot a of the identity lands, conjugated, at the doubled slot, and
-    the image is diagonal with 1 elsewhere."""
+    O*(4n) (Sp(n) lands there as part of U(2n)).  The weight-doubling
+    map, exhaustively for n <= 6: the unit i planted at slot a of the
+    identity lands, conjugated, at the doubled slot, and the image is
+    diagonal with 1 elsewhere."""
     from .geom import weight_double
     def in_ostar(n: int) -> Callable[[dict], bool]:
         m = 2 * n

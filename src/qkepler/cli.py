@@ -117,7 +117,7 @@ def _cmd_eigensolve(args, params) -> list[CheckResult]:
     two_lam = radial.RadialState(p, 1, args.l).laguerre_index - 1
     energies = [spectral.energy(p, args.l + i) for i in range(args.count)]
     certified = radial.laguerre_certified(two_lam, energies, tol)
-    # the exact level and the far end of its enclosure [E, E (1 - tol)]
+    # the exact level and the high end of its enclosure
     return [row(f"E[{i}]", lhs=e, rhs=float(e * (1 - Fraction(tol))),
                 tolerance=float(tol), passed=ok)
             for i, (e, ok) in enumerate(zip(energies, certified))]

@@ -36,12 +36,11 @@ from the library.  ``kepler_residual`` and ``oscillator_residual`` run
 the same lines on a caller's ``RadialGrid`` of floats and divide at the
 end; only the benchmark calls them.
 
-``laguerre_certified`` certifies the exact levels of one channel against
-a closed-form tridiagonal Galerkin pencil, grown a row at a time until
-exact Sturm counts in ints place each Ritz level within a relative
-tolerance above the exact one; ``qkepler eigensolve`` and the gate use
-it.  ``eigensolve``, a finite-difference route and the only code here
-that imports scipy, is kept only for the benchmark's ``radial`` workload.
+``laguerre_certified`` certifies the exact levels of one channel: exact
+Sturm counts in ints on a closed-form Galerkin pencil, grown a row at a
+time, bound each true level from both sides.  ``qkepler eigensolve`` and
+the gate use it.  The finite-difference ``eigensolve``, the only code
+here that imports scipy, serves only the benchmark's ``radial`` workload.
 """
 
 from __future__ import annotations
@@ -583,38 +582,38 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
 # Laguerre-Galerkin levels, certified by exact Sturm counts
 
 
-_ROWS = 1000  # the most rows of J' a level reads before it fails
+_ROWS = 1000  # the most rows of J' a level reads before it is undecided
 
 
-def _pencil(two_lam: int) -> Iterator[tuple[int, int]]:
+def _pencil(two_lam: int) -> Iterator[tuple[int, int, int]]:
     """The rows j = 1, 2, ... of J' in :func:`laguerre_certified`: each
-    its diagonal and its squared off-diagonal to row j - 1 (which
-    multiplies a zero at j = 1)."""
+    its diagonal, its squared off-diagonal to row j - 1 (which multiplies
+    a zero at j = 1), and its reach 2j + 2λ + 3, at least twice its
+    off-diagonal sqrt((j + 1)(j + 2λ + 2)) to row j + 1."""
     for j in itertools.count(1):
-        yield 2 * j + two_lam + 2 - (j == 1), j * (j + two_lam + 1)
+        yield (2 * j + two_lam + 2 - (j == 1), j * (j + two_lam + 1),
+               2 * j + two_lam + 3)
 
 
-def _ritz_above(rows: Iterable[tuple[int, int]],
-                mu: Fraction) -> Iterator[int]:
-    """After each of ``rows`` (:func:`_pencil`), how many Ritz values of
-    J' y = μ diag(j) y, J' the rows so far, lie strictly above ``mu`` = u/v.
-
-    They are the positive eigenvalues of v J' - u diag(j), which are its
-    positive pivots: the sign agreements of its leading minors, ints by
-    the three-term recurrence (Barth, Martin and Wilkinson, Numer. Math.
-    9, 1967).  A zero minor reads as a negative pivot, as the pivots do
-    just above ``mu``, where each falls, so a Ritz value equal to ``mu``
-    is not counted.  No division is made.
-    """
+def _ritz_above(rows: Iterable[tuple[int, int, int]],
+                mu: Fraction) -> Iterator[tuple[int, int]]:
+    """After each of ``rows`` (:func:`_pencil`), how many eigenvalues of
+    J' y = μ diag(j) y, J' the rows so far, lie strictly above ``mu`` =
+    u/v, and how many once the last diagonal of J' gains half its reach:
+    the positive pivots of v J' - u diag(j), the sign agreements of its
+    leading minors, ints by the three-term recurrence (Barth, Martin and
+    Wilkinson, Numer. Math. 9, 1967).  A zero minor reads as a negative
+    pivot, as the pivots do just above ``mu``, where each falls, so a
+    value equal to ``mu`` is not counted.  No division is made."""
     u, v = mu.numerator, mu.denominator
     vv = v * v
     above, prev, cur, sign = 0, 0, 1, 1  # minors k - 2 and k - 1, the sign
-    for j, (diag, off2) in enumerate(rows, 1):
+    for j, (diag, off2, reach) in enumerate(rows, 1):
         prev, cur = cur, (v * diag - u * j) * cur - vv * off2 * prev
-        new = (cur > 0) - (cur < 0) or -sign
-        above += new == sign
-        sign = new
-        yield above
+        # twice the last minor, its diagonal raised by v reach/2
+        capped = above + ((2 * cur + v * reach * prev) * sign > 0)
+        above, sign = (above + 1, sign) if cur * sign > 0 else (above, -sign)
+        yield above, capped
 
 
 def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
@@ -629,31 +628,30 @@ def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
     = E u, λ = ell + n - 1, so the levels depend on (p, l) only through
     2λ = a - 1, a the Laguerre index of the closed-form states.  The basis
     is the Coulomb Sturmians S_j = x^{λ+1} e^{-x/2} L^α_j(x), j < N, with
-    N the basis size, x = 2κt, κ = 1/(λ+1) and α = 2λ+1,
-    normalized so that ∫ x^α e^{-x} L_i L_j dx = δ_ij.  S_0 is the ground
-    state, and the Sturmian equation gives H S_j = (jκ/t) S_j - (κ^2/2)
-    S_j.  The 1/t Gram matrix is then the identity and the overlap is
-    J/(2κ), J the Jacobi matrix of x^α e^{-x}, so the levels solve diag(j)
-    y = ν J y with E = κ^2 (2ν - 1/2) (Rotenberg, Ann. Phys. 19, 1962).
-    Its root ν = 0 is the ground state, and the Schur complement of the
-    j = 0 row leaves J' y = μ diag(j) y, μ = 1/ν and j = 1 .. N-1: J' has
-    the diagonal 2λ+3 at j = 1 and 2j+2λ+2 after, and the squared
+    N the basis size, x = 2κt, κ = 1/(λ+1) and α = 2λ+1, normalized so
+    that ∫ x^α e^{-x} L_i L_j dx = δ_ij.  S_0 is the ground state, and the
+    Sturmian equation gives H S_j = (jκ/t) S_j - (κ^2/2) S_j.  The 1/t
+    Gram matrix is then the identity and the overlap is J/(2κ), J the
+    Jacobi matrix of x^α e^{-x}, so the levels solve diag(j) y = ν J y
+    with E = κ^2 (2ν - 1/2) (Rotenberg, Ann. Phys. 19, 1962).  Its root ν
+    = 0 is the ground state, and the Schur complement of the j = 0 row
+    leaves J' y = μ diag(j) y, μ = 1/ν and j = 1 .. N-1: J' has the
+    diagonal 2λ+3 at j = 1 and 2j+2λ+2 after, and the squared
     off-diagonal j(j+2λ+1) between j-1 and j.  A level E is μ = 2κ^2/(E +
     κ^2/2); the exact level i is μ_i = (2λ+2+2i)^2/(i(2λ+2+i)).
 
-    Ritz levels are upper bounds on the true ones (Hylleraas and Undheim,
-    Z. Phys. 65, 1930), so Ritz value i, counted from the largest μ, lies
-    at or below μ_i.  Level 0 is certified when E_0 = -κ^2/2; level i >= 1
-    when exactly i - 1 Ritz values lie above the μ of E_i, and exactly i
-    above the μ of E_i (1 - tol): Ritz level i then lies in [E_i, E_i (1
-    - tol)].  The counts are exact (:func:`_ritz_above`), and an energy
-    at or below the ground state is not certified.
-
-    The basis grows a row of J' at a time.  A row moves each count up by
-    at most one and never down (Cauchy interlacing), and at the exact E_i
-    neither passes i - 1 or i, so the first N that certifies a level
-    decides it for every larger N.  A count past its target, or ``_ROWS``
-    rows without both, fails the level.
+    Ritz levels lie above the true ones (Hylleraas and Undheim, Z. Phys.
+    65, 1930), so after r rows of J' the Ritz count above a μ is at most
+    the true count.  The raised count of :func:`_ritz_above` is at least
+    it once (μ - 4)(r + 1) >= 4λ + 4: as 2b y_r y_{r+1} <= |b| (y_r^2 +
+    y_{r+1}^2), each row j > r of J' - μ diag(j), a half reach on each
+    side, sums to at most 4j + 4λ + 4 - μj <= 0 (Gershgorin), and adds no
+    positive direction.  Level 0 is certified when E_0 = -κ^2/2; level i
+    >= 1 when the counts show at most i - 1 true levels below E_i (1 +
+    tol/1000) and at least i below E_i (1 - tol), and fails when they
+    show level i outside, or E_i is at or below the ground state.  Each
+    count bounds at every r, so the first row to decide a level decides it
+    for good; one undecided after ``_ROWS`` rows fails, with all after it.
 
     Raises
     ------
@@ -662,19 +660,26 @@ def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
     """
     if two_lam < 0:
         raise ValueError("two_lam must be >= 0")
-    kappa2 = Fraction(4, (two_lam + 2) ** 2)
-    slack = 1 - Fraction(tol)
+    kappa2, tol = Fraction(4, (two_lam + 2) ** 2), Fraction(tol)
 
-    def above(E: Fraction) -> Iterator[int]:
-        return _ritz_above(_pencil(two_lam), 2 * kappa2 / (E + kappa2 / 2))
+    def counts(E: Fraction) -> Iterator[tuple[int, float]]:
+        # above the μ of E, the raised count inf before it bounds
+        mu = 2 * kappa2 / (E + kappa2 / 2)
+        first = math.ceil((2 * two_lam + 4) / (mu - 4)) if mu > 4 else math.inf
+        for j, (ritz, raised) in enumerate(
+                _ritz_above(_pencil(two_lam), mu), 2):  # j = r + 1
+            yield ritz, raised if j >= first else math.inf
 
-    def certified(i: int, E: Fraction) -> bool:
-        counts = zip(above(E), above(E * slack))
-        for low, high in itertools.islice(counts, _ROWS):
-            if (low, high) == (i - 1, i):
-                return True
-            if low > i - 1 or high > i:  # past a target, for good
+    def decided(i: int, E: Fraction) -> Union[bool, None]:  # None: budget
+        rows = zip(counts(E * (1 + tol / 1000)), counts(E * (1 - tol)))
+        for (low, low_max), (high, high_max) in itertools.islice(rows, _ROWS):
+            if low >= i or high_max < i:  # true level i is outside
                 return False
-        return False
-    return [E == -kappa2 / 2 if i == 0 else E > -kappa2 / 2 and certified(i, E)
-            for i, E in enumerate(energies)]
+            if low_max < i <= high:
+                return True
+        return None
+
+    verdicts = list(itertools.takewhile(lambda ok: ok is not None, (
+        E == -kappa2 / 2 if i == 0 else E > -kappa2 / 2 and decided(i, E)
+        for i, E in enumerate(energies))))
+    return verdicts + [False] * (len(energies) - len(verdicts))

@@ -258,8 +258,7 @@ def character_inner(sigma_bar_1: int,
     from .laurent import Laurent
     ct = (sp1_character(sigma_bar_1) * sp1_character(sigma_bar_2)
           * Laurent(_WEYL_DENSITY)).coefficient(0)
-    out, rem = divmod(ct, 2)
-    return Fraction(ct, 2) if rem else out
+    return Fraction(ct, 2) if ct % 2 else ct // 2
 
 
 def schur_norm(sigma_bar: int) -> Union[int, Fraction]:

@@ -607,8 +607,8 @@ def galerkin_pencil_perturbed(monkeypatch):
     original = radial._pencil
 
     def pencil(two_lam):
-        for j, (diag, off2) in enumerate(original(two_lam), 1):
-            yield diag + (j == 5), off2
+        for j, (diag, off2, reach) in enumerate(original(two_lam), 1):
+            yield diag + (j == 5), off2, reach
     monkeypatch.setattr(radial, "_pencil", pencil)
 
 

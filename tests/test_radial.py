@@ -546,46 +546,53 @@ def test_default_t_max_floor():
 # Laguerre-Galerkin levels
 
 
-def pencil_levels(two_lam, size):
-    """The Ritz values mu of J' y = mu diag(j) y, j = 1 .. size - 1, in
-    floats, largest first: the eigenvalues of the dense symmetric
-    diag(j)^(-1/2) J' diag(j)^(-1/2), built here from the closed form."""
+def pencil_levels(two_lam, size, raised=False):
+    """The eigenvalues mu of J' y = mu diag(j) y, j = 1 .. size - 1, in
+    floats, largest first: those of the dense symmetric
+    diag(j)^(-1/2) J' diag(j)^(-1/2), built here from the closed form.
+    ``raised`` adds half the reach, j + lambda + 3/2, to the last
+    diagonal of J'."""
     j = np.arange(1.0, size)
     diag = (2 * j + two_lam + 2) / j
     diag[:1] = two_lam + 3
+    if raised:
+        diag[-1] += (j[-1] + (two_lam + 3) / 2) / j[-1]
     off = np.sqrt((j[:-1] + two_lam + 2) / j[:-1])
     A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(A)[::-1]
 
 
-def count_above(two_lam, size, mu):
-    """The library's exact count of the Ritz values above mu for ``size``
-    basis functions: its count after size - 1 rows of J'."""
+def count_above(two_lam, size, mu, raised=False):
+    """The library's exact count of the eigenvalues above mu for ``size``
+    basis functions, its Ritz count or its raised one, after size - 1
+    rows of J'."""
     counts = radial._ritz_above(radial._pencil(two_lam), mu)
-    return next(itertools.islice(counts, size - 2, None))
+    return next(itertools.islice(counts, size - 2, None))[raised]
 
 
 @given(two_lam=st.integers(0, 106), size=st.integers(2, 60),
        mu=st.fractions(Fraction(1, 10 ** 6), 250, max_denominator=10 ** 9))
 @settings(max_examples=300, deadline=None)
 def test_ritz_count_matches_the_float_oracle(two_lam, size, mu):
-    # the Ritz values lie in (0, 2 lambda + 6)
-    levels = pencil_levels(two_lam, size)
-    # away from every Ritz value, the float count is sure
-    if np.min(np.abs(levels - float(mu))) > 1e-8 * float(mu):
-        assert count_above(two_lam, size, mu) \
-            == np.count_nonzero(levels > float(mu))
+    # the Ritz values lie in (0, 2 lambda + 6), the raised ones below 250
+    for raised in (False, True):
+        levels = pencil_levels(two_lam, size, raised)
+        # away from every eigenvalue, the float count is sure
+        if np.min(np.abs(levels - float(mu))) > 1e-8 * float(mu):
+            assert count_above(two_lam, size, mu, raised) \
+                == np.count_nonzero(levels > float(mu))
 
 
 @pytest.mark.parametrize("two_lam", [0, 1, 2, 7, 106])
 def test_ritz_count_between_and_at_the_ritz_values(two_lam):
     for size in (2, 3, 8, 30):
-        levels = pencil_levels(two_lam, size)
-        # every count 0 .. size - 1, at points between the Ritz values
-        cuts = [levels[0] * 2, *(levels[:-1] + levels[1:]) / 2,
-                levels[-1] / 2]
-        assert [count_above(two_lam, size, Fraction(c))
-                for c in cuts] == list(range(size))
+        for raised in (False, True):
+            levels = pencil_levels(two_lam, size, raised)
+            # every count 0 .. size - 1, at points between the eigenvalues
+            cuts = [levels[0] * 2, *(levels[:-1] + levels[1:]) / 2,
+                    levels[-1] / 2]
+            assert [count_above(two_lam, size, Fraction(c), raised)
+                    for c in cuts] == list(range(size))
     # at size 2 the one Ritz value is 2 lambda + 3: the last minor is 0,
     # and a value equal to mu is not above it
     mu = Fraction(two_lam + 3)
@@ -595,6 +602,10 @@ def test_ritz_count_between_and_at_the_ritz_values(two_lam):
     for size in (3, 5, 20):
         assert count_above(two_lam, size, mu) \
             == np.count_nonzero(pencil_levels(two_lam, size) > float(mu))
+    # raised, the one value is 2 lambda + 3 + lambda + 5/2
+    mu = Fraction(3 * two_lam + 11, 2)
+    assert count_above(two_lam, 2, mu, True) == 0
+    assert count_above(two_lam, 2, mu - Fraction(1, 10 ** 30), True) == 1
 
 
 def level_energies(p, l, count):
@@ -612,13 +623,13 @@ def two_lam_of(p, l):
 
 
 # the rows of J' the Galerkin oracle solves: more than any level i <= 7
-# needs at 2 lambda >= 2 (93, at 2 lambda = 2)
+# needs at 2 lambda >= 2 (89, at 2 lambda = 2)
 ORACLE_ROWS = 200
 
 
 @given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
        l=st.integers(0, 40), count=st.integers(1, 8))
-@example(n=2, sigma_bar=0, l=0, count=8)  # the most rows, 93
+@example(n=2, sigma_bar=0, l=0, count=8)  # the most rows, 89
 @example(n=2, sigma_bar=1, l=0, count=8)  # half-integer lambda
 @example(n=8, sigma_bar=12, l=40, count=8)
 @settings(max_examples=150, deadline=None)
@@ -635,28 +646,41 @@ def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
     assert np.all(np.abs(vals - exact) <= 1e-10 * np.abs(exact))
 
 
-def count_streams(two_lam, E, tol):
-    """The library's counts above the mu of E and of E (1 - tol), row by
-    row of J', as pairs."""
+def count_streams(two_lam, E):
+    """Row by row of J', the library's Ritz and raised counts above the mu
+    of E, and whether the raised count bounds the true levels there.  The
+    rows J >= 2 past the basis, J' - mu diag(j) with a half reach on each
+    side, sum to 4 J + 2 (2 lambda) + 4 - mu J: the raised count of N
+    rows is a bound once that sum is <= 0 at J = N + 1."""
     kappa2 = Fraction(4, (two_lam + 2) ** 2)
-    return zip(*(radial._ritz_above(radial._pencil(two_lam),
-                                    2 * kappa2 / (e + kappa2 / 2))
-                 for e in (E, E * (1 - Fraction(tol)))))
+    mu = 2 * kappa2 / (E + kappa2 / 2)
+    for n, (ritz, raised) in enumerate(
+            radial._ritz_above(radial._pencil(two_lam), mu), 1):
+        yield ritz, raised, 4 * (n + 1) + 2 * two_lam + 4 <= mu * (n + 1)
 
 
 @pytest.mark.parametrize("two_lam", [0, 1, 2, 7, 106])
-def test_counts_rise_to_their_targets_and_stay(two_lam):
-    # a row moves each count up by at most one (Cauchy interlacing), and
-    # at an exact level i neither passes its target (i - 1, i): once
-    # certified, a level stays certified at every larger basis
+def test_counts_bracket_the_true_levels_and_close_on_them(two_lam):
+    # below the two ends of the enclosure of an exact level i, E_i (1 +
+    # tol/1000) and E_i (1 - tol), lie i - 1 and i true levels.  A
+    # Ritz count never passes them and rises by 0 or 1 a row (Cauchy
+    # interlacing); a raised count is never below the Ritz one, and never
+    # below the true count or rising once it bounds it.  Both close on
+    # the true count within 400 rows and stay, so a certified level stays
+    # certified at every larger basis
+    tol = checks.EIGENSOLVE_TOL
     for i, E in enumerate(channel_energies(two_lam, 9)[1:], 1):
-        seen = [(0, 0), *itertools.islice(
-            count_streams(two_lam, E, checks.EIGENSOLVE_TOL), 400)]
-        for (low, high), (low1, high1) in zip(seen, seen[1:]):
-            assert low1 - low in (0, 1) and high1 - high in (0, 1)
-        assert all(low <= i - 1 and high <= i for low, high in seen)
-        first = seen.index((i - 1, i))
-        assert set(seen[first:]) == {(i - 1, i)}
+        for end, true in ((E * (1 + tol / 1000), i - 1), (E * (1 - tol), i)):
+            seen = [(0, math.inf, False), *itertools.islice(
+                count_streams(two_lam, end), 400)]
+            for (ritz, raised, _), (ritz1, raised1, bounds) in zip(
+                    seen, seen[1:]):
+                assert ritz1 - ritz in (0, 1) and ritz1 <= true
+                assert raised1 >= ritz1
+                if bounds:
+                    assert raised1 >= true and raised1 <= raised
+            first = seen.index((true, true, True))
+            assert set(seen[first:]) == {(true, true, True)}
 
 
 @pytest.mark.parametrize("two_lam", [0, 2, 106])
@@ -665,13 +689,58 @@ def test_twelve_levels_certify(two_lam):
                               checks.EIGENSOLVE_TOL) == [True] * 12
 
 
+def verdicts_at(two_lam, i, E, tol=checks.EIGENSOLVE_TOL):
+    """The verdicts on level i at E and on the exact level i + 1; levels
+    1 .. i - 1 sit at the ground state, where they fail unread.  The
+    second verdict shows the first was decided, not left undecided by
+    the row budget, which would fail the level after it unread too."""
+    energies = channel_energies(two_lam, i + 2)
+    return laguerre_certified(
+        two_lam, [energies[0]] * i + [E, energies[i + 1]], tol)[i:]
+
+
+@pytest.mark.parametrize("two_lam", [0, 2])
+@pytest.mark.parametrize("factor", [
+    1, 1 - checks.EIGENSOLVE_TOL / 2, 1 - 3 * checks.EIGENSOLVE_TOL,
+    1 - 10 * checks.EIGENSOLVE_TOL, 1 + 2 * checks.EIGENSOLVE_TOL],
+    ids=["exact", "high-half", "high-3", "high-10", "low-2"])
+def test_laguerre_levels_fail_off_the_exact_energy_at_the_gates_bound(
+        two_lam, factor):
+    # levels 1 .. 12, where a Ritz level falls by as little as 0.56 of
+    # its error a row: one above the exact energy by half the gate's bound
+    # or a few times it, or below it past the bound, is decided and fails
+    for i, E in enumerate(channel_energies(two_lam, 13)[1:], 1):
+        assert verdicts_at(two_lam, i, E * factor) == [factor == 1, True]
+
+
 def test_laguerre_levels_past_the_row_budget_fail():
-    # at 2 lambda = 0 level 25 certifies after 978 rows and level 26
-    # needs 1046: past the budget of 1000, a failed level, no raise
+    # at 2 lambda = 0 level 24 certifies after 987 rows and level 25
+    # needs 1057: past the budget of 1000 it fails, no raise, and so do
+    # the levels after it, unread
     assert radial._ROWS == 1000
     certified = laguerre_certified(0, channel_energies(0, 28),
                                    checks.EIGENSOLVE_TOL)
-    assert certified == [True] * 26 + [False] * 2
+    assert certified == [True] * 25 + [False] * 3
+
+
+def test_laguerre_work_stops_at_the_first_undecided_level(monkeypatch):
+    # any count costs at most the rows of the levels up to the first the
+    # budget leaves undecided: two streams of at most _ROWS rows each
+    monkeypatch.setattr(radial, "_ROWS", 50)
+    original, rows = radial._pencil, []
+
+    def pencil(two_lam):
+        for row in original(two_lam):
+            rows.append(row)
+            yield row
+    monkeypatch.setattr(radial, "_pencil", pencil)
+    count = 10 ** 5
+    certified = laguerre_certified(2, channel_energies(2, count),
+                                   checks.EIGENSOLVE_TOL)
+    first = certified.index(False)
+    assert first == 5  # level 5 needs 60 rows
+    assert certified == [True] * first + [False] * (count - first)
+    assert len(rows) <= 2 * 50 * first
 
 
 def test_laguerre_route_sits_at_the_rounding_floor(monkeypatch):
