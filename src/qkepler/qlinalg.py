@@ -1,39 +1,32 @@
-"""Quaternion arithmetic: one integer product table, float arrays, and the
-complex image.
+"""Quaternion arithmetic: one integer product table, on exact numbers and
+on float arrays.
 
 The product is written once, as the integer structure constants ``MUL``:
 the k-th component of e_r e_s, for the units e = (1, i, j, k), is
-``MUL[r][s][k]``.  The float kernel ``qmul`` contracts that table on
-arrays and ``qmul_exact`` contracts it on Python ints (or ``Fraction``s),
-so the exact checks of ``qkepler.checks`` and the float routes read the
-same product, and a fault in the table reaches both.
+``MUL[r][s][k]``.  ``qmul_exact`` contracts that table on Python ints
+(or ``Fraction``s) and the float kernel ``qmul`` on arrays, so the exact
+checks of ``qkepler.checks`` and the float routes read the same product,
+and a fault in the table reaches both.
 
 A quaternion q = w + x i + y j + z k is stored as the components
 (w, x, y, z): 4 exact numbers for ``qmul_exact``, or the last axis of a
-float array, so one quaternion has shape (4,), a vector of H^n has shape
-(n, 4) and an n x n matrix has shape (n, n, 4).  Leading axes are batch
-axes: the array kernels ``qmul``, ``qconj``, ``qnorm2`` and ``qdot``
-broadcast over them, so a sweep over samples is a handful of array
-operations rather than a loop over quaternion objects.
+float array for ``qmul`` and ``qconj``, which broadcast over leading
+batch axes.
 
 The sign convention for the imaginary units is fixed globally to
 
     i j = -k,   j k = -i,   k i = -j,
 
-i.e. the opposite of the classical Hamilton table.  Everything downstream
-(complexification, the right products Z q of the metric check, the
-O*(4n) matrix identities) assumes this convention, so it must not be
-changed in isolation.
-
-Splitting a quaternion as q = z' + j z'' with complex z' = w + x i and
-z'' = y + z i identifies H^n with C^{2n} via the stacked column
-(z'_1..z'_n, z''_1..z''_n).  Under this identification, right
-multiplication by i acts as the complex scalar i, and right multiplication
-by j acts as Z |-> J conj(Z) with J the block matrix [[0, -I_n], [I_n, 0]].
-A quaternion matrix M = A + j B acts on that column as the 2n x 2n complex
-matrix [[A, -conj(B)], [B, conj(A)]], its complex image.  The image is
-multiplicative, and it carries Sp(n) onto the unitaries of that block
-form, so Sp(n) sits inside U(2n).
+i.e. the opposite of the classical Hamilton table.  Splitting a
+quaternion as q = z' + j z'' with complex z' = w + x i and z'' = y + z i
+identifies H^n with C^{2n} via the stacked column (z'_1..z'_n,
+z''_1..z''_n).  Under this identification, right multiplication by i
+acts as the complex scalar i, and right multiplication by j acts as
+Z |-> J conj(Z) with J the block matrix [[0, -I_n], [I_n, 0]].  Left
+multiplication by a matrix of Sp(n) commutes with both and keeps the
+norm, so Sp(n) sits inside U(2n).  The O*(4n) rows of
+``qkepler.checks.ostar`` assume the convention and the splitting, so
+neither may change in isolation.
 
 ``QMatrix`` is a thin wrapper over an (m, n, 4) array whose methods take
 and return arrays.  The array routes import numpy when they run, so
@@ -52,10 +45,6 @@ __all__ = [
     "qmul",
     "qmul_exact",
     "qconj",
-    "qnorm2",
-    "qdot",
-    "complexify",
-    "complexify_matrix",
 ]
 
 # MUL[r][s]: the components of e_r e_s for the units e = (1, i, j, k),
@@ -116,60 +105,6 @@ def qconj(q) -> np.ndarray:
     import numpy as np
     q = np.asarray(q, dtype=float)
     return np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
-
-
-def qnorm2(q) -> np.ndarray:
-    """Squared norms w^2 + x^2 + y^2 + z^2 over the last axis."""
-    import numpy as np
-    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    return w * w + x * x + y * y + z * z
-
-
-def qdot(Z, W) -> np.ndarray:
-    """Hermitian pairing conj(Z) . W = sum_i conj(Z_i) W_i.
-
-    Z and W are (..., n, 4); the sum runs over the slot axis, the
-    second-to-last, in slot order.  ``qdot(Z, Z)[..., 0]`` is |Z|^2.
-    """
-    import numpy as np
-    Z, W = np.asarray(Z, dtype=float), np.asarray(W, dtype=float)
-    if Z.shape[-2] != W.shape[-2]:
-        raise ValueError(f"length mismatch: {Z.shape[-2]} vs {W.shape[-2]}")
-    acc = np.zeros(np.broadcast_shapes(Z.shape[:-2], W.shape[:-2]) + (4,))
-    for i in range(Z.shape[-2]):
-        acc = acc + qmul(qconj(Z[..., i, :]), W[..., i, :])
-    return acc
-
-
-def complexify(Z) -> np.ndarray:
-    """Stack the splitting q = z' + j z'' of (..., n, 4) into (..., 2n) complex.
-
-    Right multiplication by i becomes the scalar i; right multiplication
-    by j becomes J conj(.) with J = [[0, -I_n], [I_n, 0]].
-    """
-    import numpy as np
-    Z = np.asarray(Z, dtype=float)
-    return np.concatenate([Z[..., 0] + 1j * Z[..., 1],
-                           Z[..., 2] + 1j * Z[..., 3]], axis=-1)
-
-
-def complexify_matrix(M) -> np.ndarray:
-    """The complex images (..., 2n, 2n) of square quaternion matrices (..., n, n, 4).
-
-    Writing M = A + j B with complex matrices A, B, the left action on
-    z' + j z'' corresponds to the block matrix [[A, -conj(B)], [B, conj(A)]].
-    """
-    import numpy as np
-    M = np.asarray(M, dtype=float)
-    if M.ndim < 3 or M.shape[-3] != M.shape[-2]:
-        raise ValueError("matrix must be square")
-    n = M.shape[-2]
-    A = M[..., 0] + 1j * M[..., 1]
-    B = M[..., 2] + 1j * M[..., 3]
-    C = np.empty(M.shape[:-3] + (2 * n, 2 * n), dtype=complex)
-    C[..., :n, :n], C[..., :n, n:] = A, -B.conj()
-    C[..., n:, :n], C[..., n:, n:] = B, A.conj()
-    return C
 
 
 class QMatrix:

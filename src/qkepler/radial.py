@@ -83,8 +83,8 @@ ArrayLike = Union[float, list, "np.ndarray"]
 class UnderResolved(ValueError):
     """A numerical route's guard found its grid or domain too small.
 
-    The command line reports it as a failed row (exit 1), not as an
-    argument error (exit 2).
+    It is a ``ValueError`` about the grid the route sized, not about the
+    caller's arguments.
     """
 
 
@@ -595,8 +595,9 @@ def _pencil(two_lam: int) -> Iterator[tuple[int, int, int]]:
                2 * j + two_lam + 3)
 
 
-def _ritz_above(rows: Iterable[tuple[int, int, int]],
-                mu: Fraction) -> Iterator[tuple[int, int]]:
+def _ritz_above(rows: Iterable[tuple[int, int, int]], mu: Fraction,
+                first: Union[int, float] = 1,
+                ) -> Iterator[tuple[int, Union[int, float]]]:
     """After each of ``rows`` (:func:`_pencil`), how many eigenvalues of
     J' y = μ diag(j) y, J' the rows so far, lie strictly above ``mu`` =
     u/v, and how many once the last diagonal of J' gains half its reach:
@@ -604,14 +605,17 @@ def _ritz_above(rows: Iterable[tuple[int, int, int]],
     leading minors, ints by the three-term recurrence (Barth, Martin and
     Wilkinson, Numer. Math. 9, 1967).  A zero minor reads as a negative
     pivot, as the pivots do just above ``mu``, where each falls, so a
-    value equal to ``mu`` is not counted.  No division is made."""
+    value equal to ``mu`` is not counted.  No division is made.  The
+    raised count is formed from row ``first`` on, and reads inf before
+    it."""
     u, v = mu.numerator, mu.denominator
     vv = v * v
     above, prev, cur, sign = 0, 0, 1, 1  # minors k - 2 and k - 1, the sign
     for j, (diag, off2, reach) in enumerate(rows, 1):
         prev, cur = cur, (v * diag - u * j) * cur - vv * off2 * prev
         # twice the last minor, its diagonal raised by v reach/2
-        capped = above + ((2 * cur + v * reach * prev) * sign > 0)
+        capped = (above + ((2 * cur + v * reach * prev) * sign > 0)
+                  if j >= first else math.inf)
         above, sign = (above + 1, sign) if cur * sign > 0 else (above, -sign)
         yield above, capped
 
@@ -662,13 +666,13 @@ def laguerre_certified(two_lam: int, energies: Sequence[Fraction],
         raise ValueError("two_lam must be >= 0")
     kappa2, tol = Fraction(4, (two_lam + 2) ** 2), Fraction(tol)
 
-    def counts(E: Fraction) -> Iterator[tuple[int, float]]:
-        # above the μ of E, the raised count inf before it bounds
+    def counts(E: Fraction) -> Iterator[tuple[int, Union[int, float]]]:
+        # above the μ of E, the raised count from the first row r at
+        # which it bounds: (μ - 4)(r + 1) >= 4λ + 4
         mu = 2 * kappa2 / (E + kappa2 / 2)
-        first = math.ceil((2 * two_lam + 4) / (mu - 4)) if mu > 4 else math.inf
-        for j, (ritz, raised) in enumerate(
-                _ritz_above(_pencil(two_lam), mu), 2):  # j = r + 1
-            yield ritz, raised if j >= first else math.inf
+        first = (math.ceil((2 * two_lam + 4) / (mu - 4)) - 1 if mu > 4
+                 else math.inf)
+        return _ritz_above(_pencil(two_lam), mu, first)
 
     def decided(i: int, E: Fraction) -> Union[bool, None]:  # None: budget
         rows = zip(counts(E * (1 + tol / 1000)), counts(E * (1 - tol)))

@@ -55,7 +55,8 @@ class CheckResult(NamedTuple):
 
 def row(name, lhs=None, rhs=None, tolerance=None,
         passed=True) -> CheckResult:
-    """A CheckResult with empty defaults; numpy bools become bools."""
+    """A CheckResult with empty defaults; ``passed`` becomes a plain bool,
+    so a caller may hand in a numpy bool."""
     return CheckResult(name=name, lhs=lhs, rhs=rhs, tolerance=tolerance,
                        passed=bool(passed))
 
@@ -120,7 +121,8 @@ def _emit_json(report: Report) -> str:
                 "lhs": _jsonable(r.lhs),
                 "rhs": _jsonable(r.rhs),
                 "tolerance": _jsonable(r.tolerance),
-                # numpy bools slip in from comparisons; json rejects them
+                # a CheckResult built directly may hold a numpy bool, which
+                # json rejects
                 "passed": bool(r.passed),
             }
             for r in report.results

@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qkepler.qlinalg import (
-    MUL,
-    QMatrix,
-    complexify,
-    complexify_matrix,
-    qconj,
-    qdot,
-    qmul,
-    qmul_exact,
-    qnorm2,
-)
+from qkepler.qlinalg import MUL, QMatrix, qconj, qmul, qmul_exact
 
 ONE, I, J, K = np.eye(4)
 
@@ -26,6 +16,18 @@ component = st.floats(min_value=-10.0, max_value=10.0,
 
 def qarray(shape):
     return arrays(np.float64, shape, elements=component)
+
+
+def qnorm2(q):
+    """Squared norms over the last axis."""
+    return np.sum(np.asarray(q) ** 2, axis=-1)
+
+
+def complexify(Z):
+    """The splitting q = z' + j z'', z' = w + x i and z'' = y + z i, of
+    (..., n, 4) stacked into (..., 2n) complex."""
+    return np.concatenate([Z[..., 0] + 1j * Z[..., 1],
+                           Z[..., 2] + 1j * Z[..., 3]], axis=-1)
 
 
 def unit_quaternion(rng):
@@ -67,32 +69,12 @@ def test_complex_pair_reconstruction():
     np.testing.assert_array_equal(rebuilt, q)
 
 
-def test_qdot_examples():
-    Z = np.stack([ONE, I])
-    W = np.stack([J, 2.0 * ONE])
-    # conj(1)*j + conj(i)*2 = j - 2i
-    np.testing.assert_array_equal(qdot(Z, W), [0.0, -2.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        qdot(Z, ONE[None])
-
-
-def test_qdot_hermitian_and_right_linear():
-    rng = np.random.default_rng(5)
-    Z = rng.normal(0.0, 1.0, size=(3, 4))
-    W = rng.normal(0.0, 1.0, size=(3, 4))
-    q = unit_quaternion(rng)
-    d1, d2 = qdot(Z, W), qdot(W, Z)
-    assert math.sqrt(qnorm2(qconj(d1) - d2)) < 1e-12
-    assert math.sqrt(qnorm2(qdot(Z, qmul(W, q)) - qmul(d1, q))) < 1e-12
-    assert math.sqrt(qnorm2(qdot(qmul(Z, q), W) - qmul(qconj(q), d1))) < 1e-12
-
-
 def test_complexify_is_isometric_and_equivariant():
     rng = np.random.default_rng(11)
     n = 4
     Z = rng.normal(0.0, 1.0, size=(n, 4))
     c = complexify(Z)
-    assert np.vdot(c, c).real == pytest.approx(qdot(Z, Z)[0], rel=1e-14)
+    assert np.vdot(c, c).real == pytest.approx(qnorm2(Z).sum(), rel=1e-14)
     # right multiplication by i is the complex scalar i
     np.testing.assert_allclose(complexify(qmul(Z, I)), 1j * c, atol=1e-14)
     # right multiplication by j is Z -> J conj(Z)
@@ -101,26 +83,6 @@ def test_complexify_is_isometric_and_equivariant():
     Jm[n:, :n] = np.eye(n)
     np.testing.assert_allclose(complexify(qmul(Z, J)), Jm @ c.conj(),
                                atol=1e-14)
-
-
-def test_complexify_matrix_intertwines_action():
-    rng = np.random.default_rng(23)
-    n = 3
-    M = QMatrix(rng.normal(size=(n, n, 4)))
-    Z = rng.normal(0.0, 1.0, size=(n, 4))
-    np.testing.assert_allclose(complexify(M.apply(Z)),
-                               complexify_matrix(M) @ complexify(Z),
-                               atol=1e-12)
-
-
-def test_complexify_matrix_multiplicative():
-    rng = np.random.default_rng(29)
-    n = 2
-    A = QMatrix(rng.normal(size=(n, n, 4)))
-    B = QMatrix(rng.normal(size=(n, n, 4)))
-    np.testing.assert_allclose(complexify_matrix(A @ B),
-                               complexify_matrix(A) @ complexify_matrix(B),
-                               atol=1e-12)
 
 
 def test_matrix_building_blocks():
@@ -139,42 +101,6 @@ def test_matrix_building_blocks():
         QMatrix([[ONE, I]]).trace()
     with pytest.raises(ValueError):
         QMatrix([[ONE]]) @ QMatrix([[ONE, I], [J, K]])
-
-
-def test_is_symplectic():
-    # the complex image of a quaternion matrix commutes with right
-    # multiplication by j, C J = J conj(C); it lies in Sp(n) exactly
-    # when it is also unitary
-    Jm = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(3))
-    q = unit_quaternion(np.random.default_rng(3))
-    unitary = []
-    for Q in (QMatrix.identity(3), QMatrix.diag([q, ONE, ONE]),
-              QMatrix.diag([2.0 * ONE, ONE, ONE])):
-        C = complexify_matrix(Q)
-        assert np.max(np.abs(C @ Jm - Jm @ C.conj())) < 1e-15
-        unitary.append(np.max(np.abs(C.conj().T @ C - np.eye(6))) < 1e-12)
-    assert unitary == [True, True, False]
-    with pytest.raises(ValueError):
-        complexify_matrix(np.eye(2, 4))
-
-
-def test_complexify_matrix_requires_square():
-    with pytest.raises(ValueError):
-        complexify_matrix(QMatrix([[ONE, I]]))
-
-
-def test_hermitian_pairing_diagonal_is_real():
-    rng = np.random.default_rng(13)
-    Z = rng.normal(0.0, 1.0, size=(5, 4))
-    d = qdot(Z, Z)
-    assert d[1:] @ d[1:] < 1e-22 * d[0] ** 2
-    assert d[0] == pytest.approx(qnorm2(Z).sum(), rel=1e-14)
-
-
-def test_norm_abs_consistency():
-    q = np.array([3.0, 4.0, 0.0, 0.0])
-    assert qnorm2(q) == 25.0
-    assert qdot([q, q], [q, q])[0] == 50.0
 
 
 # Batched kernels: each identity on whole batches of shape (k, 4) and
@@ -260,15 +186,3 @@ def test_qmul_batched_norm_multiplicative(shape, data):
     np.testing.assert_allclose(np.sqrt(qnorm2(qmul(a, b))),
                                np.sqrt(qnorm2(a)) * np.sqrt(qnorm2(b)),
                                rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-@given(data=st.data())
-@batch_settings
-def test_complexify_matrix_batched_multiplicative(n, data):
-    A, B = (data.draw(qarray((4, n, n, 4))) for _ in range(2))
-    # (AB)_ij = sum_t A_it B_tj, over the batch of 4 pairs at once
-    AB = qmul(A[..., :, :, None, :], B[..., None, :, :, :]).sum(axis=-3)
-    np.testing.assert_allclose(complexify_matrix(AB),
-                               complexify_matrix(A) @ complexify_matrix(B),
-                               rtol=0, atol=1e-10 * (1.0 + n * 400.0))

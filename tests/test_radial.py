@@ -9,9 +9,10 @@ Oracles used here and nowhere else:
   of the bare profiles as one numpy expression each, which first match
   the library's profiles at six points per state, against the library's
   closed-form norms;
-* the bare profiles as plain float products t^ell L e^(-t/nu), L from
-  eval_genlaguerre, and the log of the closed-form norm through
-  math.lgamma, against the library's log-space evaluation;
+* the bare profiles as plain float products t^ell L e^(-t/nu), L the
+  explicit Laguerre sum in ``Fraction``s at the grid's binary rationals,
+  rounded once, and the log of the closed-form norm through math.lgamma,
+  against the library's log-space evaluation;
 * a second-order central-difference application of the Kepler and the
   oscillator operators, independent of the reduced operators inside the
   library, which the exact identities and the float residuals share; the
@@ -267,15 +268,21 @@ CLI_GRID = np.linspace(0.2, 10.0, 9)  # wavefunction --lo, --hi, --points
 @given(n=st.integers(2, 8), sigma_bar=st.integers(0, 12),
        k=st.integers(1, 40), l=st.integers(0, 40))
 @example(n=6, sigma_bar=10, k=40, l=40)  # squared norm about e^846
+@example(n=2, sigma_bar=9, k=21, l=2)  # rho profile near a node at 7.55
 @settings(max_examples=150, deadline=None)
 def test_log_space_profiles_match_direct_products(n, sigma_bar, k, l):
     s = RadialState(ModelParams(n, sigma_bar), k, l)
     nu, ell = float(s.nu), float(s.ell)
     a, m = s.laguerre_index, s.laguerre_degree
     x = CLI_GRID
-    t_bare = x ** ell * eval_genlaguerre(m, a, 2 * x / nu) * np.exp(-x / nu)
-    rho_bare = (x ** (2 * ell + 2.5) * eval_genlaguerre(m, a, 2 * x * x / nu)
-                * np.exp(-x * x / nu))
+    # the Laguerre factor exactly, at the grid's binary rationals, and
+    # rounded once: a float route near a node may be off by more than rtol
+    exact = [Fraction(v) for v in x]
+    lag_t = np.array([float(lag_sum(a, m, 2 * v / s.nu)) for v in exact])
+    lag_rho = np.array([float(lag_sum(a, m, 2 * v * v / s.nu))
+                        for v in exact])
+    t_bare = x ** ell * lag_t * np.exp(-x / nu)
+    rho_bare = x ** (2 * ell + 2.5) * lag_rho * np.exp(-x * x / nu)
     log_n = log_norm2_t(s)
     for got, bare, log_norm2 in (
             (radial_t(s, x), t_bare, 0.0),
@@ -657,6 +664,16 @@ def count_streams(two_lam, E):
     for n, (ritz, raised) in enumerate(
             radial._ritz_above(radial._pencil(two_lam), mu), 1):
         yield ritz, raised, 4 * (n + 1) + 2 * two_lam + 4 <= mu * (n + 1)
+
+
+def test_raised_count_is_formed_from_row_first():
+    # rows before ``first`` read inf, and every other count as in the
+    # stream that forms the raised count at every row
+    mu = Fraction(9, 2)
+    full = itertools.islice(radial._ritz_above(radial._pencil(2), mu), 30)
+    late = itertools.islice(radial._ritz_above(radial._pencil(2), mu, 10), 30)
+    assert list(late) == [(ritz, raised if j >= 10 else math.inf)
+                          for j, (ritz, raised) in enumerate(full, 1)]
 
 
 @pytest.mark.parametrize("two_lam", [0, 1, 2, 7, 106])
