@@ -5,7 +5,8 @@ same embedding in numpy.
 The gate checks the geometric identities themselves exactly
 (``qkepler.checks.metric`` and ``ostar``); the float forms that the
 tests once compared with them are gone.  ``random_unitary`` samples the
-unitaries that the embedding tests read.
+unitaries that the embedding tests read, and ``_random_sp`` samples Sp(n)
+through the complex images of ``QMatrix``.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 
 from qkepler import checks
 from qkepler.geom import weight_double
+from qkepler.qlinalg import QMatrix
 
 
 def random_unitary(dim: int, rng: np.random.Generator,
@@ -36,6 +38,34 @@ def random_unitary(dim: int, rng: np.random.Generator,
 def jmat(n: int) -> np.ndarray:
     """The 2n x 2n block matrix [[0, -I_n], [I_n, 0]]."""
     return np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
+
+
+def complexify_matrix(M) -> np.ndarray:
+    """The complex images (..., 2n, 2n) of square quaternion matrices
+    (..., n, n, 4): writing M = A + j B with complex A and B, the left
+    action on z' + j z'' is the block matrix [[A, -conj(B)], [B, conj(A)]].
+    """
+    M = np.asarray(M, dtype=float)
+    A, B = M[..., 0] + 1j * M[..., 1], M[..., 2] + 1j * M[..., 3]
+    return np.block([[A, -B.conj()], [B, A.conj()]])
+
+
+def _random_sp(n, rng, samples):
+    # Sp(n) elements as complex images: the unitary polar factors of the
+    # images of quaternionic Ginibre matrices, which keep the block form
+    W, _, Vh = np.linalg.svd(complexify_matrix(rng.normal(
+        size=(samples, n, n, 4))))
+    return W @ Vh
+
+
+def _sp_defect(C):
+    # per image, the max entry distance from U(2n) and from the block
+    # form [[A, -conj(B)], [B, conj(A)]]; zero exactly on Sp(n)
+    n = C.shape[-1] // 2
+    unitary = np.abs(C.conj().swapaxes(-1, -2) @ C - np.eye(2 * n))
+    block = np.maximum(np.abs(C[..., :n, :n] - C[..., n:, n:].conj()),
+                       np.abs(C[..., :n, n:] + C[..., n:, :n].conj()))
+    return np.maximum(unitary.max(axis=(-2, -1)), block.max(axis=(-2, -1)))
 
 
 def test_phase_lands_at_doubled_index():
@@ -80,17 +110,43 @@ def test_weight_double_range_check():
         weight_double(5, 2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_sp_is_symplectic(n):
+    # the polar factors lie in Sp(n), and so do their products
+    C = _random_sp(n, np.random.default_rng(60 + n), 5)
+    assert np.all(_sp_defect(C) < 1e-12)
+    assert np.all(_sp_defect(C[0] @ C[1:]) < 1e-12)
+
+
+def test_complexified_symplectic_is_unitary():
+    # a quaternionic unitary built by hand, a real rotation times unit
+    # quaternions on the diagonal, has a unitary complex image, and the
+    # image of the product is the product of the images
+    rng = np.random.default_rng(81)
+    c, s = np.cos(0.7), np.sin(0.7)
+    R = QMatrix(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+                [..., None] * np.eye(4)[0])
+    q = rng.normal(size=(3, 4))
+    D = QMatrix.diag(q / np.linalg.norm(q, axis=1)[:, None])
+    C = complexify_matrix(R @ D)
+    assert np.max(np.abs(C.conj().T @ C - np.eye(6))) < 1e-12
+    assert np.max(np.abs(C - complexify_matrix(R) @ complexify_matrix(D))) \
+        < 1e-15
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(90)
     [U] = random_unitary(6, rng, 1)
     assert np.max(np.abs(U.conj().T @ U - np.eye(6))) < 1e-12
 
 
-@pytest.mark.parametrize("sampler", [random_unitary], ids=["unitary"])
+@pytest.mark.parametrize("sampler", [
+    lambda d, rng, samples: _random_sp(d // 2, rng, samples),
+    random_unitary], ids=["sp", "unitary"])
 def test_samplers_are_haar_in_the_second_moment(sampler):
-    # under Haar measure on U(d) the first column is uniform on the unit
-    # sphere of C^d, so |C_00|^2 ~ Beta(1, d - 1), of mean 1/d and
-    # variance (d - 1)/(d^2 (d + 1))
+    # under Haar measure on Sp(d/2) or U(d) the first column is uniform on
+    # the unit sphere of C^d, so |C_00|^2 ~ Beta(1, d - 1), of mean 1/d
+    # and variance (d - 1)/(d^2 (d + 1))
     d, samples = 4, 8000
     C = sampler(d, np.random.default_rng(0), samples)
     stderr = math.sqrt((d - 1) / (d * d * (d + 1)) / samples)

@@ -30,6 +30,16 @@ def complexify(Z):
                            Z[..., 2] + 1j * Z[..., 3]], axis=-1)
 
 
+def complexify_matrix(M):
+    """The complex images (..., 2n, 2n) of square quaternion matrices
+    (..., n, n, 4): writing M = A + j B with complex A and B, the left
+    action on z' + j z'' is the block matrix [[A, -conj(B)], [B, conj(A)]].
+    The oracle for the products of ``QMatrix`` and ``qmul``."""
+    M = np.asarray(M, dtype=float)
+    A, B = M[..., 0] + 1j * M[..., 1], M[..., 2] + 1j * M[..., 3]
+    return np.block([[A, -B.conj()], [B, A.conj()]])
+
+
 def unit_quaternion(rng):
     q = rng.normal(size=4)
     return q / math.sqrt(qnorm2(q))
@@ -83,6 +93,26 @@ def test_complexify_is_isometric_and_equivariant():
     Jm[n:, :n] = np.eye(n)
     np.testing.assert_allclose(complexify(qmul(Z, J)), Jm @ c.conj(),
                                atol=1e-14)
+
+
+def test_complexify_matrix_intertwines_action():
+    rng = np.random.default_rng(23)
+    n = 3
+    M = QMatrix(rng.normal(size=(n, n, 4)))
+    Z = rng.normal(0.0, 1.0, size=(n, 4))
+    np.testing.assert_allclose(complexify(M.apply(Z)),
+                               complexify_matrix(M) @ complexify(Z),
+                               atol=1e-12)
+
+
+def test_complexify_matrix_multiplicative():
+    rng = np.random.default_rng(29)
+    n = 2
+    A = QMatrix(rng.normal(size=(n, n, 4)))
+    B = QMatrix(rng.normal(size=(n, n, 4)))
+    np.testing.assert_allclose(complexify_matrix(A @ B),
+                               complexify_matrix(A) @ complexify_matrix(B),
+                               atol=1e-12)
 
 
 def test_matrix_building_blocks():
@@ -186,3 +216,15 @@ def test_qmul_batched_norm_multiplicative(shape, data):
     np.testing.assert_allclose(np.sqrt(qnorm2(qmul(a, b))),
                                np.sqrt(qnorm2(a)) * np.sqrt(qnorm2(b)),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@batch_settings
+def test_complexify_matrix_batched_multiplicative(n, data):
+    A, B = (data.draw(qarray((4, n, n, 4))) for _ in range(2))
+    # (AB)_ij = sum_t A_it B_tj, over the batch of 4 pairs at once
+    AB = qmul(A[..., :, :, None, :], B[..., None, :, :, :]).sum(axis=-3)
+    np.testing.assert_allclose(complexify_matrix(AB),
+                               complexify_matrix(A) @ complexify_matrix(B),
+                               rtol=0, atol=1e-10 * (1.0 + n * 400.0))
