@@ -39,8 +39,9 @@ end; only the benchmark calls them.
 ``laguerre_certified`` certifies the exact levels of one channel: exact
 Sturm counts in ints on a closed-form Galerkin pencil, grown a row at a
 time, bound each true level from both sides.  ``qkepler eigensolve`` and
-the gate use it.  The finite-difference ``eigensolve``, the only code
-here that imports scipy, serves only the benchmark's ``radial`` workload.
+the gate use it.  The finite-difference ``eigensolve`` (scipy: a coarse
+start, Rayleigh-quotient refinement and a Sturm-count certificate)
+serves only the benchmark's ``radial`` workload.
 """
 
 from __future__ import annotations
@@ -540,18 +541,19 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
 
     which is discretized by second-order central differences on the
     interior nodes of a uniform grid with Dirichlet conditions at both
-    ends (the first node is t_max/grid_size).  The resulting matrix is
-    symmetric tridiagonal; eigenvalues come from a standard bisection
-    solver.  A boundary detector rejects the result if any returned
-    eigenvector carries more than 1e-8 of its mass in the outer percent
-    of the domain.
+    ends (the first node is t_max/grid_size): a tridiagonal T.  The levels
+    on min(grid_size, 1000) points start Rayleigh-quotient iterations on
+    T, each run while its residual falls; disjoint residual intervals and
+    one Sturm count, of ``count`` levels between min V and the next start,
+    certify them.  A boundary detector rejects any eigenvector with more
+    than 1e-8 of its mass in the outer percent of the domain.
 
     Raises
     ------
     ValueError
         If the grid is too coarse or too many eigenvalues are requested.
     UnderResolved
-        If the eigenfunctions touch the boundary (the domain is too small).
+        If an eigenfunction touches the boundary, or a level is uncertified.
     """
     if grid_size < 500:
         raise ValueError("grid_size must be >= 500")
@@ -559,23 +561,36 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
         raise ValueError("count must be between 1 and 5")
     t_max = default_t_max(p, l, count)
     import numpy as np
-    from scipy.linalg import eigh_tridiagonal
-    n = p.n
-    ell = float(Fraction(2 * l + p.sigma_bar, 2))
-    h = t_max / grid_size
-    t = h * np.arange(1, grid_size)
-    V = (ell * (ell + 2 * n - 1) + n * (n - 1)) / (2.0 * t * t) - 1.0 / t
-    diag = 1.0 / h ** 2 + V
-    off = np.full(grid_size - 2, -0.5 / h ** 2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, count - 1))
-    tail = max(1, grid_size // 100)
-    mass = np.sum(vecs ** 2, axis=0)
-    tail_mass = np.sum(vecs[-tail:, :] ** 2, axis=0)
-    if np.any(tail_mass / mass > 1e-8):
+    from scipy.linalg import eigvalsh_tridiagonal, lapack
+    c = (l + p.sigma_bar / 2 + p.n - 1) * (l + p.sigma_bar / 2 + p.n) / 2
+
+    def stencil(size: int):  # the diagonal and off-diagonal on size points
+        t = np.arange(1, size) * (t_max / size)
+        off = -0.5 * (size / t_max) ** 2
+        return c / (t * t) - 1.0 / t - 2.0 * off, np.full(size - 2, off)
+    vals = eigvalsh_tridiagonal(*stencil(min(grid_size, 1000)),
+                                select="i", select_range=(0, count))
+    diag, off = stencil(grid_size)
+    res, vecs = np.full(count, math.inf), np.ones((count, grid_size - 1))
+    for i in range(count):  # Rayleigh-quotient iteration
+        x, info = lapack.dgtsv(off, diag - vals[i], off, vecs[i])[3:]
+        while not info:  # a zero pivot: vals[i] is a level to the last bit
+            x /= np.linalg.norm(x)
+            Tx = diag * x + np.convolve(x, (off[0], 0.0, off[0]), "same")
+            r = np.linalg.norm(Tx - (x @ Tx) * x)
+            if r >= res[i]:  # the residual stopped falling
+                break
+            vals[i], res[i], vecs[i] = x @ Tx, r, x
+            x, info = lapack.dgtsv(off, diag - vals[i], off, vecs[i])[3:]
+    vals[-1] = (vals[-2] + vals[-1]) / 2  # a cut below the next start
+    below = eigvalsh_tridiagonal(diag, off, select="v", select_range=(
+        diag.min() + 2 * off[0], vals[-1]), tol=1e300)  # from min V up
+    if len(below) != count or np.any(np.diff(vals) <= res + np.r_[res[1:], 0]):
+        raise UnderResolved(f"levels not certified on {grid_size} points")
+    if np.any(np.sum(vecs[:, -(grid_size // 100):] ** 2, axis=1) > 1e-8):
         raise UnderResolved(
             f"t_max={t_max:g} too small: eigenfunction mass at the boundary")
-    return vals
+    return vals[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ Oracles used here and nowhere else:
   library, which the exact identities and the float residuals share; the
   oscillator profile r^L L e^(-r^2/2) is a plain float product here too;
 * the Laguerre-Galerkin pencil as a dense float matrix, solved by
-  numpy's eigvalsh, against the library's exact integer Sturm counts.
+  numpy's eigvalsh, against the library's exact integer Sturm counts;
+* the finite-difference stencil as a dense float matrix, solved by
+  numpy's eigvalsh, against the refined levels of ``eigensolve``.
 """
 
 import itertools
@@ -542,6 +544,62 @@ def test_eigensolve_detects_truncated_domain(monkeypatch):
         eigensolve(p, 2, grid_size=1500, count=3)
     # still a ValueError for callers that catch those
     assert issubclass(UnderResolved, ValueError)
+
+
+def dense_stencil(p, l, grid_size, count):
+    """The matrix of eigensolve's Notes, dense: -u''/2 + [(ell(ell+2n-1) +
+    n(n-1)) / (2t^2) - 1/t] u by central differences on the interior
+    nodes of [0, t_max] in grid_size steps."""
+    n, ell = p.n, l + p.sigma_bar / 2
+    h = default_t_max(p, l, count) / grid_size
+    t = h * np.arange(1, grid_size)
+    V = (ell * (ell + 2 * n - 1) + n * (n - 1)) / (2 * t * t) - 1 / t
+    off = np.full(grid_size - 2, -0.5 / h ** 2)
+    return np.diag(1 / h ** 2 + V) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n, sigma_bar, l, count, grid_size", [
+    (2, 0, 0, 1, 500), (2, 1, 3, 2, 640), (3, 2, 4, 3, 700),
+    (4, 3, 7, 4, 800), (8, 12, 40, 5, 750), (2, 0, 40, 5, 600)])
+def test_eigensolve_is_the_lowest_levels_of_its_stencil(
+        n, sigma_bar, l, count, grid_size):
+    # no level skipped or repeated: the refined levels are the lowest
+    # ``count`` of the dense matrix, by numpy's eigvalsh
+    p = ModelParams(n, sigma_bar)
+    dense = np.linalg.eigvalsh(dense_stencil(p, l, grid_size, count))
+    vals = eigensolve(p, l, grid_size=grid_size, count=count)
+    np.testing.assert_allclose(vals, dense[:count], rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("start", [
+    # the lowest level dropped: the Sturm count finds one level too many
+    lambda lam: lam[1:5],
+    # the second level twice, the cut kept between the third and fourth
+    # levels: the Sturm count holds, the residual intervals overlap
+    lambda lam: np.array([lam[0], lam[1], lam[1], lam[2] + lam[3] - lam[1]]),
+], ids=["skip", "repeat"])
+def test_eigensolve_rejects_a_start_on_the_wrong_levels(monkeypatch, start):
+    # the coarse levels (eigensolve's index-selected call) made ``start``
+    # of the true ones; the Sturm count (value-selected) left as it is
+    import scipy.linalg
+    real = scipy.linalg.eigvalsh_tridiagonal
+
+    def patched(d, e, select="a", select_range=None, **kw):
+        if select != "i":
+            return real(d, e, select=select, select_range=select_range, **kw)
+        return start(real(d, e, select="i", select_range=(0, 5)))
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", patched)
+    with pytest.raises(UnderResolved, match="levels not certified"):
+        eigensolve(ModelParams(2, 1), 0, grid_size=2000, count=3)
+
+
+def test_eigensolve_reads_the_boundary_on_the_full_grid():
+    # the 1000-point start would fail the boundary detector here; the
+    # detector reads only the refined vectors on the full grid
+    p = ModelParams(3, 2)
+    assert len(eigensolve(p, 4, grid_size=64000, count=5)) == 5
+    with pytest.raises(UnderResolved, match="t_max=408 too small"):
+        eigensolve(p, 4, grid_size=1000, count=5)
 
 
 def test_default_t_max_floor():
