@@ -67,13 +67,11 @@ def eigensolve() -> list[CheckResult]:
     so each 2 lambda and its energies are certified once."""
     from . import radial
     certified = functools.cache(radial.laguerre_certified)
-    def levels(p: spectral.ModelParams, l: int) -> list[bool]:
-        two_lam = radial.RadialState(p, 1, l).laguerre_index - 1
-        energies = tuple(spectral.energy(p, l + i) for i in range(3))
-        return certified(two_lam, energies, EIGENSOLVE_TOL)
     return [_tally(f"eigensolve[n={n}]", (
         ok for sb in range(4) for p in [spectral.ModelParams(n, sb)]
-        for l in range(3) for ok in levels(p, l))) for n in (2, 3)]
+        for l in range(3) for ok in certified(
+            *radial.galerkin_channel(p, l, 3), EIGENSOLVE_TOL)))
+        for n in (2, 3)]
 
 
 def collapse() -> list[CheckResult]:
@@ -146,35 +144,22 @@ def casimir() -> list[CheckResult]:
 
 def residuals() -> list[CheckResult]:
     """The Kepler and oscillator radial equations hold for the closed forms,
-    exactly, on ints at m + 3 points (``radial.kepler_ode``).  A state's
-    channel (n, 2 ell, m) is read from the table its profiles are sampled
-    from, ``radial.exponents``: 2 ell is twice the t power, or the
-    oscillator power, and the table's scale and rate must be those of the
-    envelope the reduced operator divides out (2/nu and 1/nu in t, nu =
-    ell + m + n; 1 and 1/2 in the oscillator).  A state reaches an
-    identity only through its channel and its energy or level, so each
-    distinct one is checked once."""
+    exactly, on ints at m + 3 points (``radial.kepler_ode``), on the
+    channel that ``radial.ode_channel`` reads from each state's table; a
+    state with none fails.  Each distinct channel is checked once."""
     from . import radial
-    def kepler(s):
-        power, scale, rate = radial.exponents(s, "t")
-        nu = power + (s.laguerre_degree + s.params.n)
-        return (2 * power, rate * nu == 1 and scale == 2 * rate,
-                spectral.energy(s.params, s.I))
-    def oscillator(s):
-        power, scale, rate = radial.exponents(s, "oscillator")
-        return power, scale == 2 * rate == 1, s.oscillator_level
-    def holds(once, n: int, s, read) -> bool:
-        two_ell, envelope, eigen = read(s)
-        if not envelope or two_ell.denominator != 1:
+    def holds(once, s, coordinate: str) -> bool:
+        channel = radial.ode_channel(s, coordinate)
+        if channel is None:
             return False
-        held, points = once(n, two_ell.numerator, s.laguerre_degree, eigen)
+        held, points = once(*channel)
         return held == points
-    identities = (
-        ("kepler-ode", functools.cache(radial.kepler_ode), kepler),
-        ("oscillator-ode", functools.cache(radial.oscillator_ode), oscillator))
-    return [_tally(f"{name}[n={n}]", (holds(once, n, s, read) for s in states))
-            for n in (2, 3) for states in [_states(n)]
-            for name, once, read in identities]
+    identities = (("kepler-ode", radial.kepler_ode, "t"),
+                  ("oscillator-ode", radial.oscillator_ode, "oscillator"))
+    return [_tally(f"{name}[n={n}]", (
+        holds(once, s, coordinate) for s in _states(n)))
+        for n in (2, 3) for name, ode, coordinate in identities
+        for once in [functools.cache(ode)]]
 
 
 def twist() -> list[CheckResult]:

@@ -11,15 +11,18 @@ that does not hold, a level that is not certified, a sample past the
 double range, or a fault.  A command, or one check of `verify`, that
 raises becomes one failed row named after it, with the exception as lhs
 and the traceback on stderr.  `verify all` runs every check of
-``qkepler.checks`` and is the CI gate; only `verify` and `eigensolve`
-import ``qkepler.checks``.  Reports are deterministic, and no command
-imports numpy or scipy: `wavefunction` samples on Python floats, at the
-points ``numpy.linspace`` would give, and `residual`, `eigensolve` and
-every check of `verify`, the geometry rows too, are exact, on ints,
+``qkepler.checks`` and is the CI gate; only `verify`, `eigensolve` and
+the full parser (bare ``qkepler``, ``--help``, an unknown command),
+which lists the checks, import it.  Reports are deterministic, and no
+command imports numpy or scipy: `wavefunction` samples on Python floats,
+at the points ``numpy.linspace`` would give, and `residual` (on the
+channel the gate reads, ``radial.ode_channel``), `eigensolve` and every
+check of `verify`, the geometry rows too, are exact, on ints,
 ``Fraction``s and Gaussian integers.  The records are NamedTuples, not
-data classes, so no command imports ``dataclasses`` or ``inspect``.
-The parser adds the arguments of the named command alone, and only
-`degeneracy`, `ktype`, `eigensolve` and `verify` load ``qkepler.rep``.
+data classes, so no command imports ``dataclasses`` or ``inspect``.  The
+parser adds the arguments of the named command alone, and only
+`degeneracy`, `ktype` and what imports ``qkepler.checks`` load
+``qkepler.rep``.
 
 ``main()`` flushes stdout and stderr once ``run()`` returns, then ends
 the process with ``os._exit`` and its status, skipping the interpreter's
@@ -99,23 +102,22 @@ def _cmd_wavefunction(args, params) -> list[CheckResult]:
 
 def _cmd_residual(args, params) -> list[CheckResult]:
     from . import radial
-    p = spectral.ModelParams(args.n, args.sigma)
-    s = radial.RadialState(p, args.k, args.l)
-    channel = (p.n, s.two_ell, s.laguerre_degree)
-    if args.which == "kepler":
-        held, points = radial.kepler_ode(*channel, spectral.energy(p, s.I))
-    else:
-        held, points = radial.oscillator_ode(*channel, s.oscillator_level)
+    s = radial.RadialState(spectral.ModelParams(args.n, args.sigma),
+                           args.k, args.l)
+    kepler = args.which == "kepler"
+    channel = radial.ode_channel(s, "t" if kepler else "oscillator")
+    ode = radial.kepler_ode if kepler else radial.oscillator_ode
+    # a table with no channel holds at none of the m + 3 points
+    held, points = ode(*channel) if channel else (0, s.laguerre_degree + 3)
     return [row(f"{args.which}-ode", lhs=held, rhs=points,
                 passed=held == points)]
 
 
 def _cmd_eigensolve(args, params) -> list[CheckResult]:
     from . import checks, radial
-    p = spectral.ModelParams(args.n, args.sigma)
     tol = checks.EIGENSOLVE_TOL
-    two_lam = radial.RadialState(p, 1, args.l).laguerre_index - 1
-    energies = [spectral.energy(p, args.l + i) for i in range(args.count)]
+    two_lam, energies = radial.galerkin_channel(
+        spectral.ModelParams(args.n, args.sigma), args.l, args.count)
     certified = radial.laguerre_certified(two_lam, energies, tol)
     # the exact level and the high end of its enclosure
     return [row(f"E[{i}]", lhs=e, rhs=float(e * (1 - Fraction(tol))),
@@ -181,24 +183,6 @@ def _positive(text: str) -> float:
     return value
 
 
-class _FromChecks:
-    """``read(qkepler.checks)``, taken when used (a choice parsed, a help
-    formatted), so that building the parser imports nothing."""
-
-    def __init__(self, read: Callable):
-        self.read = read
-
-    def _value(self):
-        from . import checks
-        return self.read(checks)
-
-    def __iter__(self):  # `in` iterates too
-        return iter(self._value())
-
-    def __str__(self) -> str:
-        return str(self._value())
-
-
 def _common(cmd) -> None:
     cmd.add_argument("--format", choices=("text", "csv", "json"),
                      default="text", help="output format")
@@ -251,14 +235,13 @@ def _micz(cmd) -> None:
 
 
 def _verify(cmd) -> None:
-    # a metavar, so that add_argument does not iterate the choices
+    from . import checks
+    # usage and errors name the positional by its metavar, not the list
     cmd.add_argument("check", metavar="check", help="%(choices)s",
-                     choices=_FromChecks(lambda c: (*c.REGISTRY, "all")))
-    cmd.add_argument("--seed", type=_integer(0),
-                     help="seed read by %(seeded)s"
-                     ).seeded = _FromChecks(lambda c: (
-                         f"{' and '.join(sorted(c.SEEDED))} "
-                         f"(default {c.SEED})"))
+                     choices=(*checks.REGISTRY, "all"))
+    cmd.add_argument("--seed", type=_integer(0), help=(
+        f"seed read by {' and '.join(sorted(checks.SEEDED))} "
+        f"(default {checks.SEED})"))
 
 
 # name: (command, help, the arguments it adds after --format and --timestamp)

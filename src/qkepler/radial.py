@@ -53,6 +53,7 @@ from functools import cached_property
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
                     Sequence, Union)
 
+from . import spectral
 from .spectral import ModelParams, energy
 
 if TYPE_CHECKING:
@@ -69,10 +70,12 @@ __all__ = [
     "radial_norm2_t",
     "radial_norm2_rho",
     "gram_identities",
+    "ode_channel",
     "kepler_ode",
     "oscillator_ode",
     "kepler_residual",
     "eigensolve",
+    "galerkin_channel",
     "laguerre_certified",
     "default_t_max",
     "oscillator_residual",
@@ -466,6 +469,25 @@ def oscillator_ode(n: int, L: int, m: int, lam: int) -> tuple[int, int]:
     return held, m + 3
 
 
+def ode_channel(s: RadialState, coordinate: str) -> Union[tuple, None]:
+    """(n, 2 ell, m, eigenvalue) of ``s``, the arguments of
+    :func:`kepler_ode` in "t" and :func:`oscillator_ode` in "oscillator",
+    read from the :func:`exponents` its profiles are sampled from.  None
+    when 2 ell, twice the t power or the oscillator power, is not whole, or
+    the scale and rate are not those of the envelope the reduced operator
+    divides out (2/nu and 1/nu in t, nu = ell + m + n; 1 and 1/2 in the
+    oscillator).  The energy is ``spectral.energy``, read when called."""
+    power, scale, rate = exponents(s, coordinate)
+    n, m = s.params.n, s.laguerre_degree
+    kepler = coordinate == "t"
+    # unit: the envelope's 1/rate, nu in t and 2 in the oscillator
+    two_ell, unit = (2 * power, power + m + n) if kepler else (power, 2)
+    if two_ell.denominator != 1 or (scale * unit, rate * unit) != (2, 1):
+        return None
+    return n, two_ell.numerator, m, (spectral.energy(s.params, s.I)
+                                     if kepler else s.oscillator_level)
+
+
 def _residual(P, HP, lam, log_w, scale: float) -> float:
     """max |w (H~P - lam P)| / (scale max |w P|), the envelope w over its
     largest value on the grid, formed in log space."""
@@ -553,7 +575,8 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     ValueError
         If the grid is too coarse or too many eigenvalues are requested.
     UnderResolved
-        If an eigenfunction touches the boundary, or a level is uncertified.
+        If a level is uncertified, or an eigenfunction touches the
+        boundary: the domain is too short or the grid too coarse.
     """
     if grid_size < 500:
         raise ValueError("grid_size must be >= 500")
@@ -588,8 +611,8 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     if len(below) != count or np.any(np.diff(vals) <= res + np.r_[res[1:], 0]):
         raise UnderResolved(f"levels not certified on {grid_size} points")
     if np.any(np.sum(vecs[:, -(grid_size // 100):] ** 2, axis=1) > 1e-8):
-        raise UnderResolved(
-            f"t_max={t_max:g} too small: eigenfunction mass at the boundary")
+        raise UnderResolved(f"eigenfunction mass at the boundary of t_max="
+                            f"{t_max:g} on {grid_size} points")
     return vals[:-1]
 
 
@@ -633,6 +656,14 @@ def _ritz_above(rows: Iterable[tuple[int, int, int]], mu: Fraction,
                   if j >= first else math.inf)
         above, sign = (above + 1, sign) if cur * sign > 0 else (above, -sign)
         yield above, capped
+
+
+def galerkin_channel(p: ModelParams, l: int, count: int) -> tuple:
+    """(2λ, (E_0, ..., E_{count-1})), the :func:`laguerre_certified`
+    arguments of the lowest ``count`` levels of the channel (p, l), with
+    E_i = ``spectral.energy``(p, l + i) read when called."""
+    return (RadialState(p, 1, l).laguerre_index - 1,
+            tuple(spectral.energy(p, l + i) for i in range(count)))
 
 
 def laguerre_certified(two_lam: int, energies: Sequence[Fraction],

@@ -666,6 +666,14 @@ def t_exponents_shifted(shift):
     return control
 
 
+t_power_plus_a_quarter = t_exponents_shifted(
+    lambda power, scale, rate: (power + Fraction(1, 4), scale, rate))
+t_rate_off_by_a_percent = t_exponents_shifted(
+    lambda power, scale, rate: (power, scale, rate * Fraction(101, 100)))
+t_scale_off_by_a_percent = t_exponents_shifted(
+    lambda power, scale, rate: (power, scale * Fraction(101, 100), rate))
+
+
 def norm_off_by_a_billionth(monkeypatch):
     """Every closed-form t-norm scaled by 1 + 1e-9."""
     original = radial.radial_norm2_t
@@ -710,14 +718,11 @@ T_ROWS = ["kepler-ode[n=2]", "kepler-ode[n=3]", "orthogonality[n=2]"]
     (norm_off_by_a_billionth, ["orthogonality[n=2]"]),
     # t^(ell + 1/4) is no polynomial times t^ell: no identity holds, and
     # the Kepler equation reads its channel from the t table
-    (t_exponents_shifted(lambda power, scale, rate: (
-        power + Fraction(1, 4), scale, rate)), T_ROWS),
+    (t_power_plus_a_quarter, T_ROWS),
     # each pair then integrates against the wrong exponential
-    (t_exponents_shifted(lambda power, scale, rate: (
-        power, scale, rate * Fraction(101, 100))), T_ROWS),
+    (t_rate_off_by_a_percent, T_ROWS),
     # L^a_0 = 1 reads no scale: only the nine k = 1 norms still hold
-    (t_exponents_shifted(lambda power, scale, rate: (
-        power, scale * Fraction(101, 100), rate)), T_ROWS),
+    (t_scale_off_by_a_percent, T_ROWS),
     # the row counts k = 0..12, so a missing coefficient is a fault row
     (genfunc_one_short, ["genfunc"]),
 ], ids=["micz-wrong-charge", "micz-shift", "schur-lowest-weight",
@@ -732,6 +737,25 @@ def test_exact_checks_fail_their_negative_controls(control, failed,
     out = out_of(capsys)
     assert [line.split()[0] for line in out.splitlines()
             if "  FAIL" in line] == failed
+
+
+@pytest.mark.parametrize("control, which", [
+    (t_power_plus_a_quarter, "kepler"), (t_rate_off_by_a_percent, "kepler"),
+    (t_scale_off_by_a_percent, "kepler"),
+    (rho_and_oscillator_powers_plus_one, "oscillator"),
+], ids=["t-power", "t-rate", "t-scale", "rho-oscillator-power"])
+def test_residual_command_reads_the_exponent_table(control, which,
+                                                   monkeypatch, capsys):
+    # the command reads its channel from the table the `residuals` check
+    # reads: a wrong table fails at every point, and the other equation,
+    # on its own table, still holds
+    control(monkeypatch)
+    state = ["--n", "2", "--sigma", "1", "--k", "3", "--l", "1"]
+    assert run(["residual", which, *state]) == 1
+    assert f"{which}-ode  FAIL  lhs=0 rhs=5" in out_of(capsys)
+    other = "oscillator" if which == "kepler" else "kepler"
+    assert run(["residual", other, *state]) == 0
+    assert f"{other}-ode  pass  lhs=5 rhs=5" in out_of(capsys)
 
 
 def assert_failed_rows(out, failed):

@@ -17,6 +17,7 @@ import pytest
 from qkepler import checks
 from qkepler.geom import weight_double
 from qkepler.qlinalg import QMatrix
+from test_qlinalg import complexify_matrix
 
 
 def random_unitary(dim: int, rng: np.random.Generator,
@@ -38,16 +39,6 @@ def random_unitary(dim: int, rng: np.random.Generator,
 def jmat(n: int) -> np.ndarray:
     """The 2n x 2n block matrix [[0, -I_n], [I_n, 0]]."""
     return np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
-
-
-def complexify_matrix(M) -> np.ndarray:
-    """The complex images (..., 2n, 2n) of square quaternion matrices
-    (..., n, n, 4): writing M = A + j B with complex A and B, the left
-    action on z' + j z'' is the block matrix [[A, -conj(B)], [B, conj(A)]].
-    """
-    M = np.asarray(M, dtype=float)
-    A, B = M[..., 0] + 1j * M[..., 1], M[..., 2] + 1j * M[..., 3]
-    return np.block([[A, -B.conj()], [B, A.conj()]])
 
 
 def _random_sp(n, rng, samples):

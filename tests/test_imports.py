@@ -3,8 +3,9 @@
 Every case runs in a fresh interpreter, since this one has long since
 imported numpy and scipy.  No command loads numpy or scipy, nor
 ``dataclasses`` or ``inspect`` (numpy imports ``inspect`` itself): every
-row of the gate is exact, the geometry rows too.  Only `verify` and
-`eigensolve` load ``qkepler.checks``.  ``qkepler.rep`` loads only where
+row of the gate is exact, the geometry rows too.  Only `verify`,
+`eigensolve` and the full parser, which lists the checks, load
+``qkepler.checks``.  ``qkepler.rep`` loads only where
 weights and dimensions are built, and ``qkepler.laurent`` only where
 Laurent polynomials are.
 """
@@ -105,6 +106,17 @@ def test_argument_errors_load_no_numpy(argv):
     code, modules = fresh_run(argv)
     assert code == 2
     assert not modules & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), ([], 2), (["bogus"], 2),
+], ids=["help", "no-command", "unknown-command"])
+def test_full_parser_loads_no_numpy(argv, code):
+    # with no command named, every command's arguments are built, and
+    # those of `verify` list the checks, read from qkepler.checks
+    exit_code, modules = fresh_run(argv)
+    assert exit_code == code
+    assert not modules & NO_NUMPY
 
 
 def loaded_after(code):

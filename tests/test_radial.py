@@ -540,7 +540,8 @@ def test_eigensolve_validation():
 def test_eigensolve_detects_truncated_domain(monkeypatch):
     p = ModelParams(2, 0)
     monkeypatch.setattr(radial, "default_t_max", lambda p, l, count: 40.0)
-    with pytest.raises(UnderResolved, match="t_max=40 too small"):
+    with pytest.raises(UnderResolved,
+                       match="boundary of t_max=40 on 1500 points"):
         eigensolve(p, 2, grid_size=1500, count=3)
     # still a ValueError for callers that catch those
     assert issubclass(UnderResolved, ValueError)
@@ -598,7 +599,8 @@ def test_eigensolve_reads_the_boundary_on_the_full_grid():
     # detector reads only the refined vectors on the full grid
     p = ModelParams(3, 2)
     assert len(eigensolve(p, 4, grid_size=64000, count=5)) == 5
-    with pytest.raises(UnderResolved, match="t_max=408 too small"):
+    with pytest.raises(UnderResolved,
+                       match="boundary of t_max=408 on 1000 points"):
         eigensolve(p, 4, grid_size=1000, count=5)
 
 
