@@ -39,9 +39,10 @@ end; only the benchmark calls them.
 ``laguerre_certified`` certifies the exact levels of one channel: exact
 Sturm counts in ints on a closed-form Galerkin pencil, grown a row at a
 time, bound each true level from both sides.  ``qkepler eigensolve`` and
-the gate use it.  The finite-difference ``eigensolve`` (scipy: a coarse
-start, Rayleigh-quotient refinement and a Sturm-count certificate)
-serves only the benchmark's ``radial`` workload.
+the gate use it.  The finite-difference ``eigensolve`` (scipy: coarse
+levels and eigenvectors interpolated onto the full grid, Rayleigh-quotient
+refinement stopped at the Kato-Temple bound, and a Sturm-count
+certificate) serves only the benchmark's ``radial`` workload.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
                     Sequence, Union)
 
 from . import spectral
-from .spectral import ModelParams, energy
+from .spectral import ModelParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -500,11 +501,11 @@ def _residual(P, HP, lam, log_w, scale: float) -> float:
 def kepler_residual(s: RadialState, grid: RadialGrid) -> float:
     """Max residual of H f = E f over |E| max|f|, E = -1/(2 nu^2), on
     ``grid``: scale-free, where over max|f| alone the bound would loosen
-    as 1/nu^2."""
+    as 1/nu^2.  The energy is ``spectral.energy``, read when called."""
     import numpy as np
     t, nu = grid.points, float(s.nu)
     P, HP = _kepler_reduced(t, s.params.n, s.two_ell, s.laguerre_degree)
-    E, D = float(energy(s.params, s.I)), 4 * nu * t  # D = 2tV
+    E, D = float(spectral.energy(s.params, s.I)), 4 * nu * t  # D = 2tV
     return _residual(P, HP / (2 * D * D), E,
                      float(s.ell) * np.log(t) - t / nu, abs(E))
 
@@ -564,10 +565,18 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
     which is discretized by second-order central differences on the
     interior nodes of a uniform grid with Dirichlet conditions at both
     ends (the first node is t_max/grid_size): a tridiagonal T.  The levels
-    on min(grid_size, 1000) points start Rayleigh-quotient iterations on
-    T, each run while its residual falls; disjoint residual intervals and
-    one Sturm count, of ``count`` levels between min V and the next start,
-    certify them.  A boundary detector rejects any eigenvector with more
+    of the same stencil on min(grid_size, 1000) points start
+    Rayleigh-quotient iterations on T, each first shifted by its coarse
+    level and started from its coarse eigenvector (one solve, pinned to 0
+    at both ends and interpolated onto the full grid; ones if that solve
+    meets a zero pivot, or if the two stencils are one).  An iteration
+    stops at the Kato-Temple bound r^2 <= eps |mu| delta / 2, r the
+    residual of the Rayleigh quotient mu and delta the distance from mu to
+    the nearest other coarse level, where mu is within half an ulp of a
+    level; failing that, once r stops falling.  A level typically takes
+    one solve on the full grid.  Disjoint residual intervals and one Sturm
+    count, of ``count`` levels between min V and the next start, certify
+    the levels.  A boundary detector rejects any eigenvector with more
     than 1e-8 of its mass in the outer percent of the domain.
 
     Raises
@@ -591,20 +600,37 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
         t = np.arange(1, size) * (t_max / size)
         off = -0.5 * (size / t_max) ** 2
         return c / (t * t) - 1.0 / t - 2.0 * off, np.full(size - 2, off)
-    vals = eigvalsh_tridiagonal(*stencil(min(grid_size, 1000)),
-                                select="i", select_range=(0, count))
+    coarse = min(grid_size, 1000)
+    cdiag, coff = stencil(coarse)
+    lev = eigvalsh_tridiagonal(cdiag, coff, select="i",
+                               select_range=(0, count))
     diag, off = stencil(grid_size)
-    res, vecs = np.full(count, math.inf), np.ones((count, grid_size - 1))
+    vals, res = lev.copy(), np.full(count, math.inf)
+    vecs = np.empty((count, grid_size - 1))
     for i in range(count):  # Rayleigh-quotient iteration
-        x, info = lapack.dgtsv(off, diag - vals[i], off, vecs[i])[3:]
-        while not info:  # a zero pivot: vals[i] is a level to the last bit
+        x = np.ones(coarse - 1)
+        if coarse < grid_size:  # the coarse vector (ones after a zero pivot),
+            # pinned to 0 at both ends and interpolated onto the full grid
+            y, info = lapack.dgtsv(coff, cdiag - lev[i], coff, x)[3:]
+            x = np.interp(np.arange(1, grid_size) / grid_size,
+                          np.arange(coarse + 1) / coarse,
+                          np.r_[0.0, x if info else y, 0.0])
+        mu = lev[i]
+        while True:
+            x, info = lapack.dgtsv(off, diag - mu, off, x)[3:]
+            if info:  # a zero pivot: mu is a level to the last bit
+                break
             x /= np.linalg.norm(x)
             Tx = diag * x + np.convolve(x, (off[0], 0.0, off[0]), "same")
-            r = np.linalg.norm(Tx - (x @ Tx) * x)
-            if r >= res[i]:  # the residual stopped falling
+            mu = x @ Tx
+            r = np.linalg.norm(Tx - mu * x)
+            if not r < res[i]:  # the residual stopped falling
                 break
-            vals[i], res[i], vecs[i] = x @ Tx, r, x
-            x, info = lapack.dgtsv(off, diag - vals[i], off, vecs[i])[3:]
+            vals[i], res[i], vecs[i] = mu, r, x
+            # Kato-Temple: mu is within r^2 / gap of a level, here half an ulp
+            gap = np.abs(np.delete(lev, i) - mu).min()
+            if r * r <= np.finfo(float).eps * abs(mu) * gap / 2:
+                break
     vals[-1] = (vals[-2] + vals[-1]) / 2  # a cut below the next start
     below = eigvalsh_tridiagonal(diag, off, select="v", select_range=(
         diag.min() + 2 * off[0], vals[-1]), tol=1e300)  # from min V up

@@ -20,7 +20,10 @@ Oracles used here and nowhere else:
 * the Laguerre-Galerkin pencil as a dense float matrix, solved by
   numpy's eigvalsh, against the library's exact integer Sturm counts;
 * the finite-difference stencil as a dense float matrix, solved by
-  numpy's eigvalsh, against the refined levels of ``eigensolve``.
+  numpy's eigvalsh, against the refined levels of ``eigensolve``;
+* the same stencil's bands on 16000 points, where the dense matrix is too
+  large, solved by LAPACK's bisection (scipy's eigvalsh_tridiagonal to
+  tol 1e-300), against the refined levels of ``eigensolve``.
 """
 
 import itertools
@@ -31,9 +34,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 from scipy.special import eval_genlaguerre
 
-from qkepler import checks, radial
+from qkepler import checks, radial, spectral
 from qkepler.cli import run
 from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
@@ -453,7 +457,7 @@ def test_kepler_residual_is_scale_free(monkeypatch):
     s = RadialState(ModelParams(2, 0), 1, 200)
     grid = RadialGrid.uniform(5.0, 105040.0, 400, 4)
     assert kepler_residual(s, grid) < 1e-12
-    monkeypatch.setattr(radial, "energy",
+    monkeypatch.setattr(spectral, "energy",
                         lambda p, I: energy(p, I) * Fraction(10001, 10000))
     assert kepler_residual(s, grid) == pytest.approx(1e-4, rel=1e-3)
 
@@ -547,16 +551,21 @@ def test_eigensolve_detects_truncated_domain(monkeypatch):
     assert issubclass(UnderResolved, ValueError)
 
 
-def dense_stencil(p, l, grid_size, count):
-    """The matrix of eigensolve's Notes, dense: -u''/2 + [(ell(ell+2n-1) +
-    n(n-1)) / (2t^2) - 1/t] u by central differences on the interior
-    nodes of [0, t_max] in grid_size steps."""
+def stencil_bands(p, l, grid_size, count):
+    """The diagonal and off-diagonal of the matrix of eigensolve's Notes:
+    -u''/2 + [(ell(ell+2n-1) + n(n-1)) / (2t^2) - 1/t] u by central
+    differences on the interior nodes of [0, t_max] in grid_size steps."""
     n, ell = p.n, l + p.sigma_bar / 2
     h = default_t_max(p, l, count) / grid_size
     t = h * np.arange(1, grid_size)
     V = (ell * (ell + 2 * n - 1) + n * (n - 1)) / (2 * t * t) - 1 / t
-    off = np.full(grid_size - 2, -0.5 / h ** 2)
-    return np.diag(1 / h ** 2 + V) + np.diag(off, 1) + np.diag(off, -1)
+    return 1 / h ** 2 + V, np.full(grid_size - 2, -0.5 / h ** 2)
+
+
+def dense_stencil(p, l, grid_size, count):
+    """The matrix of :func:`stencil_bands`, dense."""
+    diag, off = stencil_bands(p, l, grid_size, count)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("n, sigma_bar, l, count, grid_size", [
@@ -602,6 +611,60 @@ def test_eigensolve_reads_the_boundary_on_the_full_grid():
     with pytest.raises(UnderResolved,
                        match="boundary of t_max=408 on 1000 points"):
         eigensolve(p, 4, grid_size=1000, count=5)
+
+
+@pytest.mark.parametrize("n, sigma_bar, l, count", [
+    (3, 2, 4, 4), (4, 5, 10, 3), (8, 12, 40, 5)])
+def test_eigensolve_matches_bisection_on_a_fine_grid(n, sigma_bar, l, count):
+    # on 16000 points, where the dense matrix is too large, the oracle is
+    # LAPACK's bisection on the same bands, run to full precision; not on
+    # the shortest domain, (2, 0, 0), where the bisected levels themselves
+    # move by 1e-10 between two roundings of the bands
+    p = ModelParams(n, sigma_bar)
+    bisected = eigvalsh_tridiagonal(*stencil_bands(p, l, 16000, count),
+                                    select="i", select_range=(0, count - 1),
+                                    tol=1e-300)
+    vals = eigensolve(p, l, grid_size=16000, count=count)
+    np.testing.assert_allclose(vals, bisected, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("grid_size, per_level", [
+    (1000, 1), (4000, 2), (16000, 2)])
+def test_eigensolve_takes_one_or_two_full_grid_solves_per_level(
+        monkeypatch, grid_size, per_level):
+    # each level starts from its interpolated coarse eigenvector and stops
+    # at the Kato-Temple bound; on 1000 points the coarse stencil is the
+    # full one, and its one solve is the level's only solve
+    real, sizes = lapack.dgtsv, []
+
+    def counted(dl, d, du, b, *args, **kwargs):
+        sizes.append(len(d))
+        return real(dl, d, du, b, *args, **kwargs)
+    monkeypatch.setattr(lapack, "dgtsv", counted)
+    for n, sigma_bar, l in [(2, 0, 0), (2, 1, 3), (3, 2, 4), (4, 5, 10),
+                            (6, 9, 25), (8, 12, 40)]:
+        sizes.clear()
+        eigensolve(ModelParams(n, sigma_bar), l, grid_size=grid_size, count=3)
+        assert 3 <= sizes.count(grid_size - 1) <= 3 * per_level
+
+
+def test_eigensolve_starts_from_ones_after_a_singular_coarse_solve(
+        monkeypatch):
+    # every coarse solve reports an exactly zero pivot and returns no
+    # vector: the levels start from ones at the coarse level and still
+    # certify the same values
+    p = ModelParams(3, 2)
+    want = eigensolve(p, 4, grid_size=4000, count=3)
+    real = lapack.dgtsv
+
+    def singular(dl, d, du, b, *args, **kwargs):
+        out = real(dl, d, du, b, *args, **kwargs)
+        if len(d) != 999:
+            return out
+        return (*out[:3], np.full_like(b, np.nan), 1)
+    monkeypatch.setattr(lapack, "dgtsv", singular)
+    np.testing.assert_allclose(eigensolve(p, 4, grid_size=4000, count=3),
+                               want, rtol=1e-11, atol=0)
 
 
 def test_default_t_max_floor():
