@@ -48,10 +48,10 @@ __all__ = ["run", "main"]
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns its rows and may add to the report's ``params``
+# commands: each returns its rows
 
 
-def _cmd_spectrum(args, params) -> list[CheckResult]:
+def _cmd_spectrum(args) -> list[CheckResult]:
     p = spectral.ModelParams(args.n, args.sigma)
     rows = []
     for I in range(args.imax + 1):
@@ -60,13 +60,13 @@ def _cmd_spectrum(args, params) -> list[CheckResult]:
     return rows
 
 
-def _cmd_degeneracy(args, params) -> list[CheckResult]:
+def _cmd_degeneracy(args) -> list[CheckResult]:
     p = spectral.ModelParams(args.n, args.sigma)
     return [row(f"I={I}", lhs=spectral.degeneracy(p, I))
             for I in range(args.imax + 1)]
 
 
-def _cmd_ktype(args, params) -> list[CheckResult]:
+def _cmd_ktype(args) -> list[CheckResult]:
     p = spectral.ModelParams(args.n, args.sigma)
     rows = []
     for I in range(args.imax + 1):
@@ -88,7 +88,7 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     return [i * step + lo for i in range(num - 1)] + [hi]
 
 
-def _cmd_wavefunction(args, params) -> list[CheckResult]:
+def _cmd_wavefunction(args) -> list[CheckResult]:
     from . import radial
     p = spectral.ModelParams(args.n, args.sigma)
     s = radial.RadialState(p, args.k, args.l)
@@ -100,7 +100,7 @@ def _cmd_wavefunction(args, params) -> list[CheckResult]:
             for i, (x, v) in enumerate(zip(pts, vals))]
 
 
-def _cmd_residual(args, params) -> list[CheckResult]:
+def _cmd_residual(args) -> list[CheckResult]:
     from . import radial
     s = radial.RadialState(spectral.ModelParams(args.n, args.sigma),
                            args.k, args.l)
@@ -113,7 +113,7 @@ def _cmd_residual(args, params) -> list[CheckResult]:
                 passed=held == points)]
 
 
-def _cmd_eigensolve(args, params) -> list[CheckResult]:
+def _cmd_eigensolve(args) -> list[CheckResult]:
     from . import checks, radial
     tol = checks.EIGENSOLVE_TOL
     two_lam, energies = radial.galerkin_channel(
@@ -125,7 +125,7 @@ def _cmd_eigensolve(args, params) -> list[CheckResult]:
             for i, (e, ok) in enumerate(zip(energies, certified))]
 
 
-def _cmd_micz(args, params) -> list[CheckResult]:
+def _cmd_micz(args) -> list[CheckResult]:
     rep_ = spectral.micz_check(args.sigma, i_max=args.imax)
     rows = [row("spectrum-exact", lhs=rep_.spectrum_exact, rhs=True,
                 passed=rep_.spectrum_exact)]
@@ -137,7 +137,7 @@ def _cmd_micz(args, params) -> list[CheckResult]:
     return rows
 
 
-def _cmd_verify(args, params) -> list[CheckResult]:
+def _cmd_verify(args) -> list[CheckResult]:
     from . import checks
     rows = []
     for name in checks.REGISTRY if args.check == "all" else [args.check]:
@@ -308,7 +308,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     name = args.command if which is None else f"{args.command} {which}"
     params = {f: v for f, v in vars(args).items() if f not in _NOT_PARAMETERS}
     seed = params.pop("seed", None)  # a report field of its own
-    rows = _rows_or_fault(name, args.func, args, params)
+    rows = _rows_or_fault(name, args.func, args)
     report = Report(name, params, rows, seed=seed)
     if args.timestamp:
         from datetime import datetime, timezone

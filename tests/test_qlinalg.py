@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qkepler import qlinalg
 from qkepler.qlinalg import MUL, QMatrix, qconj, qmul, qmul_exact
+from test_mutants import install
 
 ONE, I, J, K = np.eye(4)
 
@@ -187,6 +189,18 @@ def test_qmul_is_the_table_contraction_to_the_bit():
     ints = rng.integers(-2 ** 20, 2 ** 20, size=(2, 200, 4))
     exact = [qmul_exact(p.tolist(), q.tolist()) for p, q in zip(*ints)]
     assert qmul(*ints).tobytes() == np.array(exact, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("mutant", ["qmul-not-associative",
+                                    "qmul-componentwise"])
+def test_qmul_reads_the_mutated_table(mutant, monkeypatch):
+    # one table: the float product contracts the table the exact gate rows
+    # read, so the gate's product mutants reach it too
+    install(mutant, monkeypatch)
+    assert qlinalg.MUL != MUL
+    E = np.eye(4)
+    assert np.array_equal(qmul(E[:, None], E[None, :]),
+                          np.array(qlinalg.MUL))
 
 
 @pytest.mark.parametrize("shape", BATCH_SHAPES)

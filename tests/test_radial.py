@@ -38,7 +38,6 @@ from scipy.linalg import eigvalsh_tridiagonal, lapack
 from scipy.special import eval_genlaguerre
 
 from qkepler import checks, radial, spectral
-from qkepler.cli import run
 from qkepler.quadrature import composite_gauss_legendre
 from qkepler.radial import (
     RadialGrid,
@@ -58,6 +57,7 @@ from qkepler.radial import (
     radial_t,
 )
 from qkepler.spectral import ModelParams, energy
+from test_mutants import install
 
 
 def lag_sum(a, m, x):
@@ -398,39 +398,18 @@ def test_residuals_on_state_sized_grids(n, sigma_bar, k, l):
         assert math.isfinite(resid) and resid < 1e-10
 
 
-def coulomb_halved(original):
-    """The Kepler operator with -1/(2t) in place of -1/t: its term
-    -8tV^2 P of 2D^2 H~P read as -4tV^2 P."""
-    def reduced(t, n, two_ell, m):
-        P, HP = original(t, n, two_ell, m)
-        V = two_ell + 2 * (m + n)
-        return P, HP + 4 * t * V * V * P
-    return reduced
-
-
-def potential_doubled(original):
-    """The oscillator with r^2 in place of r^2/2: its term x^2 P of
-    2x H~P read as 2x^2 P."""
-    def reduced(x, n, L, m):
-        P, HP = original(x, n, L, m)
-        return P, HP + x * x * P
-    return reduced
-
-
-@pytest.mark.parametrize("attr, mutant, ode", [
-    ("_kepler_reduced", coulomb_halved, "kepler"),
-    ("_oscillator_reduced", potential_doubled, "oscillator"),
+@pytest.mark.parametrize("mutant, ode", [
+    ("kepler-coulomb", "kepler"), ("oscillator-potential", "oscillator"),
 ], ids=["kepler-coulomb", "oscillator-potential"])
-def test_identities_fail_for_a_one_term_operator_mutant(attr, mutant, ode,
+def test_identities_fail_for_a_one_term_operator_mutant(mutant, ode,
                                                         monkeypatch):
-    monkeypatch.setattr(radial, attr, mutant(getattr(radial, attr)))
+    install(mutant, monkeypatch)
     for s in states(smax=3, kmax=4, lmax=3):
         if ode == "kepler":
             held, points = kepler_ode(*channel(s), energy(s.params, s.I))
         else:
             held, points = oscillator_ode(*channel(s), s.oscillator_level)
         assert held < points
-    assert run(["verify", "residuals"]) == 1
 
 
 def test_residual_check_evaluates_each_channel_once(monkeypatch):
@@ -1021,12 +1000,7 @@ def test_twist_ratio_is_constant():
 def test_twist_ratio_reads_the_shared_exponents(monkeypatch):
     # negative control: the rho power 2 ell + 3/2 in the exponent table,
     # which also fails both exact twist rows of `verify all`
-    original = radial.exponents
-
-    def exponents(s, coordinate):
-        power, scale, rate = original(s, coordinate)
-        return (power - 1 if coordinate == "rho" else power), scale, rate
-    monkeypatch.setattr(radial, "exponents", exponents)
+    install("twist-rho-power", monkeypatch)
     assert worst_twist_spread() > 1e-3
 
 

@@ -207,15 +207,6 @@ def test_dim_closed_form_frozen(n, sigma_bar, l, dim):
     assert dim_R_l(n, sigma_bar, l) == dim
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_dim_closed_form_equals_weyl(n):
-    rs = RootSystem("C", n)
-    for sigma_bar in range(7):
-        for l in range(7):
-            hw = HighestWeight([l + sigma_bar, l] + [0] * (n - 2))
-            assert dim_R_l(n, sigma_bar, l) == weyl_dim(rs, hw)
-
-
 def test_dim_closed_form_raises_on_a_remainder(monkeypatch):
     # with C(3, 1) + 1 = 4 and C(1, 0) + 1 = 2 the product at (2, 1, 0) is
     # 2 * 4 * 4 * 2 = 64 over (1+1) * 3 = 6, not an integer
@@ -230,18 +221,6 @@ def test_dim_closed_form_validation():
         dim_R_l(1, 0, 0)
     with pytest.raises(ValueError):
         dim_R_l(2, -1, 0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_angular_eigenvalue_is_twice_casimir_difference(n):
-    c1 = RootSystem("C", 1)
-    cn = RootSystem("C", n)
-    for sigma_bar in range(9):
-        cas_sigma = casimir(c1, HighestWeight([sigma_bar]))
-        for l in range(9):
-            hw = HighestWeight([l + sigma_bar, l] + [0] * (n - 2))
-            assert angular_eigenvalue(n, sigma_bar, l) == \
-                2 * (casimir(cn, hw) - cas_sigma)
 
 
 def test_angular_eigenvalue_untwisted_small():
