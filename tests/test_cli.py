@@ -277,6 +277,20 @@ def test_verify_schur_small(capsys):
     assert "residual" not in out and "tol" not in out
 
 
+def test_schur_norm_rows_are_tallies(monkeypatch, capsys):
+    # in the text report of the stage alone, a norm of s + 1 is one
+    # identity that fails, not a value beside 1
+    install("schur-density", monkeypatch)
+    assert run(["verify", "schur"]) == 1
+    rows = {line.split()[0]: line for line in out_of(capsys).splitlines()
+            if "  FAIL" in line}
+    assert list(rows) == [*(f"schur-norm[{sb}]" for sb in range(1, 11)),
+                          "schur-cross"]
+    for sb in range(1, 11):
+        assert rows[f"schur-norm[{sb}]"].endswith("  FAIL  lhs=0 rhs=1")
+    assert rows["schur-cross"].endswith("  FAIL  lhs=30 rhs=55")
+
+
 def test_reports_are_byte_identical(capsys):
     args = ["verify", "metric", "--seed", "11", "--format", "json"]
     run(args)
