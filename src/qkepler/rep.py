@@ -43,17 +43,17 @@ __all__ = [
 WeightEntry = Union[int, Fraction]
 
 
-class HighestWeight:
-    """A weight vector with integer or half-integer entries.
+class _HighestWeight(NamedTuple):
+    twice: tuple[int, ...]
 
-    Entries are stored internally as doubled integers; ``entries`` gives
-    them back as Fractions.  Immutable, and equal, hashed and sized by
-    its entries.
-    """
 
-    __slots__ = ("twice",)
+class HighestWeight(_HighestWeight):
+    """A weight vector with integer or half-integer entries, stored as
+    doubled integers; ``entries`` gives them back as Fractions."""
 
-    def __init__(self, entries: Sequence[WeightEntry]):
+    __slots__ = ()
+
+    def __new__(cls, entries: Sequence[WeightEntry]) -> HighestWeight:
         doubled = []
         for e in entries:
             if isinstance(e, int):
@@ -63,36 +63,15 @@ class HighestWeight:
             if d.denominator != 1:
                 raise ValueError(f"entry {e} is not a half integer")
             doubled.append(int(d))
-        object.__setattr__(self, "twice", tuple(doubled))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HighestWeight):
-            return NotImplemented
-        return self.twice == other.twice
-
-    def __hash__(self) -> int:
-        return hash(self.twice)
-
-    def __repr__(self) -> str:
-        return f"HighestWeight(twice={self.twice!r})"
+        return super().__new__(cls, tuple(doubled))
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, 2) for t in self.twice)
 
-    def __len__(self) -> int:
-        return len(self.twice)
-
-    def shifted(self, c: WeightEntry) -> "HighestWeight":
-        """Add the constant vector c*(1, ..., 1)."""
-        return HighestWeight([e + Fraction(c) for e in self.entries])
-
-    def conjugate(self) -> "HighestWeight":
+    def conjugate(self) -> HighestWeight:
         """Reverse the entries and negate them (the dual highest weight)."""
-        return HighestWeight([-e for e in reversed(self.entries)])
+        return self._make((tuple(-t for t in reversed(self.twice)),))
 
 
 class _RootSystem(NamedTuple):

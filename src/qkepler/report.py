@@ -35,9 +35,6 @@ def _fmt(value: Any) -> str:
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        # parse back to float to keep json numeric, but normalize the text
-        return float(format(value, ".17g"))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return value

@@ -7,11 +7,14 @@ energy for parameters (n, sigma_bar) is
     E_I = -(1/2) / (I + n + sigma_bar/2)^2.
 
 The degeneracy of level I sums the closed-form dimensions over l <= I.
-Two independent exact identities tie these numbers to the 4n-dimensional
-isotropic oscillator: the levelwise dimension equality and its
-generating-function form.  At n = 2 the spectrum and the radial operator
-are those of the generalized MICZ-Kepler problem in dimension five,
-checked in exact Laurent-polynomial arithmetic.
+Two exact identities tie these numbers to the 4n-dimensional isotropic
+oscillator: the levelwise dimension equality and its generating-function
+form.  Both read the same level sum (``_level_sum``) against the same
+binomial (``oscillator_level_dim``); only the generating function's
+exact series inversion is a second route to the oscillator side.  At
+n = 2 the spectrum and the radial operator are those of the generalized
+MICZ-Kepler problem in dimension five, checked in exact
+Laurent-polynomial arithmetic.
 
 ``rep`` loads where weights and dimensions are built, and ``laurent``
 where the MICZ operators are, so an energy table loads neither.
@@ -210,16 +213,9 @@ class KtypeCheck(NamedTuple):
 
 
 def ktype_dim_check(p: ModelParams, I: int) -> KtypeCheck:
-    """Dimension match between the level-I weight module and the Sp(n) sum.
-
-    The A_{2n-1} Weyl dimension is taken after shifting the weight by the
-    constant vector (1+I+sigma_bar)*(1, ..., 1); the shift leaves the
-    dimension unchanged and makes the entries nonnegative.
-    """
+    """Dimension match between the level-I weight module and the Sp(n) sum."""
     from .rep import RootSystem, weyl_dim
-    shift = 1 + I + p.sigma_bar
-    shifted = ktype_weight(p, I).shifted(shift)
-    u2n = weyl_dim(RootSystem("A", 2 * p.n - 1), shifted)
+    u2n = weyl_dim(RootSystem("A", 2 * p.n - 1), ktype_weight(p, I))
     return KtypeCheck(u2n_dim=u2n, sp_sum=degeneracy(p, I))
 
 
@@ -299,11 +295,11 @@ def micz_check(sigma_bar: int, i_max: int = 20) -> MiczReport:
     spectrum_exact = all(
         energy(p, I) == Fraction(-1, 2) / (I + 2 + mu) ** 2
         for I in range(i_max + 1))
+    transformed = [_micz_transformed(Laurent.monomial(j), sigma_bar)
+                   for j in range(4)]
     operator_exact = tuple(
-        _micz_transformed(Laurent.monomial(j), sigma_bar)
-        == _micz_radial(Laurent.monomial(j), sigma_bar).at_power(2)
-        for j in range(4))
-    centrifugal = 2 * _micz_transformed(Laurent.monomial(0),
-                                        sigma_bar).coefficient(-4)
+        t == _micz_radial(Laurent.monomial(j), sigma_bar).at_power(2)
+        for j, t in enumerate(transformed))
+    centrifugal = 2 * transformed[0].coefficient(-4)
     return MiczReport(sigma_bar=sigma_bar, spectrum_exact=spectrum_exact,
                       operator_exact=operator_exact, centrifugal=centrifugal)

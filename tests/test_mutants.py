@@ -251,8 +251,8 @@ MUTANTS = {
         "genfunc": ("IndexError: tuple index out of range", None)}),
     # a raise inside a check is one failed row, named after the check
     "ktype-weight-swapped": (swap_ktype_weight, {"ktype-dims": (
-        "ValueError: weight (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1),"
-        " Fraction(1, 1)) is not dominant", None)}),
+        "ValueError: weight (Fraction(-1, 1), Fraction(-1, 1),"
+        " Fraction(-2, 1), Fraction(-1, 1)) is not dominant", None)}),
     # the infinitesimal character is then sbar + 2, at every (n, sbar)
     "hspace-weight": (hspace_weight_one_lower,
                       {"inf-character[n<=5]": (0, 28)}),

@@ -1,4 +1,7 @@
 import json
+import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +67,20 @@ def test_json_round_trip():
                      "tolerance": None, "passed": True}
     # exact rationals come back as strings, floats to the last bit
     assert beta["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, sys.float_info.max,
+    -sys.float_info.max, 0.1, 1.0 / 3.0])
+def test_json_prints_a_float_as_its_repr(value):
+    report = Report("demo", {}, (CheckResult("x", value, None, None, True),))
+    text = emit(report, "json")
+    # json spells repr's inf as Infinity
+    spelled = {math.inf: "Infinity", -math.inf: "-Infinity"}.get(
+        value, repr(value))
+    assert f'"lhs": {spelled},' in text
+    back = json.loads(text)["results"][0]["lhs"]
+    assert struct.pack("<d", back) == struct.pack("<d", value)
 
 
 def test_json_is_deterministic():
