@@ -17,18 +17,14 @@ check loads numpy, and a check imports ``radial``, ``qlinalg`` or
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import rep, spectral
 from .report import CheckResult, row
 
-__all__ = ["REGISTRY", "SEEDED", "SEED", "EIGENSOLVE_TOL"]
+__all__ = ["REGISTRY", "SEEDED", "SEED"]
 
 SEED = 0  # the gate's seed for the randomized points of `metric`
-# Laguerre-Galerkin levels, here and in `eigensolve`: a decimal rational,
-# so the Sturm minors stay small; float(EIGENSOLVE_TOL) == 1e-10
-EIGENSOLVE_TOL = Fraction(1, 10 ** 10)
 METRIC_POINTS = 16  # seeded points per `metric` and `quotient` row
 _BITS = 20  # their coordinates are drawn from [-2^_BITS, 2^_BITS)
 
@@ -61,8 +57,8 @@ def _states(n: int) -> tuple:
 
 def eigensolve() -> list[CheckResult]:
     """The three lowest exact energies of each channel sbar <= 3, l <= 2,
-    each certified by the Laguerre-Galerkin levels to EIGENSOLVE_TOL in
-    exact Sturm counts (``radial.laguerre_certified``).  The levels depend
+    each certified by the Laguerre-Galerkin levels to radial.EIGENSOLVE_TOL
+    in exact Sturm counts (``radial.laguerre_certified``).  The levels depend
     on (sigma_bar, l) only through 2 lambda, the Laguerre index less one,
     so each 2 lambda and its energies are certified once."""
     from . import radial
@@ -70,7 +66,7 @@ def eigensolve() -> list[CheckResult]:
     return [_tally(f"eigensolve[n={n}]", (
         ok for sb in range(4) for p in [spectral.ModelParams(n, sb)]
         for l in range(3) for ok in certified(
-            *radial.galerkin_channel(p, l, 3), EIGENSOLVE_TOL)))
+            *radial.galerkin_channel(p, l, 3), radial.EIGENSOLVE_TOL)))
         for n in (2, 3)]
 
 

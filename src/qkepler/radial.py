@@ -78,6 +78,7 @@ __all__ = [
     "eigensolve",
     "galerkin_channel",
     "laguerre_certified",
+    "EIGENSOLVE_TOL",
     "default_t_max",
     "oscillator_residual",
 ]
@@ -133,19 +134,15 @@ class RadialState(_RadialState):
 
     @cached_property
     def nu(self) -> Fraction:
-        """The effective principal number k + ell + n - 1 = I + n + sigma_bar/2."""
-        return Fraction(self._twice_nu, 2)
-
-    @property
-    def _twice_nu(self) -> int:
-        return 2 * self.k + self.two_ell + 2 * self.params.n - 2
+        """The principal number k + ell + n - 1, half the oscillator level."""
+        return Fraction(self.oscillator_level, 2)
 
     @cached_property
     def _exponents(self) -> dict[str, tuple[Fraction, ...]]:
         """The tables of :func:`exponents`, built once.  The t and rho
         tables share the scale 2/nu and the rate 1/nu; the rho form is
         rho^{5/2} R(rho^2)."""
-        scale, rate = Fraction(4, self._twice_nu), Fraction(2, self._twice_nu)
+        scale, rate = 2 / self.nu, 1 / self.nu
         return {"t": (self.ell, scale, rate),
                 "rho": (Fraction(2 * self.two_ell + 5, 2), scale, rate),
                 "oscillator": (Fraction(self.two_ell), *_OSCILLATOR_ENVELOPE)}
@@ -647,6 +644,8 @@ def eigensolve(p: ModelParams, l: int, grid_size: int = 4000,
 
 
 _ROWS = 1000  # the most rows of J' a level reads before it is undecided
+# the levels' relative bound in `eigensolve` and the gate: 1/10^10, exactly
+EIGENSOLVE_TOL = Fraction(1, 10 ** 10)
 
 
 def _pencil(two_lam: int) -> Iterator[tuple[int, int, int]]:

@@ -69,6 +69,10 @@ class HighestWeight(_HighestWeight):
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, 2) for t in self.twice)
 
+    def __str__(self) -> str:
+        """The entries, as `qkepler ktype` prints them: (3/2,1/2,0)."""
+        return "(" + ",".join(map(str, self.entries)) + ")"
+
     def conjugate(self) -> HighestWeight:
         """Reverse the entries and negate them (the dual highest weight)."""
         return self._make((tuple(-t for t in reversed(self.twice)),))
@@ -135,6 +139,13 @@ class RootSystem(_RootSystem):
                 and (self.family == "A" or tw[-1] >= 0))
 
 
+def _dominant_rho_twice(rs: RootSystem, hw: HighestWeight) -> tuple[int, ...]:
+    """Twice the rho of ``rs``, once ``hw`` is dominant for it."""
+    if not rs.is_dominant(hw):
+        raise ValueError(f"weight {hw} is not dominant for {rs}")
+    return rs.rho_twice()
+
+
 def weyl_dim(rs: RootSystem, hw: HighestWeight) -> int:
     """Exact Weyl dimension prod_{alpha>0} <lam+rho, alpha> / <rho, alpha>.
 
@@ -142,9 +153,7 @@ def weyl_dim(rs: RootSystem, hw: HighestWeight) -> int:
     v_i - v_j for i < j, and for C also v_i + v_j and v_i (the long
     roots 2e_i).  One exact division ends it.
     """
-    if not rs.is_dominant(hw):
-        raise ValueError(f"weight {hw.entries} is not dominant for {rs}")
-    rho = rs.rho_twice()
+    rho = _dominant_rho_twice(rs, hw)
     v = [a + b for a, b in zip(hw.twice, rho)]
     num = den = 1
     for i in range(len(v)):
@@ -166,10 +175,8 @@ def weyl_dim(rs: RootSystem, hw: HighestWeight) -> int:
 
 def casimir(rs: RootSystem, hw: HighestWeight) -> Fraction:
     """The quadratic Casimir eigenvalue <lam, lam + 2 rho> in e_i coordinates."""
-    if not rs.is_dominant(hw):
-        raise ValueError(f"weight {hw.entries} is not dominant for {rs}")
-    return Fraction(sum(a * (a + 2 * r)
-                        for a, r in zip(hw.twice, rs.rho_twice())), 4)
+    rho = _dominant_rho_twice(rs, hw)
+    return Fraction(sum(a * (a + 2 * r) for a, r in zip(hw.twice, rho)), 4)
 
 
 def dim_R_l(n: int, sigma_bar: int, l: int) -> int:

@@ -430,9 +430,11 @@ def json_report(argv):
 
 
 def test_eigensolve_tolerance_is_the_gates(monkeypatch):
-    # one bound for the route: the command's rows show it, and the check
-    # certifies to it; it is the decimal 1/10^10, shown as the float 1e-10
-    assert checks.EIGENSOLVE_TOL == Fraction(1, 10 ** 10)
+    # one bound for the route, owned by radial: the command's rows show
+    # it, and the check certifies to it; it is the decimal 1/10^10, shown
+    # as the float 1e-10
+    assert radial.EIGENSOLVE_TOL == Fraction(1, 10 ** 10)
+    assert not hasattr(checks, "EIGENSOLVE_TOL")
     report = json_report(["eigensolve", *MODEL, "--l", "0"])
     assert [r["tolerance"] for r in report["results"]] == [1e-10] * 3
     # at a bound of 0 no level above the ground state can be certified

@@ -3,23 +3,28 @@
 Every case runs in a fresh interpreter, since this one has long since
 imported numpy and scipy.  No command loads numpy or scipy, nor
 ``dataclasses`` or ``inspect`` (numpy imports ``inspect`` itself): every
-row of the gate is exact, the geometry rows too.  Only `verify`,
-`eigensolve` and the full parser, which lists the checks, load
-``qkepler.checks``.  ``qkepler.rep`` loads only where
-weights and dimensions are built, and ``qkepler.laurent`` only where
-Laurent polynomials are.
+row of the gate is exact, the geometry rows too, and every command of
+the README prints the same with numpy blocked.  Only `verify` and the
+full parser, which lists the checks, load ``qkepler.checks``;
+`eigensolve` reads its bound from ``qkepler.radial``.  ``qkepler.rep``
+loads only where weights and dimensions are built, and
+``qkepler.laurent`` only where Laurent polynomials are.
 """
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import qkepler
+from qkepler.cli import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qkepler.__file__)))
 
@@ -70,10 +75,11 @@ def fresh_run(argv):
       "1"], NO_WEIGHTS),
     (["residual", "oscillator", "--n", "2", "--sigma", "0", "--k", "2",
       "--l", "0"], NO_WEIGHTS),
-    # the command and the gate share the Laguerre route, counted in ints
-    (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], NO_NUMPY),
+    # the command and the gate share the Laguerre route, counted in ints,
+    # and its bound, which radial owns
+    (["eigensolve", "--n", "2", "--sigma", "0", "--l", "0"], NO_WEIGHTS),
     (["eigensolve", "--n", "2", "--sigma", "0", "--l", "200", "--count",
-      "5"], NO_NUMPY),
+      "5"], NO_WEIGHTS),
     # Laurent polynomials, but no weight
     (["micz", "--sigma", "2"], NO_NUMPY | {"qkepler.checks", "qkepler.rep"}),
     (["verify", "micz"], NO_NUMPY),
@@ -117,6 +123,42 @@ def test_full_parser_loads_no_numpy(argv, code):
     exit_code, modules = fresh_run(argv)
     assert exit_code == code
     assert not modules & NO_NUMPY
+
+
+README_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises
+from qkepler.cli import run
+reports = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        reports.append([run(argv), out.getvalue()])
+print(json.dumps(reports))
+"""
+
+
+def readme_commands():
+    """The argv of each ``qkepler`` line in the README's code blocks."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        blocks = fh.read().split("```")[1::2]
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("qkepler ")]
+
+
+def test_readme_commands_print_the_same_without_numpy():
+    # every README command in one fresh interpreter with numpy blocked,
+    # against the same argv run here
+    commands = readme_commands()
+    assert len(commands) >= 11
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", README_PROBE, json.dumps(commands)], env=env,
+        capture_output=True, text=True, check=True)
+    expected = []
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            expected.append([run(argv), out.getvalue()])
+    assert json.loads(proc.stdout) == expected
 
 
 def loaded_after(code):

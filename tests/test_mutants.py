@@ -230,7 +230,7 @@ MUTANTS = {
     "eigensolve-basis": (setting(radial, "_ROWS", 2),
                          each(EIGENSOLVE, 12, 36)),
     # at a bound of 0 no level above the ground state can be certified
-    "eigensolve-tolerance-zero": (setting(checks, "EIGENSOLVE_TOL", 0.0),
+    "eigensolve-tolerance-zero": (setting(radial, "EIGENSOLVE_TOL", 0.0),
                                   each(EIGENSOLVE, 12, 36)),
     "energy-high": (energy_scaled(1 + Fraction(1, 10 ** 6)), ENERGY_ROWS),
     "energy-low": (energy_scaled(1 - Fraction(1, 10 ** 6)), ENERGY_ROWS),
@@ -251,8 +251,7 @@ MUTANTS = {
         "genfunc": ("IndexError: tuple index out of range", None)}),
     # a raise inside a check is one failed row, named after the check
     "ktype-weight-swapped": (swap_ktype_weight, {"ktype-dims": (
-        "ValueError: weight (Fraction(-1, 1), Fraction(-1, 1),"
-        " Fraction(-2, 1), Fraction(-1, 1)) is not dominant", None)}),
+        "ValueError: weight (-1,-1,-2,-1) is not dominant", None)}),
     # the infinitesimal character is then sbar + 2, at every (n, sbar)
     "hspace-weight": (hspace_weight_one_lower,
                       {"inf-character[n<=5]": (0, 28)}),

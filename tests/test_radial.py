@@ -745,7 +745,7 @@ ORACLE_ROWS = 200
 def test_laguerre_eigenvalues_match_exact_spectrum(n, sigma_bar, l, count):
     p = ModelParams(n, sigma_bar)
     two_lam, energies = two_lam_of(p, l), level_energies(p, l, count)
-    assert laguerre_certified(two_lam, energies, checks.EIGENSOLVE_TOL) \
+    assert laguerre_certified(two_lam, energies, radial.EIGENSOLVE_TOL) \
         == [True] * count
     # the float oracle reads the same levels
     kappa2 = 4 / (two_lam + 2) ** 2
@@ -787,7 +787,7 @@ def test_counts_bracket_the_true_levels_and_close_on_them(two_lam):
     # below the true count or rising once it bounds it.  Both close on
     # the true count within 400 rows and stay, so a certified level stays
     # certified at every larger basis
-    tol = checks.EIGENSOLVE_TOL
+    tol = radial.EIGENSOLVE_TOL
     for i, E in enumerate(channel_energies(two_lam, 9)[1:], 1):
         for end, true in ((E * (1 + tol / 1000), i - 1), (E * (1 - tol), i)):
             seen = [(0, math.inf, False), *itertools.islice(
@@ -805,10 +805,10 @@ def test_counts_bracket_the_true_levels_and_close_on_them(two_lam):
 @pytest.mark.parametrize("two_lam", [0, 2, 106])
 def test_twelve_levels_certify(two_lam):
     assert laguerre_certified(two_lam, channel_energies(two_lam, 12),
-                              checks.EIGENSOLVE_TOL) == [True] * 12
+                              radial.EIGENSOLVE_TOL) == [True] * 12
 
 
-def verdicts_at(two_lam, i, E, tol=checks.EIGENSOLVE_TOL):
+def verdicts_at(two_lam, i, E, tol=radial.EIGENSOLVE_TOL):
     """The verdicts on level i at E and on the exact level i + 1; levels
     1 .. i - 1 sit at the ground state, where they fail unread.  The
     second verdict shows the first was decided, not left undecided by
@@ -820,8 +820,8 @@ def verdicts_at(two_lam, i, E, tol=checks.EIGENSOLVE_TOL):
 
 @pytest.mark.parametrize("two_lam", [0, 2])
 @pytest.mark.parametrize("factor", [
-    1, 1 - checks.EIGENSOLVE_TOL / 2, 1 - 3 * checks.EIGENSOLVE_TOL,
-    1 - 10 * checks.EIGENSOLVE_TOL, 1 + 2 * checks.EIGENSOLVE_TOL],
+    1, 1 - radial.EIGENSOLVE_TOL / 2, 1 - 3 * radial.EIGENSOLVE_TOL,
+    1 - 10 * radial.EIGENSOLVE_TOL, 1 + 2 * radial.EIGENSOLVE_TOL],
     ids=["exact", "high-half", "high-3", "high-10", "low-2"])
 def test_laguerre_levels_fail_off_the_exact_energy_at_the_gates_bound(
         two_lam, factor):
@@ -838,7 +838,7 @@ def test_laguerre_levels_past_the_row_budget_fail():
     # the levels after it, unread
     assert radial._ROWS == 1000
     certified = laguerre_certified(0, channel_energies(0, 28),
-                                   checks.EIGENSOLVE_TOL)
+                                   radial.EIGENSOLVE_TOL)
     assert certified == [True] * 25 + [False] * 3
 
 
@@ -855,7 +855,7 @@ def test_laguerre_work_stops_at_the_first_undecided_level(monkeypatch):
     monkeypatch.setattr(radial, "_pencil", pencil)
     count = 10 ** 5
     certified = laguerre_certified(2, channel_energies(2, count),
-                                   checks.EIGENSOLVE_TOL)
+                                   radial.EIGENSOLVE_TOL)
     first = certified.index(False)
     assert first == 5  # level 5 needs 60 rows
     assert certified == [True] * first + [False] * (count - first)
@@ -870,7 +870,7 @@ def test_laguerre_route_sits_at_the_rounding_floor(monkeypatch):
         p = ModelParams(2, two_lam - 2)
         for count in range(1, 6):
             energies = level_energies(p, 0, count)
-            for tol in (1e-13, checks.EIGENSOLVE_TOL):
+            for tol in (1e-13, radial.EIGENSOLVE_TOL):
                 assert laguerre_certified(two_lam, energies, tol) \
                     == [True] * count
     # one basis function, the ground state: it reads no row of J'

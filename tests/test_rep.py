@@ -35,6 +35,21 @@ def test_highest_weight_storage_and_errors():
         HighestWeight([Fraction(1, 3)])
 
 
+def test_highest_weight_text_names_it_in_the_dominance_errors():
+    # the text `qkepler ktype` prints: ints plain, half integers as p/2
+    assert str(HighestWeight([3, 1, 0])) == "(3,1,0)"
+    assert str(HighestWeight([Fraction(3, 2), Fraction(1, 2), 0])) \
+        == "(3/2,1/2,0)"
+    for family, rank, entries, text in [
+            ("A", 3, [-1, -1, -2, -1], "(-1,-1,-2,-1)"),
+            ("C", 2, [Fraction(1, 2), Fraction(3, 2)], "(1/2,3/2)")]:
+        rs = RootSystem(family, rank)
+        for f in (weyl_dim, casimir):
+            with pytest.raises(ValueError) as err:
+                f(rs, HighestWeight(entries))
+            assert str(err.value) == f"weight {text} is not dominant for {rs}"
+
+
 def shifted(hw, c):
     """The weight plus the constant vector c*(1, ..., 1)."""
     return HighestWeight([e + Fraction(c) for e in hw.entries])

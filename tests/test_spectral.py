@@ -135,8 +135,9 @@ def test_ktype_weight_entry_sum_is_oscillator_level():
 
 
 def test_hspace_weight_is_level_zero_ktype():
-    for n in (2, 3):
-        for sigma_bar in range(4):
+    # the bound sector's highest weight is that of its lowest K-type
+    for n in range(2, 9):
+        for sigma_bar in range(13):
             p = ModelParams(n, sigma_bar)
             assert hspace_weight(p) == ktype_weight(p, 0)
 
